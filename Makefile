@@ -1,5 +1,5 @@
 .PHONY: all build test bench bench-quick bench-smoke bench-gates \
-	server-smoke shard-smoke check fmt lint verify bad-corpus clean
+	server-smoke shard-smoke wirebench check fmt lint verify bad-corpus clean
 
 all: build
 
@@ -44,6 +44,13 @@ server-smoke:
 # and a clean router drain.
 shard-smoke:
 	bash scripts/shard_smoke.sh
+
+# Wire-level serving benchmark: prefserve and prefroute driven end to end
+# on the serve_cold, session_mix and routed_rw workloads (untraced,
+# traced, and a held-out seed). Exits non-zero on any wire answer,
+# snapshot or delta stream that differs from the in-process oracle.
+wirebench:
+	python3 wirebench/run.py --all --seed 1 --seconds 5
 
 # Formatting gate; dune's (formatting) stanza covers the dune files
 # everywhere and .ml/.mli sources when an ocamlformat binary is present.

@@ -11,14 +11,16 @@ type stats = {
 (* The last successful preference statement, when its shape makes its
    result a sound revision seed: SELECT * over one table, no WHERE, no
    TOP / BUT ONLY / GROUP BY, complete flags.  [l_seed] is kept equal to
-   sigma[P](table) across single-row DML (inserts are patched in place;
-   a delete that touches a seed row drops the seed — promotions would
-   need the shadow set). *)
+   sigma[P](table) across single-row DML (inserts are patched in place)
+   or dropped — by a delete that touches a seed row (promotions would
+   need the shadow set) or by another connection's DML ([set_env]).
+   Without a seed the statement stays armed and the next refine runs
+   cold. *)
 type last = {
   l_table : string;
   l_query : Ast.query;
   l_dom : Pref_bmo.Dominance.t;
-  mutable l_seed : Relation.t;
+  mutable l_seed : Relation.t option;
 }
 
 type t = {
@@ -57,9 +59,11 @@ let id t = t.s_id
 
 let env t = t.env
 
+let drop_seed t = Option.iter (fun l -> l.l_seed <- None) t.last
+
 let set_env t env =
   (* the revision seed was computed against the old tables *)
-  if env != t.env then t.last <- None;
+  if env != t.env then drop_seed t;
   t.env <- env
 
 (* swap a table without touching the revision seed — single-row DML
@@ -146,7 +150,7 @@ let track t src qopt (r : Exec.result) =
             l_table = String.lowercase_ascii (List.hd q.Ast.from);
             l_query = q;
             l_dom = Pref_bmo.Dominance.of_pref (Relation.schema r.relation) p;
-            l_seed = r.relation;
+            l_seed = Some r.relation;
           }
     | _ -> t.last <- None)
   | _ -> t.last <- None
@@ -254,21 +258,20 @@ let require_table t name =
 
 let seed_note_insert t name row =
   match t.last with
-  | Some l when String.equal l.l_table name ->
-    let rows = Relation.rows l.l_seed in
+  | Some ({ l_seed = Some seed; _ } as l) when String.equal l.l_table name ->
+    let rows = Relation.rows seed in
     if not (List.exists (fun r -> l.l_dom r row) rows) then begin
       let kept = List.filter (fun r -> not (l.l_dom row r)) rows in
-      l.l_seed <- Relation.make (Relation.schema l.l_seed) (kept @ [ row ])
+      l.l_seed <- Some (Relation.make (Relation.schema seed) (kept @ [ row ]))
     end
   | _ -> ()
 
 let seed_note_delete t name row =
   match t.last with
-  | Some l when String.equal l.l_table name ->
+  | Some { l_table; l_seed = Some seed; _ } when String.equal l_table name ->
     (* a deleted best match may promote shadow tuples we do not keep;
        drop the seed and let the next refine run cold *)
-    if List.exists (Tuple.equal row) (Relation.rows l.l_seed) then
-      t.last <- None
+    if List.exists (Tuple.equal row) (Relation.rows seed) then drop_seed t
   | _ -> ()
 
 let insert t name row =

@@ -1,6 +1,7 @@
 open Pref_sql
 module Client = Pref_server.Client
 module Protocol = Pref_server.Protocol
+module Serve = Pref_server.Serve
 module Relation = Pref_relation.Relation
 module Tuple = Pref_relation.Tuple
 
@@ -31,20 +32,7 @@ let default_config =
     session_config = { Pref_bmo.Engine.default with check = false };
   }
 
-(* router.* metrics — mirrors of the always-on atomic counters, fed when
-   telemetry is globally enabled *)
-let m_queries = Pref_obs.Metrics.counter "router.queries"
-let m_scatter = Pref_obs.Metrics.counter "router.scatter"
-let m_proxied = Pref_obs.Metrics.counter "router.proxied"
-let m_merged = Pref_obs.Metrics.counter "router.merged"
-let m_merge_skipped = Pref_obs.Metrics.counter "router.merge_skipped"
-let m_partial = Pref_obs.Metrics.counter "router.partial"
-let m_shard_down = Pref_obs.Metrics.counter "router.shard_down"
-let m_errors = Pref_obs.Metrics.counter "router.errors"
-let m_deltas = Pref_obs.Metrics.counter "router.deltas"
-let g_conns = Pref_obs.Metrics.gauge "router.connections"
 let g_up = Pref_obs.Metrics.gauge "router.shards_up"
-let g_subs = Pref_obs.Metrics.gauge "router.subscriptions"
 
 type health = { mutable failures : int; mutable down_until : float }
 
@@ -52,42 +40,25 @@ type t = {
   cfg : config;
   registry : Translate.registry;
   backends : backend array;
-  listen_fd : Unix.file_descr;
-  bound_port : int;
+  spine : unit Serve.t;
   health : health array;
   health_m : Mutex.t;
-  m : Mutex.t;
-  mutable draining : bool;
-  mutable drain_started : bool;
-  mutable stopped : bool;
-  stopped_c : Condition.t;
-  stop_requested : bool Atomic.t;
-  mutable accept_thread : Thread.t option;
-  conns_m : Mutex.t;
-  mutable conns : (int * Unix.file_descr) list;
-  mutable conn_threads : (int * Thread.t) list;
   rr : int Atomic.t;  (* round-robin cursor for proxied requests *)
   (* table schemas learned from shard replies, for DML row placement *)
   schemas_m : Mutex.t;
   schemas : (string, Pref_relation.Schema.t) Hashtbl.t;
-  (* always-on counters (STATS must work with telemetry off) *)
-  c_accepted : int Atomic.t;
-  c_conn_rejected : int Atomic.t;
-  c_queries : int Atomic.t;
-  c_scatter : int Atomic.t;
-  c_proxied : int Atomic.t;
-  c_merged : int Atomic.t;
-  c_merge_skipped : int Atomic.t;
-  c_partial : int Atomic.t;
-  c_shard_down : int Atomic.t;
-  c_errors : int Atomic.t;
-  c_subscriptions : int Atomic.t;  (* currently active routed subscriptions *)
-  c_deltas : int Atomic.t;
-  c_next_id : int Atomic.t;
+  c_queries : Serve.counter;
+  c_scatter : Serve.counter;
+  c_proxied : Serve.counter;
+  c_merged : Serve.counter;
+  c_merge_skipped : Serve.counter;
+  c_partial : Serve.counter;
+  c_shard_down : Serve.counter;
+  c_errors : Serve.counter;
 }
 
-let port t = t.bound_port
-let draining t = Mutex.protect t.m (fun () -> t.draining)
+let port t = Serve.port t.spine
+let draining t = Serve.draining t.spine
 let nshards t = Array.length t.backends
 
 (* ------------------------------------------------------------------ *)
@@ -178,6 +149,13 @@ let has_prefix p s =
 let is_busy msg = has_prefix "[busy]" msg
 let is_drain msg = has_prefix "[drain" msg
 
+let shard_err ?trace message = Serve.err ?trace "shard" message
+let unavailable ?trace message = Serve.err ?trace ~retriable:true "unavailable" message
+
+let all_unavailable ?trace t msg =
+  unavailable ?trace
+    (Printf.sprintf "all %d shard(s) unavailable (%s)" (nshards t) msg)
+
 (* One request against shard [i] with the degradation ladder: busy is
    retried within the shard budget, draining a few times (the backend is
    leaving — don't burn the whole budget on it), and lost connections
@@ -236,7 +214,10 @@ let scatter conn f =
   Array.iter Thread.join threads;
   results
 
-let partition_outcomes results =
+(* Split scattered outcomes: a deterministic error on any shard fails
+   the request, no answer at all makes it unavailable, and otherwise [k]
+   gets the answers and the shards that were down. *)
+let gathered t ?trace results k =
   let oks = ref [] and fatal = ref None and downs = ref [] in
   Array.iteri
     (fun i -> function
@@ -244,35 +225,32 @@ let partition_outcomes results =
       | O_fatal msg -> if !fatal = None then fatal := Some msg
       | O_down msg -> downs := (i, msg) :: !downs)
     results;
-  (List.rev !oks, !fatal, List.rev !downs)
+  match (!fatal, List.rev !oks, List.rev !downs) with
+  | Some msg, _, _ -> shard_err ?trace msg
+  | None, [], downs ->
+    all_unavailable ?trace t
+      (match downs with (_, m) :: _ -> m | [] -> "no backends")
+  | None, oks, downs -> k oks downs
 
 (* Try shards round-robin until one answers; deterministic errors stop
    the failover — a parse error is a parse error on every replica. *)
-let proxy conn f =
-  let t = conn.router in
+let failover t ?trace attempt =
   let n = nshards t in
   let start = Atomic.fetch_and_add t.rr 1 mod n in
   let rec go k last =
     if k >= n then
       Error
-        (Protocol.Err
-           {
-             kind = "unavailable";
-             retriable = true;
-             message =
-               Printf.sprintf "all %d backend(s) unavailable (%s)" n last;
-             trace = None;
-           })
+        (unavailable ?trace
+           (Printf.sprintf "all %d backend(s) unavailable (%s)" n last))
     else
-      match with_shard conn ((start + k) mod n) f with
+      match attempt ((start + k) mod n) with
       | O_ok v -> Ok v
-      | O_fatal msg ->
-        Error
-          (Protocol.Err
-             { kind = "shard"; retriable = false; message = msg; trace = None })
+      | O_fatal msg -> Error (shard_err ?trace msg)
       | O_down msg -> go (k + 1) msg
   in
   go 0 "no backends"
+
+let proxy conn ?trace f = failover conn.router ?trace (fun i -> with_shard conn i f)
 
 (* Each shard request gets a derived span so backend slow-query logs can
    be stitched back to the client's trace through the router hop. *)
@@ -284,24 +262,6 @@ let child_trace trace i =
         Protocol.span_id = tr.Protocol.span_id ^ "." ^ string_of_int i;
       })
     trace
-
-(* ------------------------------------------------------------------ *)
-(* Errors                                                              *)
-
-let error_response ?trace e =
-  let err ?(retriable = false) kind message =
-    Protocol.Err { kind; retriable; message; trace }
-  in
-  match e with
-  | Parser.Error (msg, pos) ->
-    err "parse" (Printf.sprintf "syntax error at offset %d: %s" pos msg)
-  | Translate.Error msg -> err "translate" msg
-  | Exec.Unknown_table { name; hint } ->
-    err "exec" (Exec.unknown_table_message ~name ~hint)
-  | Exec.Error msg -> err "exec" msg
-  | Preferences.Pref.Ill_formed { code; message; _ } ->
-    err "pref" (Printf.sprintf "[%s] %s" code message)
-  | e -> err "internal" (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* QUERY                                                               *)
@@ -325,95 +285,46 @@ let resolve_query conn sql =
 
 let scatter_query conn ?trace (d : Merge.decision) =
   let t = conn.router in
-  Atomic.incr t.c_scatter;
-  Pref_obs.Metrics.incr m_scatter;
+  Serve.bump t.c_scatter;
   let results =
     scatter conn (fun i client ->
         Client.query_reply ?trace:(child_trace trace i) client d.Merge.shard_sql)
   in
-  let oks, fatal, downs = partition_outcomes results in
-  List.iter
-    (fun _ ->
-      Atomic.incr t.c_shard_down;
-      Pref_obs.Metrics.incr m_shard_down)
-    downs;
-  match fatal with
-  | Some msg ->
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_errors;
-    Protocol.Err { kind = "shard"; retriable = false; message = msg; trace }
-  | None when oks = [] ->
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_errors;
-    Protocol.Err
-      {
-        kind = "unavailable";
-        retriable = true;
-        message =
-          Printf.sprintf "all %d shard(s) unavailable (%s)" (nshards t)
-            (match downs with (_, m) :: _ -> m | [] -> "no backends");
-        trace;
-      }
-  | None -> (
-    let replies = List.map snd oks in
+  Array.iter (function O_down _ -> Serve.bump t.c_shard_down | _ -> ()) results;
+  gathered t ?trace results @@ fun oks downs ->
+  match
+    Merge.gather (List.map (fun (_, r) -> (r.Client.rel, r.Client.flags)) oks)
+  with
+  | Error message -> Serve.err ?trace "internal" message
+  | Ok (union, shard_flags) -> (
+    let deadline = Pref_bmo.Engine.deadline_of conn.config in
     match
-      Merge.gather
-        (List.map (fun r -> (r.Client.rel, r.Client.flags)) replies)
+      Merge.finish ~registry:t.registry ~config:conn.config ~deadline d union
     with
-    | Error msg ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      Protocol.Err { kind = "internal"; retriable = false; message = msg; trace }
-    | Ok (union, shard_flags) -> (
-      let deadline = Pref_bmo.Engine.deadline_of conn.config in
-      match
-        Merge.finish ~registry:t.registry ~config:conn.config ~deadline d union
-      with
-      | result ->
-        if d.Merge.merge_needed then begin
-          Atomic.incr t.c_merged;
-          Pref_obs.Metrics.incr m_merged
-        end
-        else begin
-          Atomic.incr t.c_merge_skipped;
-          Pref_obs.Metrics.incr m_merge_skipped
-        end;
-        let flags =
-          Pref_bmo.Engine.union_flags shard_flags result.Exec.flags
-        in
-        let flags =
-          { flags with Pref_bmo.Engine.partial =
-              flags.Pref_bmo.Engine.partial || downs <> [] }
-        in
-        if flags.Pref_bmo.Engine.partial then begin
-          Atomic.incr t.c_partial;
-          Pref_obs.Metrics.incr m_partial
-        end;
-        Protocol.Rows
-          {
-            relation = result.Exec.relation;
-            flags;
-            served = Some (List.length oks, nshards t);
-            trace;
-          }
-      | exception e ->
-        Atomic.incr t.c_errors;
-        Pref_obs.Metrics.incr m_errors;
-        error_response ?trace e))
+    | result ->
+      Serve.bump (if d.Merge.merge_needed then t.c_merged else t.c_merge_skipped);
+      let flags = Pref_bmo.Engine.union_flags shard_flags result.Exec.flags in
+      let flags =
+        { flags with Pref_bmo.Engine.partial =
+            flags.Pref_bmo.Engine.partial || downs <> [] }
+      in
+      if flags.Pref_bmo.Engine.partial then Serve.bump t.c_partial;
+      Protocol.Rows
+        {
+          relation = result.Exec.relation;
+          flags;
+          served = Some (List.length oks, nshards t);
+          trace;
+        }
+    | exception e -> Serve.error_response ?trace e)
 
 let proxy_query conn ?trace q =
   let t = conn.router in
-  Atomic.incr t.c_proxied;
-  Pref_obs.Metrics.incr m_proxied;
+  Serve.bump t.c_proxied;
   let sql = Pretty.query_to_string q in
-  match
-    proxy conn (fun client -> Client.query_reply ?trace client sql)
-  with
+  match proxy conn ?trace (fun client -> Client.query_reply ?trace client sql) with
   | Ok reply ->
-    if reply.Client.flags.Pref_bmo.Engine.partial then begin
-      Atomic.incr t.c_partial;
-      Pref_obs.Metrics.incr m_partial
-    end;
+    if reply.Client.flags.Pref_bmo.Engine.partial then Serve.bump t.c_partial;
     Protocol.Rows
       {
         relation = reply.Client.rel;
@@ -421,10 +332,6 @@ let proxy_query conn ?trace q =
         served = None;
         trace;
       }
-  | Error (Protocol.Err e) ->
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_errors;
-    Protocol.Err { e with trace }
   | Error resp -> resp
 
 (* ------------------------------------------------------------------ *)
@@ -485,168 +392,149 @@ let scatter_explain conn ~analyze ~json ?trace (d : Merge.decision) =
           ?trace:(child_trace trace i)
           client d.Merge.shard_sql)
   in
-  let oks, fatal, downs = partition_outcomes results in
-  match fatal with
-  | Some msg ->
-    Protocol.Err { kind = "shard"; retriable = false; message = msg; trace }
-  | None when oks = [] ->
-    Protocol.Err
-      {
-        kind = "unavailable";
-        retriable = true;
-        message =
-          Printf.sprintf "all %d shard(s) unavailable (%s)" (nshards t)
-            (match downs with (_, m) :: _ -> m | [] -> "no backends");
-        trace;
-      }
-  | None ->
-    let per_shard_ms = List.map (fun (_, text) -> chosen_ms text) oks in
-    let merge_rows =
-      List.fold_left (fun acc (_, text) -> acc + est_rows text) 0 oks
-    in
-    let sg =
-      Pref_bmo.Cost.scatter_gather_ms ~per_shard_ms ~merge_rows
-        ~dims:d.Merge.dims ~merge:d.Merge.merge_needed
-    in
-    let body =
-      if json then
-        Pref_obs.Json.to_string
-          (Pref_obs.Json.Obj
-             [
-               ( "scatter_gather",
-                 Pref_obs.Json.Obj
-                   [
-                     ("table", Pref_obs.Json.Str d.Merge.table);
-                     ( "scheme",
-                       Pref_obs.Json.Str
-                         (Shard_map.scheme_to_string d.Merge.scheme) );
-                     ("shards", Pref_obs.Json.Int (nshards t));
-                     ("answered", Pref_obs.Json.Int (List.length oks));
-                     ("shard_statement", Pref_obs.Json.Str d.Merge.shard_sql);
-                     ("merge", Pref_obs.Json.Bool d.Merge.merge_needed);
-                     ("reason", Pref_obs.Json.Str d.Merge.reason);
-                     ( "predicted_ms",
-                       Pref_obs.Json.Obj
-                         [
-                           ( "slowest_shard",
-                             Pref_obs.Json.Float sg.Pref_bmo.Cost.sg_slowest_ms
-                           );
-                           ( "dispatch",
-                             Pref_obs.Json.Float sg.Pref_bmo.Cost.sg_dispatch_ms
-                           );
-                           ("merge", Pref_obs.Json.Float sg.Pref_bmo.Cost.sg_merge_ms);
-                           ("total", Pref_obs.Json.Float sg.Pref_bmo.Cost.sg_total_ms);
-                         ] );
-                     ("estimated_gathered_rows", Pref_obs.Json.Int merge_rows);
-                     ( "shard_plans",
-                       Pref_obs.Json.List
-                         (List.map
-                            (fun (i, text) ->
-                              Pref_obs.Json.Obj
-                                [
-                                  ("shard", Pref_obs.Json.Int i);
-                                  ("plan", Pref_obs.Json.Str text);
-                                ])
-                            oks) );
-                   ] );
-             ])
-      else begin
-        let buf = Buffer.create 1024 in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "scatter-gather over %d shard(s): %s (%s), %d/%d answered\n"
-             (nshards t) d.Merge.table
-             (Shard_map.scheme_to_string d.Merge.scheme)
-             (List.length oks) (nshards t));
-        Buffer.add_string buf
-          (Printf.sprintf "  shard statement: %s\n" d.Merge.shard_sql);
-        Buffer.add_string buf
-          (Printf.sprintf "  merge: %s%s\n"
-             (if d.Merge.merge_needed then "" else "skipped — ")
-             d.Merge.reason);
-        Buffer.add_string buf "predicted costs (ms):\n";
-        Buffer.add_string buf
-          (Printf.sprintf "  %-14s %8.3f\n" "slowest-shard" sg.Pref_bmo.Cost.sg_slowest_ms);
-        Buffer.add_string buf
-          (Printf.sprintf "  %-14s %8.3f\n" "dispatch" sg.Pref_bmo.Cost.sg_dispatch_ms);
-        Buffer.add_string buf
-          (Printf.sprintf "  %-14s %8.3f\n" "merge" sg.Pref_bmo.Cost.sg_merge_ms);
-        Buffer.add_string buf
-          (Printf.sprintf "  %-14s %8.3f  <- chosen\n" "total" sg.Pref_bmo.Cost.sg_total_ms);
-        Buffer.add_string buf
-          (Printf.sprintf "estimated gathered rows: %d\n" merge_rows);
-        List.iter
-          (fun (i, text) ->
-            Buffer.add_string buf (Printf.sprintf "shard %d plan:\n" i);
-            Buffer.add_string buf (indent text);
-            Buffer.add_char buf '\n')
-          oks;
-        List.iter
-          (fun (i, msg) ->
-            Buffer.add_string buf (Printf.sprintf "shard %d: down (%s)\n" i msg))
-          downs;
-        Buffer.contents buf
-      end
-    in
-    Protocol.Explain_resp body
+  gathered t ?trace results @@ fun oks downs ->
+  let per_shard_ms = List.map (fun (_, text) -> chosen_ms text) oks in
+  let merge_rows =
+    List.fold_left (fun acc (_, text) -> acc + est_rows text) 0 oks
+  in
+  let sg =
+    Pref_bmo.Cost.scatter_gather_ms ~per_shard_ms ~merge_rows
+      ~dims:d.Merge.dims ~merge:d.Merge.merge_needed
+  in
+  let body =
+    if json then
+      Pref_obs.Json.to_string
+        (Pref_obs.Json.Obj
+           [
+             ( "scatter_gather",
+               Pref_obs.Json.Obj
+                 [
+                   ("table", Pref_obs.Json.Str d.Merge.table);
+                   ( "scheme",
+                     Pref_obs.Json.Str
+                       (Shard_map.scheme_to_string d.Merge.scheme) );
+                   ("shards", Pref_obs.Json.Int (nshards t));
+                   ("answered", Pref_obs.Json.Int (List.length oks));
+                   ("shard_statement", Pref_obs.Json.Str d.Merge.shard_sql);
+                   ("merge", Pref_obs.Json.Bool d.Merge.merge_needed);
+                   ("reason", Pref_obs.Json.Str d.Merge.reason);
+                   ( "predicted_ms",
+                     Pref_obs.Json.Obj
+                       [
+                         ( "slowest_shard",
+                           Pref_obs.Json.Float sg.Pref_bmo.Cost.sg_slowest_ms
+                         );
+                         ( "dispatch",
+                           Pref_obs.Json.Float sg.Pref_bmo.Cost.sg_dispatch_ms
+                         );
+                         ("merge", Pref_obs.Json.Float sg.Pref_bmo.Cost.sg_merge_ms);
+                         ("total", Pref_obs.Json.Float sg.Pref_bmo.Cost.sg_total_ms);
+                       ] );
+                   ("estimated_gathered_rows", Pref_obs.Json.Int merge_rows);
+                   ( "shard_plans",
+                     Pref_obs.Json.List
+                       (List.map
+                          (fun (i, text) ->
+                            Pref_obs.Json.Obj
+                              [
+                                ("shard", Pref_obs.Json.Int i);
+                                ("plan", Pref_obs.Json.Str text);
+                              ])
+                          oks) );
+                 ] );
+           ])
+    else begin
+      let buf = Buffer.create 1024 in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "scatter-gather over %d shard(s): %s (%s), %d/%d answered\n"
+           (nshards t) d.Merge.table
+           (Shard_map.scheme_to_string d.Merge.scheme)
+           (List.length oks) (nshards t));
+      Buffer.add_string buf
+        (Printf.sprintf "  shard statement: %s\n" d.Merge.shard_sql);
+      Buffer.add_string buf
+        (Printf.sprintf "  merge: %s%s\n"
+           (if d.Merge.merge_needed then "" else "skipped — ")
+           d.Merge.reason);
+      Buffer.add_string buf "predicted costs (ms):\n";
+      Buffer.add_string buf
+        (Printf.sprintf "  %-14s %8.3f\n" "slowest-shard" sg.Pref_bmo.Cost.sg_slowest_ms);
+      Buffer.add_string buf
+        (Printf.sprintf "  %-14s %8.3f\n" "dispatch" sg.Pref_bmo.Cost.sg_dispatch_ms);
+      Buffer.add_string buf
+        (Printf.sprintf "  %-14s %8.3f\n" "merge" sg.Pref_bmo.Cost.sg_merge_ms);
+      Buffer.add_string buf
+        (Printf.sprintf "  %-14s %8.3f  <- chosen\n" "total" sg.Pref_bmo.Cost.sg_total_ms);
+      Buffer.add_string buf
+        (Printf.sprintf "estimated gathered rows: %d\n" merge_rows);
+      List.iter
+        (fun (i, text) ->
+          Buffer.add_string buf (Printf.sprintf "shard %d plan:\n" i);
+          Buffer.add_string buf (indent text);
+          Buffer.add_char buf '\n')
+        oks;
+      List.iter
+        (fun (i, msg) ->
+          Buffer.add_string buf (Printf.sprintf "shard %d: down (%s)\n" i msg))
+        downs;
+      Buffer.contents buf
+    end
+  in
+  Protocol.Explain_resp body
 
 let answer_explain conn ~analyze ~json ?trace sql =
   let t = conn.router in
   match resolve_query conn sql with
-  | Error msg ->
-    Protocol.Err { kind = "parse"; retriable = false; message = msg; trace }
+  | Error message -> Serve.err ?trace "parse" message
   | Ok q -> (
     match Merge.plan ~registry:t.registry ~shard_map:t.cfg.shard_map q with
-    | Error msg ->
-      Protocol.Err { kind = "exec"; retriable = false; message = msg; trace }
+    | Error message -> Serve.err ?trace "exec" message
     | Ok Merge.Proxy -> (
       let sql = Pretty.query_to_string q in
       match
-        proxy conn (fun client -> Client.explain ~analyze ~json ?trace client sql)
+        proxy conn ?trace (fun client ->
+            Client.explain ~analyze ~json ?trace client sql)
       with
       | Ok body -> Protocol.Explain_resp body
       | Error resp -> resp)
     | Ok (Merge.Scatter d) -> scatter_explain conn ~analyze ~json ?trace d)
 
-(* Static checks run once in the router, against an empty catalog (the
-   rows live on the backends), before a statement is scattered N ways.
-   A no-op unless a checker has been installed (prefroute installs
-   [Pref_analysis]); warnings and hints are left to the backends. *)
-let pre_scatter_errors t q =
-  match
-    List.filter
-      (fun f -> f.Exec.check_severity = "error")
-      (Exec.static_check ~registry:t.registry [] q)
-  with
-  | [] -> None
-  | errors ->
-    Some
-      (String.concat "; "
-         (List.map
-            (fun f ->
-              Printf.sprintf "[%s] at %s: %s" f.Exec.check_code
-                f.Exec.check_path f.Exec.check_message)
-            errors))
+(* Plan [q]: [proxy ()] answers it for replicated / unregistered tables,
+   [scatter d] for sharded ones. Static checks run once here, against an
+   empty catalog (the rows live on the backends), before a statement is
+   scattered N ways — a no-op unless a checker has been installed
+   (prefroute installs [Pref_analysis]); warnings and hints are left to
+   the backends. Plan and check errors go to [fail]. *)
+let route t ?trace q ~fail ~proxy ~scatter =
+  match Merge.plan ~registry:t.registry ~shard_map:t.cfg.shard_map q with
+  | Error message -> fail (Serve.err ?trace "exec" message)
+  | Ok Merge.Proxy -> proxy ()
+  | Ok (Merge.Scatter d) -> (
+    match
+      List.filter
+        (fun f -> f.Exec.check_severity = "error")
+        (Exec.static_check ~registry:t.registry [] q)
+    with
+    | [] -> scatter d
+    | errors ->
+      fail
+        (Serve.err ?trace "check"
+           (String.concat "; "
+              (List.map
+                 (fun f ->
+                   Printf.sprintf "[%s] at %s: %s" f.Exec.check_code
+                     f.Exec.check_path f.Exec.check_message)
+                 errors))))
 
 (* Answer one already-parsed statement through the merge planner, and
    remember it as the connection's last statement when rows came back —
    the AST REFINE revises. *)
 let answer_parsed conn ?trace q =
-  let t = conn.router in
   let resp =
-    match Merge.plan ~registry:t.registry ~shard_map:t.cfg.shard_map q with
-    | Error msg ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      Protocol.Err { kind = "exec"; retriable = false; message = msg; trace }
-    | Ok Merge.Proxy -> proxy_query conn ?trace q
-    | Ok (Merge.Scatter d) -> (
-      match pre_scatter_errors t q with
-      | Some msg ->
-        Atomic.incr t.c_errors;
-        Pref_obs.Metrics.incr m_errors;
-        Protocol.Err { kind = "check"; retriable = false; message = msg; trace }
-      | None -> scatter_query conn ?trace d)
+    route conn.router ?trace q ~fail:Fun.id
+      ~proxy:(fun () -> proxy_query conn ?trace q)
+      ~scatter:(scatter_query conn ?trace)
   in
   (match resp with
   | Protocol.Rows _ -> conn.last_q <- Some q
@@ -654,9 +542,6 @@ let answer_parsed conn ?trace q =
   resp
 
 let answer_query conn ?trace sql =
-  let t = conn.router in
-  Atomic.incr t.c_queries;
-  Pref_obs.Metrics.incr m_queries;
   (* a QUERY whose statement starts with EXPLAIN answers with the plan,
      matching the single-node server *)
   match Parser.explain_prefix sql with
@@ -664,10 +549,7 @@ let answer_query conn ?trace sql =
     answer_explain conn ~analyze ~json:false ?trace rest
   | None -> (
     match resolve_query conn sql with
-    | Error msg ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      Protocol.Err { kind = "parse"; retriable = false; message = msg; trace }
+    | Error message -> Serve.err ?trace "parse" message
     | Ok q -> answer_parsed conn ?trace q)
 
 (* ------------------------------------------------------------------ *)
@@ -677,28 +559,14 @@ let answer_query conn ?trace sql =
    shard-local evaluations still profit from their caches. *)
 
 let answer_refine conn ?trace term =
-  let t = conn.router in
-  Atomic.incr t.c_queries;
-  Pref_obs.Metrics.incr m_queries;
   match conn.last_q with
   | None ->
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_errors;
-    Protocol.Err
-      {
-        kind = "exec";
-        retriable = false;
-        message =
-          "no preceding preference query to refine (run SELECT ... PREFERRING \
-           ... first)";
-        trace;
-      }
+    Serve.err ?trace "exec"
+      "no preceding preference query to refine (run SELECT ... PREFERRING \
+       ... first)"
   | Some q -> (
     match Parser.parse_pref term with
-    | exception e ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      error_response ?trace e
+    | exception e -> Serve.error_response ?trace e
     | p -> answer_parsed conn ?trace { q with Ast.preferring = Some p; Ast.cascade = [] })
 
 (* ------------------------------------------------------------------ *)
@@ -711,14 +579,13 @@ let is_no_match msg = has_prefix "[exec] no matching row" msg
 
 (* The shard-key placement needs the table's schema, which lives on the
    backends; learn it once from any shard's answer and cache it. *)
-let table_schema conn table =
+let table_schema conn ?trace table =
   let t = conn.router in
-  let table = String.lowercase_ascii table in
   match Mutex.protect t.schemas_m (fun () -> Hashtbl.find_opt t.schemas table) with
   | Some schema -> Ok schema
   | None -> (
     match
-      proxy conn (fun client ->
+      proxy conn ?trace (fun client ->
           Client.query client (Printf.sprintf "SELECT * FROM %s TOP 1" table))
     with
     | Ok (rel, _) ->
@@ -735,53 +602,26 @@ let placement t scheme schema row =
   Array.iteri (fun i piece -> if Relation.cardinality piece > 0 then idx := i) pieces;
   !idx
 
-let shard_err ?trace msg =
-  Protocol.Err { kind = "shard"; retriable = false; message = msg; trace }
-
-let unavailable_err ?trace t msg =
-  Protocol.Err
-    {
-      kind = "unavailable";
-      retriable = true;
-      message = Printf.sprintf "all %d shard(s) unavailable (%s)" (nshards t) msg;
-      trace;
-    }
-
 let answer_dml conn ?trace op table row =
   let t = conn.router in
-  Atomic.incr t.c_queries;
-  Pref_obs.Metrics.incr m_queries;
   let table_lc = String.lowercase_ascii table in
-  let scheme = Shard_map.find t.cfg.shard_map table_lc in
-  match (op, scheme) with
-  | Protocol.Dml_insert, (None | Some Shard_map.Replicated) -> (
+  match (op, Shard_map.find t.cfg.shard_map table_lc) with
+  | Protocol.Dml_insert, (None | Some Shard_map.Replicated) ->
     (* every backend holds a full copy: keep them all in step *)
-    let results =
-      scatter conn (fun i client ->
-          Client.insert ?trace:(child_trace trace i) client ~table row)
-    in
-    let oks, fatal, downs = partition_outcomes results in
-    match fatal with
-    | Some msg ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      shard_err ?trace msg
-    | None when oks = [] ->
-      unavailable_err ?trace t
-        (match downs with (_, m) :: _ -> m | [] -> "no backends")
-    | None ->
-      Protocol.Done
-        (Printf.sprintf "inserted into %s on %d/%d backend(s)" table_lc
-           (List.length oks) (nshards t)))
+    gathered t ?trace
+      (scatter conn (fun i client ->
+           Client.insert ?trace:(child_trace trace i) client ~table row))
+    @@ fun oks _ ->
+    Protocol.Done
+      (Printf.sprintf "inserted into %s on %d/%d backend(s)" table_lc
+         (List.length oks) (nshards t))
   | Protocol.Dml_insert, Some scheme -> (
-    match table_schema conn table_lc with
+    match table_schema conn ?trace table_lc with
     | Error resp -> resp
     | Ok schema -> (
       match Protocol.decode_rows schema [ row ] with
-      | Error msg | (exception Failure msg) ->
-        Atomic.incr t.c_errors;
-        Pref_obs.Metrics.incr m_errors;
-        Protocol.Err { kind = "proto"; retriable = false; message = msg; trace }
+      | Error message | (exception Failure message) ->
+        Serve.err ?trace "proto" message
       | Ok [] -> assert false
       | Ok (tuple :: _) -> (
         let i = placement t scheme schema tuple in
@@ -790,19 +630,10 @@ let answer_dml conn ?trace op table row =
               Client.insert ?trace:(child_trace trace i) client ~table row)
         with
         | O_ok line -> Protocol.Done line
-        | O_fatal msg ->
-          Atomic.incr t.c_errors;
-          Pref_obs.Metrics.incr m_errors;
-          shard_err ?trace msg
+        | O_fatal msg -> shard_err ?trace msg
         | O_down msg ->
           (* the owning shard is fixed by placement: no failover *)
-          Protocol.Err
-            {
-              kind = "unavailable";
-              retriable = true;
-              message = Printf.sprintf "shard %d unavailable (%s)" i msg;
-              trace;
-            })))
+          unavailable ?trace (Printf.sprintf "shard %d unavailable (%s)" i msg))))
   | Protocol.Dml_delete, _ ->
     let results =
       scatter conn (fun i client ->
@@ -817,32 +648,23 @@ let answer_dml conn ?trace op table row =
         | O_down _ -> incr downs)
       results;
     (match !real_fatal with
-    | Some msg ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      shard_err ?trace msg
+    | Some msg -> shard_err ?trace msg
     | None ->
       if !oks > 0 then
         Protocol.Done
           (Printf.sprintf "deleted from %s (%d shard(s))" table_lc !oks)
       else if !downs > 0 then
-        unavailable_err ?trace t "row not found on any reachable shard"
-      else
-        Protocol.Err
-          {
-            kind = "exec";
-            retriable = false;
-            message = Printf.sprintf "no matching row in %s" table_lc;
-            trace;
-          })
+        all_unavailable ?trace t "row not found on any reachable shard"
+      else Serve.err ?trace "exec" (Printf.sprintf "no matching row in %s" table_lc))
 
 (* ------------------------------------------------------------------ *)
 (* SUBSCRIBE: routed continuous queries. Each shard subscription keeps
    that shard's BMO set current (absorbing shard resyncs); after every
    shard delta the router re-winnows the union — exact by the
    winnow/union law σ[P](R) = σ[P](σ[P](R1) ∪ ... ∪ σ[P](Rn)) — and
-   streams the multiset diff of consecutive answers downstream, so the
-   client only ever sees plain deltas. *)
+   publishes the multiset diff of consecutive answers to the spine's
+   bounded subscriber queue, so the client only ever sees plain deltas
+   (or a resync once it falls behind). *)
 
 let remove_row x l =
   let rec go acc = function
@@ -864,231 +686,130 @@ let multiset_diff ~before ~after =
   in
   (List.rev added_rev, removed)
 
-(* All-or-nothing setup over the given shards — a missing shard would
-   make the continuous answer silently partial forever. Each shard gets
-   a dedicated channel: after SUBSCRIBE a connection is a one-way
-   stream, so the pooled request channels must stay out of it. *)
-let open_shard_subs t ?trace ~indices stmt =
-  let opened = ref [] in
-  let close_all () =
-    List.iter (fun (_, c, _) -> try Client.close c with _ -> ()) !opened
-  in
-  let rec go = function
-    | [] -> Ok (List.rev !opened)
-    | i :: rest -> (
-      let b = t.backends.(i) in
-      match
-        Client.connect ~timeout_s:t.cfg.shard_timeout_s ~host:b.bhost
-          ~port:b.bport ()
-      with
-      | exception e ->
-        mark_down t i;
-        close_all ();
-        Error (unavailable_err ?trace t (Printexc.to_string e))
-      | c -> (
-        match Client.subscribe ?trace:(child_trace trace i) c stmt with
-        | Ok snap ->
-          mark_up t i;
-          opened := (i, c, snap) :: !opened;
-          go rest
-        | Error msg ->
-          (try Client.close c with _ -> ());
-          close_all ();
-          Error (shard_err ?trace msg)
-        | exception e ->
-          (try Client.close c with _ -> ());
-          mark_down t i;
-          close_all ();
-          Error (unavailable_err ?trace t (Printexc.to_string e))))
-  in
-  go indices
+(* A dedicated channel per shard subscription: after SUBSCRIBE a
+   connection is a one-way stream, so the pooled request channels must
+   stay out of it. *)
+let open_shard_sub t ?trace stmt i =
+  let b = t.backends.(i) in
+  match
+    Client.connect ~timeout_s:t.cfg.shard_timeout_s ~host:b.bhost ~port:b.bport
+      ()
+  with
+  | exception e ->
+    mark_down t i;
+    O_down (Printexc.to_string e)
+  | c -> (
+    let close () = try Client.close c with _ -> () in
+    match Client.subscribe ?trace:(child_trace trace i) c stmt with
+    | Ok snap ->
+      mark_up t i;
+      O_ok (c, snap)
+    | Error msg ->
+      close ();
+      O_fatal msg
+    | exception e ->
+      close ();
+      mark_down t i;
+      O_down (Printexc.to_string e))
 
-(* Replicated / unregistered table: one backend holds the full answer,
-   so subscribe to a single healthy shard (failing over on connection
-   trouble; a server-side rejection is deterministic on every replica). *)
-let proxy_sub t ?trace stmt =
-  let n = nshards t in
-  let start = Atomic.fetch_and_add t.rr 1 mod n in
-  let rec go k last =
-    if k >= n then Error (unavailable_err ?trace t last)
+(* All-or-nothing over every shard — a missing shard would make the
+   continuous answer silently partial forever. *)
+let open_all t ?trace stmt =
+  let close_all = List.iter (fun (c, _) -> try Client.close c with _ -> ()) in
+  let rec go acc i =
+    if i = nshards t then Ok (List.rev acc)
     else
-      let i = (start + k) mod n in
-      let b = t.backends.(i) in
-      match
-        Client.connect ~timeout_s:t.cfg.shard_timeout_s ~host:b.bhost
-          ~port:b.bport ()
-      with
-      | exception e ->
-        mark_down t i;
-        go (k + 1) (Printexc.to_string e)
-      | c -> (
-        match Client.subscribe ?trace:(child_trace trace i) c stmt with
-        | Ok snap ->
-          mark_up t i;
-          Ok [ (i, c, snap) ]
-        | Error msg ->
-          (try Client.close c with _ -> ());
-          Error (shard_err ?trace msg)
-        | exception e ->
-          (try Client.close c with _ -> ());
-          mark_down t i;
-          go (k + 1) (Printexc.to_string e))
+      match open_shard_sub t ?trace stmt i with
+      | O_ok s -> go (s :: acc) (i + 1)
+      | O_fatal msg ->
+        close_all acc;
+        Error (shard_err ?trace msg)
+      | O_down msg ->
+        close_all acc;
+        Error (all_unavailable ?trace t msg)
   in
-  go 0 "no backends"
+  go [] 0
 
-(* Writes frames to the downstream client directly; returns the
-   continue-bool for the connection loop ([false] once the stream has
-   run, [true] after a setup error — the connection is still usable). *)
-let answer_subscribe conn ?trace sql =
+let stream_union conn ?trace pref shard_subs =
   let t = conn.router in
-  Atomic.incr t.c_queries;
-  Pref_obs.Metrics.incr m_queries;
-  let send resp =
-    Protocol.write_frame conn.fd (Protocol.encode_response resp)
+  let subs = Array.of_list shard_subs in
+  let schema = Relation.schema (fst (snd subs.(0))) in
+  let rows = Array.map (fun (_, (rel, _)) -> Relation.rows rel) subs in
+  let flags =
+    Array.fold_left
+      (fun f (_, (_, fl)) -> Pref_bmo.Engine.union_flags f fl)
+      Pref_bmo.Engine.complete subs
   in
-  let fail resp =
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_errors;
-    send resp;
-    true
+  let cfg = { conn.config with Pref_bmo.Engine.cache = false } in
+  let winnow rs =
+    Relation.rows
+      (fst (Pref_bmo.Query.sigma_cfg cfg schema pref (Relation.make schema rs)))
   in
+  let current = ref (winnow (List.concat (Array.to_list rows))) in
+  let first =
+    Protocol.Rows
+      {
+        relation = Relation.make schema !current;
+        flags;
+        served = Some (Array.length subs, nshards t);
+        trace;
+      }
+  in
+  let sub = Serve.subscribe t.spine ?trace schema ~snapshot:(fun () -> !current) () in
+  let patch slot (d : Client.delta) () =
+    (if d.Client.d_resync then rows.(slot) <- Relation.rows d.Client.d_added
+     else
+       let kept =
+         List.fold_left
+           (fun acc x -> Option.value (remove_row x acc) ~default:acc)
+           rows.(slot)
+           (Relation.rows d.Client.d_removed)
+       in
+       rows.(slot) <- kept @ Relation.rows d.Client.d_added);
+    let next = winnow (List.concat (Array.to_list rows)) in
+    let added, removed = multiset_diff ~before:!current ~after:next in
+    current := next;
+    (added, removed)
+  in
+  (* one blocking reader per shard stream; a timed read could lose
+     framing sync mid-frame, a blocked one cannot. A shard stream ending
+     ends ours. *)
+  let reader slot (c, _) () =
+    let rec go () =
+      match Client.next_delta c with
+      | Some d ->
+        Serve.publish t.spine sub (patch slot d);
+        go ()
+      | None -> Serve.close_sub sub
+      | exception _ -> Serve.close_sub sub
+    in
+    go ()
+  in
+  let readers = Array.mapi (fun slot s -> Thread.create (reader slot s) ()) subs in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun (c, _) -> try Client.close c with _ -> ()) subs;
+      Array.iter Thread.join readers)
+    (fun () -> Serve.stream t.spine conn.fd sub first)
+
+(* Set up the shard streams; [Ok stream] runs the routed stream until it
+   ends. *)
+let subscribe conn ?trace sql =
+  let t = conn.router in
   match Parser.parse_query sql with
-  | exception e -> fail (error_response ?trace e)
+  | exception e -> Error (Serve.error_response ?trace e)
   | q -> (
     match Exec.full_preference ~registry:t.registry q with
-    | None ->
-      fail
-        (Protocol.Err
-           {
-             kind = "exec";
-             retriable = false;
-             message = "SUBSCRIBE requires a PREFERRING clause";
-             trace;
-           })
-    | Some pref -> (
+    | None -> Error (Serve.err ?trace "exec" "SUBSCRIBE requires a PREFERRING clause")
+    | Some pref ->
       let stmt = Pretty.query_to_string q in
-      let setup =
-        match Merge.plan ~registry:t.registry ~shard_map:t.cfg.shard_map q with
-        | Error msg ->
-          Error
-            (Protocol.Err
-               { kind = "exec"; retriable = false; message = msg; trace })
-        | Ok Merge.Proxy -> proxy_sub t ?trace stmt
-        | Ok (Merge.Scatter _) -> (
-          match pre_scatter_errors t q with
-          | Some msg ->
-            Error
-              (Protocol.Err
-                 { kind = "check"; retriable = false; message = msg; trace })
-          | None ->
-            open_shard_subs t ?trace ~indices:(List.init (nshards t) Fun.id)
-              stmt)
-      in
-      match setup with
-      | Error resp -> fail resp
-      | Ok [] -> fail (unavailable_err ?trace t "no backends")
-      | Ok ((_, _, (rel0, flags0)) :: _ as subs) ->
-        let subs = Array.of_list subs in
-        let schema = Relation.schema rel0 in
-        let rows = Array.map (fun (_, _, (rel, _)) -> Relation.rows rel) subs in
-        let flags =
-          Array.fold_left
-            (fun f (_, _, (_, fl)) -> Pref_bmo.Engine.union_flags f fl)
-            flags0 subs
-        in
-        let cfg = { conn.config with Pref_bmo.Engine.cache = false } in
-        let winnow rs =
-          Relation.rows
-            (fst (Pref_bmo.Query.sigma_cfg cfg schema pref
-                    (Relation.make schema rs)))
-        in
-        let union () = List.concat (Array.to_list rows) in
-        let current = ref (winnow (union ())) in
-        send
-          (Protocol.Rows
-             {
-               relation = Relation.make schema !current;
-               flags;
-               served = Some (Array.length subs, nshards t);
-               trace;
-             });
-        Atomic.incr t.c_subscriptions;
-        Pref_obs.Metrics.set g_subs
-          (float_of_int (Atomic.get t.c_subscriptions));
-        let ev_m = Mutex.create () in
-        let evs = Queue.create () in
-        let push e = Mutex.protect ev_m (fun () -> Queue.add e evs) in
-        (* one blocking reader per shard stream; a timed read could lose
-           framing sync mid-frame, a blocked one cannot *)
-        let readers =
-          Array.mapi
-            (fun slot (_, c, _) ->
-              Thread.create
-                (fun () ->
-                  let rec go () =
-                    match Client.next_delta c with
-                    | Some d ->
-                      push (`Delta (slot, d));
-                      go ()
-                    | None -> push `Closed
-                    | exception _ -> push `Closed
-                  in
-                  go ())
-                ())
-            subs
-        in
-        let apply slot (d : Client.delta) =
-          if d.Client.d_resync then rows.(slot) <- Relation.rows d.Client.d_added
-          else begin
-            let kept =
-              List.fold_left
-                (fun acc x ->
-                  match remove_row x acc with Some acc -> acc | None -> acc)
-                rows.(slot)
-                (Relation.rows d.Client.d_removed)
-            in
-            rows.(slot) <- kept @ Relation.rows d.Client.d_added
-          end
-        in
-        let rec pump () =
-          if draining t then ()
-          else
-            match
-              Mutex.protect ev_m (fun () ->
-                  if Queue.is_empty evs then None else Some (Queue.pop evs))
-            with
-            | None ->
-              Thread.delay 0.02;
-              pump ()
-            | Some `Closed -> ()  (* a shard stream ended: end ours *)
-            | Some (`Delta (slot, d)) ->
-              apply slot d;
-              let next = winnow (union ()) in
-              let added, removed = multiset_diff ~before:!current ~after:next in
-              current := next;
-              if added <> [] || removed <> [] then begin
-                Atomic.incr t.c_deltas;
-                Pref_obs.Metrics.incr m_deltas;
-                send
-                  (Protocol.Delta
-                     {
-                       added = Relation.make schema added;
-                       removed = Relation.make schema removed;
-                       resync = false;
-                       trace;
-                     })
-              end;
-              pump ()
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            Array.iter (fun (_, c, _) -> try Client.close c with _ -> ()) subs;
-            Array.iter (fun th -> try Thread.join th with _ -> ()) readers;
-            Atomic.decr t.c_subscriptions;
-            Pref_obs.Metrics.set g_subs
-              (float_of_int (Atomic.get t.c_subscriptions)))
-          (fun () -> pump ());
-        false))
+      route t ?trace q ~fail:Result.error
+        ~proxy:(fun () ->
+          (* replicated / unregistered table: one backend holds the full
+             answer, and a union of replicas would stream duplicates *)
+          Result.map (fun s -> [ s ]) (failover t ?trace (open_shard_sub t ?trace stmt)))
+        ~scatter:(fun _ -> open_all t ?trace stmt)
+      |> Result.map (fun subs () -> stream_union conn ?trace pref subs))
 
 (* ------------------------------------------------------------------ *)
 (* SET / STATS                                                         *)
@@ -1100,9 +821,7 @@ let forwarded_key key = String.lowercase_ascii key <> "maxrows"
 
 let answer_set conn ~key ~value =
   match Pref_bmo.Engine.set conn.config ~key ~value with
-  | Error msg ->
-    Protocol.Err
-      { kind = "set"; retriable = false; message = msg; trace = None }
+  | Error message -> Serve.err "set" message
   | Ok cfg ->
     conn.config <- cfg;
     if forwarded_key key then begin
@@ -1126,7 +845,6 @@ let answer_set conn ~key ~value =
          (Option.value shown ~default:value))
 
 let counters t =
-  let active = Mutex.protect t.conns_m (fun () -> List.length t.conns) in
   let per_shard =
     Mutex.protect t.health_m (fun () ->
         List.concat
@@ -1139,24 +857,8 @@ let counters t =
                ])
              (Array.to_list t.health)))
   in
-  [
-    ("router.accepted", Atomic.get t.c_accepted);
-    ("router.active_connections", active);
-    ("router.connections_rejected", Atomic.get t.c_conn_rejected);
-    ("router.queries", Atomic.get t.c_queries);
-    ("router.scatter", Atomic.get t.c_scatter);
-    ("router.proxied", Atomic.get t.c_proxied);
-    ("router.merged", Atomic.get t.c_merged);
-    ("router.merge_skipped", Atomic.get t.c_merge_skipped);
-    ("router.partial", Atomic.get t.c_partial);
-    ("router.shard_down", Atomic.get t.c_shard_down);
-    ("router.errors", Atomic.get t.c_errors);
-    ("router.subscriptions", Atomic.get t.c_subscriptions);
-    ("router.deltas", Atomic.get t.c_deltas);
-    ("router.backends", nshards t);
-    ("router.shards_up", shards_up t);
-    ("router.draining", if draining t then 1 else 0);
-  ]
+  Serve.counters t.spine
+  @ [ ("router.backends", nshards t); ("router.shards_up", shards_up t) ]
   @ per_shard
 
 (* STATS: the router's own counters, then every backend's integer
@@ -1190,12 +892,10 @@ let answer_stats conn =
     (List.map (fun (k, v) -> (k, string_of_int v)) (counters t) @ shard_sums)
 
 (* ------------------------------------------------------------------ *)
-(* Connection loop                                                     *)
+(* The scatter backend: per-connection final-pass state and lazily
+   dialed backend channels, answering on the connection thread. *)
 
-exception Drain
-
-let handle_connection t fd =
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25;
+let connection t fd =
   let conn =
     {
       router = t;
@@ -1207,122 +907,47 @@ let handle_connection t fd =
       clients = Array.map (fun _ -> None) t.backends;
     }
   in
-  let send resp = Protocol.write_frame fd (Protocol.encode_response resp) in
-  let on_wait () = if draining t then raise Drain in
-  let rec loop () =
-    match Protocol.read_frame ~on_wait fd with
-    | None -> ()
-    | Some payload ->
-      let continue =
-        match Protocol.parse_request payload with
-        | Error msg ->
-          send
-            (Protocol.Err
-               { kind = "proto"; retriable = false; message = msg; trace = None });
-          true
-        | Ok (Protocol.Query { sql; trace }) ->
-          send (answer_query conn ?trace sql);
-          true
-        | Ok (Protocol.Prepare { name; sql; trace }) ->
-          (match Parser.parse_query sql with
-          | q ->
-            conn.prepared <- (name, q) :: List.remove_assoc name conn.prepared;
-            send (Protocol.Done ("prepared " ^ name))
-          | exception e -> send (error_response ?trace e));
-          true
-        | Ok (Protocol.Explain { sql; analyze; json; trace }) ->
-          send (answer_explain conn ~analyze ~json ?trace sql);
-          true
-        | Ok (Protocol.Refine { term; trace }) ->
-          send (answer_refine conn ?trace term);
-          true
-        | Ok (Protocol.Dml { op; table; row; trace }) ->
-          send (answer_dml conn ?trace op table row);
-          true
-        | Ok (Protocol.Subscribe { sql; trace }) ->
-          answer_subscribe conn ?trace sql
-        | Ok (Protocol.Set (key, value)) ->
-          send (answer_set conn ~key ~value);
-          true
-        | Ok Protocol.Stats ->
-          send (answer_stats conn);
-          true
-        | Ok (Protocol.Metrics { json }) ->
-          let body =
-            if json then Pref_obs.Json.to_string (Pref_obs.Export.to_json ())
-            else Pref_obs.Export.prometheus ()
-          in
-          send (Protocol.Metrics_resp body);
-          true
-        | Ok Protocol.Ping ->
-          send Protocol.Pong;
-          true
-      in
-      if continue then loop ()
+  let send = Serve.send fd in
+  (* QUERY, REFINE, DML and SUBSCRIBE count as queries, and every ERR
+     answering one as an error *)
+  let counted resp =
+    Serve.bump t.c_queries;
+    (match resp with Protocol.Err _ -> Serve.bump t.c_errors | _ -> ());
+    send resp;
+    true
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iteri (fun i _ -> drop_client conn i) conn.clients)
-    (fun () ->
-      try loop () with
-      | Drain | Protocol.Framing_error _ | Unix.Unix_error _ | Sys_error _ ->
-        ())
-
-let spawn_connection t fd =
-  let id = Atomic.fetch_and_add t.c_next_id 1 in
-  Mutex.protect t.conns_m (fun () ->
-      t.conns <- (id, fd) :: t.conns;
-      Pref_obs.Metrics.set g_conns (float_of_int (List.length t.conns)));
-  let thread =
-    Thread.create
-      (fun () ->
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.protect t.conns_m (fun () ->
-                t.conns <- List.remove_assoc id t.conns;
-                Pref_obs.Metrics.set g_conns
-                  (float_of_int (List.length t.conns)));
-            (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
-            try Unix.close fd with _ -> ())
-          (fun () -> handle_connection t fd))
-      ()
+  let handle = function
+    | Protocol.Query { sql; trace } -> counted (answer_query conn ?trace sql)
+    | Protocol.Prepare { name; sql; trace } ->
+      (match Parser.parse_query sql with
+      | q ->
+        conn.prepared <- (name, q) :: List.remove_assoc name conn.prepared;
+        send (Protocol.Done ("prepared " ^ name))
+      | exception e -> send (Serve.error_response ?trace e));
+      true
+    | Protocol.Explain { sql; analyze; json; trace } ->
+      send (answer_explain conn ~analyze ~json ?trace sql);
+      true
+    | Protocol.Refine { term; trace } -> counted (answer_refine conn ?trace term)
+    | Protocol.Dml { op; table; row; trace } ->
+      counted (answer_dml conn ?trace op table row)
+    | Protocol.Subscribe { sql; trace } -> (
+      match subscribe conn ?trace sql with
+      | Error resp -> counted resp
+      | Ok stream ->
+        Serve.bump t.c_queries;
+        stream ();
+        false)
+    | Protocol.Set (key, value) ->
+      send (answer_set conn ~key ~value);
+      true
+    | Protocol.Stats ->
+      send (answer_stats conn);
+      true
+    | Protocol.Ping | Protocol.Metrics _ -> true (* answered by the spine *)
   in
-  Mutex.protect t.conns_m (fun () ->
-      t.conn_threads <- (id, thread) :: t.conn_threads)
-
-let accept_loop t () =
-  Unix.setsockopt_float t.listen_fd Unix.SO_RCVTIMEO 0.25;
-  let rec loop () =
-    if draining t || Atomic.get t.stop_requested then ()
-    else
-      match Unix.accept t.listen_fd with
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        loop ()
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        Atomic.incr t.c_accepted;
-        let active = Mutex.protect t.conns_m (fun () -> List.length t.conns) in
-        if active >= t.cfg.max_connections then begin
-          Atomic.incr t.c_conn_rejected;
-          (try
-             Protocol.write_frame fd
-               (Protocol.encode_response
-                  (Protocol.Err
-                     {
-                       kind = "busy";
-                       retriable = true;
-                       message = "router at max connections; retry";
-                       trace = None;
-                     }))
-           with _ -> ());
-          try Unix.close fd with _ -> ()
-        end
-        else spawn_connection t fd;
-        loop ()
-  in
-  loop ()
+  let close () = Array.iteri (fun i _ -> drop_client conn i) conn.clients in
+  { Serve.handle; close }
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -1331,109 +956,38 @@ let start ?(config = default_config) ?(registry = Translate.default_registry)
     () =
   if config.backends = [] then
     invalid_arg "Router.start: at least one backend required";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-     Unix.bind listen_fd
-       (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen listen_fd 64
-   with e ->
-     (try Unix.close listen_fd with _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> config.port
+  let spine =
+    Serve.create ~name:"router" ~host:config.host ~port:config.port
+      ~max_connections:config.max_connections
   in
+  let counter = Serve.counter spine in
   let backends = Array.of_list config.backends in
   let t =
     {
       cfg = config;
       registry;
       backends;
-      listen_fd;
-      bound_port;
+      spine;
       health =
         Array.map (fun _ -> { failures = 0; down_until = 0. }) backends;
       health_m = Mutex.create ();
-      m = Mutex.create ();
-      draining = false;
-      drain_started = false;
-      stopped = false;
-      stopped_c = Condition.create ();
-      stop_requested = Atomic.make false;
-      accept_thread = None;
-      conns_m = Mutex.create ();
-      conns = [];
-      conn_threads = [];
       rr = Atomic.make 0;
       schemas_m = Mutex.create ();
       schemas = Hashtbl.create 8;
-      c_accepted = Atomic.make 0;
-      c_conn_rejected = Atomic.make 0;
-      c_queries = Atomic.make 0;
-      c_scatter = Atomic.make 0;
-      c_proxied = Atomic.make 0;
-      c_merged = Atomic.make 0;
-      c_merge_skipped = Atomic.make 0;
-      c_partial = Atomic.make 0;
-      c_shard_down = Atomic.make 0;
-      c_errors = Atomic.make 0;
-      c_subscriptions = Atomic.make 0;
-      c_deltas = Atomic.make 0;
-      c_next_id = Atomic.make 0;
+      c_queries = counter "queries";
+      c_scatter = counter "scatter";
+      c_proxied = counter "proxied";
+      c_merged = counter "merged";
+      c_merge_skipped = counter "merge_skipped";
+      c_partial = counter "partial";
+      c_shard_down = counter "shard_down";
+      c_errors = counter "errors";
     }
   in
   Pref_obs.Metrics.set g_up (float_of_int (nshards t));
-  t.accept_thread <- Some (Thread.create (accept_loop t) ());
+  Serve.serve spine (connection t);
   t
 
-let request_stop t = Atomic.set t.stop_requested true
-
-let stop t =
-  let first =
-    Mutex.protect t.m (fun () ->
-        if t.drain_started then false
-        else begin
-          t.drain_started <- true;
-          t.draining <- true;
-          true
-        end)
-  in
-  if not first then
-    Mutex.protect t.m (fun () ->
-        while not t.stopped do
-          Condition.wait t.stopped_c t.m
-        done)
-  else begin
-    (* 1. stop accepting; the accept loop polls [draining] on its timeout *)
-    Option.iter Thread.join t.accept_thread;
-    t.accept_thread <- None;
-    (try Unix.close t.listen_fd with _ -> ());
-    (* 2. connection threads notice [draining] on their read timeout and
-       exit after flushing the in-flight response; nudge blocked reads *)
-    let conns = Mutex.protect t.conns_m (fun () -> t.conns) in
-    List.iter
-      (fun (_, fd) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-      conns;
-    let threads = Mutex.protect t.conns_m (fun () -> t.conn_threads) in
-    List.iter (fun (_, th) -> Thread.join th) threads;
-    Mutex.protect t.conns_m (fun () -> t.conn_threads <- []);
-    Mutex.protect t.m (fun () ->
-        t.stopped <- true;
-        Condition.broadcast t.stopped_c)
-  end
-
-let wait t =
-  let rec poll () =
-    let stopped = Mutex.protect t.m (fun () -> t.stopped) in
-    if stopped then ()
-    else if Atomic.get t.stop_requested then stop t
-    else begin
-      Thread.delay 0.1;
-      poll ()
-    end
-  in
-  poll ()
+let request_stop t = Serve.request_stop t.spine
+let stop t = Serve.stop t.spine
+let wait t = Serve.wait t.spine

@@ -1,10 +1,13 @@
 (** The scatter-gather router: one wire-protocol endpoint in front of N
-    [prefserve] backends.
+    [prefserve] backends — the scatter backend of the serving spine
+    ({!Pref_server.Serve}), which owns the listener, the connection
+    threads, the frame loop, the drain and the subscriber queues.
 
     Speaks exactly the {!Pref_server.Protocol} a single server speaks —
     clients (shell, soak driver, benches) cannot tell the difference
-    except for the extra [served=k/n] word on ROWS responses. Per
-    request:
+    except for the extra [served=k/n] word on ROWS responses. Requests
+    are answered on the connection thread, over that connection's
+    lazily dialed backend channels. Per request:
 
     - QUERY over a sharded table: fan the {!Merge}-planned shard
       statement out to every backend in parallel, gather the per-shard
@@ -30,6 +33,11 @@
     - STATS sums the backends' integer counters under a [shards.]
       prefix, adds per-shard [shard.<i>.up] health, and the router's own
       counters. METRICS answers the router process's registry.
+    - SUBSCRIBE opens one stream per shard and re-winnows the union of
+      the shard BMO sets after every shard delta, publishing the diff to
+      the spine's bounded queue: a subscriber that falls 64 frames
+      behind gets one [resync] snapshot instead
+      ([router.subscription_resyncs]).
 
     Backend health: a failed connect or lost response marks the shard
     down with exponential backoff (doubling from
@@ -67,16 +75,19 @@ val port : t -> int
 val draining : t -> bool
 
 val counters : t -> (string * int) list
-(** The router-local counters (no backend round trips):
+(** The router-local counters (no backend round trips): the spine's
+    ([router.active_connections], [router.subscriptions],
+    [router.deltas], [router.subscription_resyncs], ...),
     [router.queries], [router.scatter], [router.proxied],
     [router.merged], [router.merge_skipped], [router.partial],
-    [router.shard_down], [router.errors], [router.backends],
-    [router.active_connections], plus [shard.<i>.up] /
+    [router.shard_down], [router.errors] (ERR answers to counted
+    requests), [router.backends], plus [shard.<i>.up] /
     [shard.<i>.failures] per backend. *)
 
 val stop : t -> unit
-(** Graceful drain, idempotent: stop accepting, let in-flight requests
-    flush, close backend connections. *)
+(** Graceful drain, idempotent ({!Pref_server.Serve.stop}): stop
+    accepting, let in-flight requests flush, close the subscription
+    streams and backend connections. *)
 
 val request_stop : t -> unit
 (** Signal-handler-safe: ask {!wait} to run {!stop}. *)

@@ -70,43 +70,18 @@ let answer fd =
   in
   write 0
 
-let accept_loop t () =
-  Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO 0.25;
-  let rec loop () =
-    if Atomic.get t.stop then ()
-    else
-      match Unix.accept t.fd with
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        loop ()
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        (* scrapes are rare (seconds apart) and the render is cheap:
-           serve inline on the accept thread *)
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
-        (try answer fd with _ -> ());
-        (try Unix.close fd with _ -> ());
-        loop ()
-  in
-  loop ()
-
 let start ?(host = "127.0.0.1") ~port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.listen fd 16
-   with e ->
-     (try Unix.close fd with _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> port
-  in
+  let fd, bound_port = Serve.listen ~host ~port in
   let t = { fd; bound_port; stop = Atomic.make false; thread = None } in
-  t.thread <- Some (Thread.create (accept_loop t) ());
+  let answer_inline conn =
+    (* scrapes are rare (seconds apart) and the render is cheap: serve
+       inline on the accept thread *)
+    Unix.setsockopt_float conn Unix.SO_RCVTIMEO 1.0;
+    (try answer conn with _ -> ());
+    try Unix.close conn with _ -> ()
+  in
+  let stop () = Atomic.get t.stop in
+  t.thread <- Some (Thread.create (fun () -> Serve.accept_loop fd ~stop answer_inline) ());
   t
 
 let port t = t.bound_port

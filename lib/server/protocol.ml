@@ -244,84 +244,83 @@ let encode_request = function
       (match op with Dml_insert -> "INSERT" | Dml_delete -> "DELETE")
       table (trace_words trace) row
 
-(* Table-driven request parsing: each verb registers a parser taking the
-   remaining verb-line words and the body. Adding a wire verb means one
-   constructor, one [register_verb] call and one handler arm — the
-   unknown-verb error enumerates whatever is registered. *)
-
-type verb_parser = string list -> string -> (request, string) result
-
-let request_parsers : (string, verb_parser) Hashtbl.t = Hashtbl.create 16
-
-let register_verb name parser = Hashtbl.replace request_parsers name parser
-
-let verbs () =
-  Hashtbl.fold (fun v _ acc -> v :: acc) request_parsers []
-  |> List.sort compare
+(* Table-driven request parsing: each verb maps to a parser taking the
+   remaining verb-line words and the body; the unknown-verb error
+   enumerates the table. *)
 
 let need_body verb rest k =
   if String.trim rest = "" then
     Error (Printf.sprintf "%s needs a statement" verb)
   else k rest
 
-let () =
-  register_verb "QUERY" (fun opts rest ->
-      need_body "QUERY" rest (fun sql ->
-          Ok (Query { sql; trace = trace_of_words opts })));
-  register_verb "PREPARE" (fun opts rest ->
-      match opts with
-      | name :: opts ->
-        need_body "PREPARE" rest (fun sql ->
-            Ok (Prepare { name; sql; trace = trace_of_words opts }))
-      | [] -> Error "PREPARE needs a statement name");
-  register_verb "EXPLAIN" (fun opts rest ->
-      need_body "EXPLAIN" rest (fun sql ->
-          Ok
-            (Explain
-               {
-                 sql;
-                 analyze = List.mem "ANALYZE" opts;
-                 json = List.mem "JSON" opts;
-                 trace = trace_of_words opts;
-               })));
-  register_verb "SET" (fun opts _rest ->
-      match opts with
-      | key :: (_ :: _ as value) -> Ok (Set (key, String.concat " " value))
-      | _ -> Error "SET needs a key and a value");
-  register_verb "STATS" (fun _ _ -> Ok Stats);
-  register_verb "METRICS" (fun opts _ ->
-      Ok (Metrics { json = List.mem "JSON" opts }));
-  register_verb "PING" (fun _ _ -> Ok Ping);
-  register_verb "REFINE" (fun opts rest ->
-      need_body "REFINE" rest (fun term ->
-          Ok (Refine { term; trace = trace_of_words opts })));
-  register_verb "SUBSCRIBE" (fun opts rest ->
-      need_body "SUBSCRIBE" rest (fun sql ->
-          Ok (Subscribe { sql; trace = trace_of_words opts })));
-  register_verb "DML" (fun opts rest ->
-      match opts with
-      | op_word :: table :: opts -> (
-        let op =
-          match String.uppercase_ascii op_word with
-          | "INSERT" -> Some Dml_insert
-          | "DELETE" -> Some Dml_delete
-          | _ -> None
-        in
-        match op with
-        | None ->
-          Error
-            (Printf.sprintf "DML operation must be INSERT or DELETE, got %S"
-               op_word)
-        | Some op ->
-          need_body "DML" rest (fun row ->
-              Ok (Dml { op; table; row; trace = trace_of_words opts })))
-      | _ -> Error "DML needs an operation and a table")
+let request_parsers : (string * (string list -> string -> (request, string) result)) list =
+  [
+    ( "QUERY",
+      fun opts rest ->
+        need_body "QUERY" rest (fun sql ->
+            Ok (Query { sql; trace = trace_of_words opts })) );
+    ( "PREPARE",
+      fun opts rest ->
+        match opts with
+        | name :: opts ->
+          need_body "PREPARE" rest (fun sql ->
+              Ok (Prepare { name; sql; trace = trace_of_words opts }))
+        | [] -> Error "PREPARE needs a statement name" );
+    ( "EXPLAIN",
+      fun opts rest ->
+        need_body "EXPLAIN" rest (fun sql ->
+            Ok
+              (Explain
+                 {
+                   sql;
+                   analyze = List.mem "ANALYZE" opts;
+                   json = List.mem "JSON" opts;
+                   trace = trace_of_words opts;
+                 })) );
+    ( "SET",
+      fun opts _rest ->
+        match opts with
+        | key :: (_ :: _ as value) -> Ok (Set (key, String.concat " " value))
+        | _ -> Error "SET needs a key and a value" );
+    ("STATS", fun _ _ -> Ok Stats);
+    ("METRICS", fun opts _ -> Ok (Metrics { json = List.mem "JSON" opts }));
+    ("PING", fun _ _ -> Ok Ping);
+    ( "REFINE",
+      fun opts rest ->
+        need_body "REFINE" rest (fun term ->
+            Ok (Refine { term; trace = trace_of_words opts })) );
+    ( "SUBSCRIBE",
+      fun opts rest ->
+        need_body "SUBSCRIBE" rest (fun sql ->
+            Ok (Subscribe { sql; trace = trace_of_words opts })) );
+    ( "DML",
+      fun opts rest ->
+        match opts with
+        | op_word :: table :: opts -> (
+          let op =
+            match String.uppercase_ascii op_word with
+            | "INSERT" -> Some Dml_insert
+            | "DELETE" -> Some Dml_delete
+            | _ -> None
+          in
+          match op with
+          | None ->
+            Error
+              (Printf.sprintf "DML operation must be INSERT or DELETE, got %S"
+                 op_word)
+          | Some op ->
+            need_body "DML" rest (fun row ->
+                Ok (Dml { op; table; row; trace = trace_of_words opts })))
+        | _ -> Error "DML needs an operation and a table" );
+  ]
+
+let verbs () = List.sort compare (List.map fst request_parsers)
 
 let parse_request payload =
   let verb_line, rest = split_verb payload in
   match words verb_line with
   | verb :: opts -> (
-    match Hashtbl.find_opt request_parsers verb with
+    match List.assoc_opt verb request_parsers with
     | Some parser -> parser opts rest
     | None ->
       Error

@@ -29,8 +29,7 @@
       table mutation; the row is RFC-4180 CSV in the table's column order
 
     A verb unknown to the receiver yields an [ERR proto] whose message
-    lists the registered verbs. The verb table is extensible
-    ({!register_verb}); the router registers no extra verbs but answers
+    lists the known verbs ({!verbs}). The server and the router answer
     the same ten.
 
     Responses:
@@ -127,23 +126,11 @@ type request =
 val encode_request : request -> string
 
 val parse_request : string -> (request, string) result
-(** Dispatches on the verb through the registered parser table; an
-    unregistered verb's error message lists {!verbs}. *)
-
-(** {1 Verb registry}
-
-    [parse_request] is table-driven: each verb maps to a parser taking
-    the remaining verb-line words and the body (the payload after the
-    verb line, [""] when absent). The built-in verbs are pre-registered;
-    embedders may add their own before serving. *)
-
-val register_verb :
-  string -> (string list -> string -> (request, string) result) -> unit
-(** [register_verb name parse] adds (or replaces) the parser for
-    verb [name] (matched case-sensitively, by convention uppercase). *)
+(** Dispatches on the verb (matched case-sensitively); an unknown verb's
+    error message lists {!verbs}. *)
 
 val verbs : unit -> string list
-(** The registered verb names, sorted. *)
+(** The verb names, sorted. *)
 
 (** {1 Responses} *)
 

@@ -1,13 +1,15 @@
-(** The concurrent Preference SQL query server.
+(** The concurrent Preference SQL query server: the local backend of the
+    serving spine ({!Serve}).
 
-    Architecture: one accept thread and one lightweight thread per
-    connection handle the wire protocol; query evaluation (parse →
-    translate → BMO → encode) runs on a fixed pool of executor
-    {e domains}, so concurrent clients scale across cores while
-    connection threads only block on I/O. Each connection owns a
-    {!Pref_engine.Session.t}; all sessions share the table environment
-    and the process-wide result cache (a session opts out with
-    [SET cache off]).
+    The spine owns the listener, one thread per connection, the frame
+    loop, the graceful drain and the bounded SUBSCRIBE queues. This
+    backend gives each connection a {!Pref_engine.Session.t} over the
+    shared table environment and the process-wide result cache (a
+    session opts out with [SET cache off]), and evaluates and encodes
+    every query on a fixed pool of executor {e domains}, so concurrent
+    clients scale across cores while connection threads only block on
+    I/O. DML from any connection is published to every subscription on
+    its table, in one order.
 
     {2 Admission control}
 
@@ -27,11 +29,10 @@
 
     {2 Graceful drain}
 
-    {!stop} stops accepting, answers new queries with a retriable
-    [ERR draining], lets every in-flight query complete and flush its
-    response, then closes the connections and joins all threads and
-    executor domains. Idempotent and thread-safe (callable from a signal
-    handler's context via {!request_stop}). *)
+    {!stop} is {!Serve.stop}: new queries get a retriable
+    [ERR draining] while every admitted query completes and flushes its
+    response; then the connections and streams close, and the threads
+    and executor domains are joined. *)
 
 type config = {
   host : string;  (** bind address, default 127.0.0.1 *)
@@ -73,9 +74,10 @@ val wait : t -> unit
     {!request_stop}). *)
 
 val counters : t -> (string * int) list
-(** Server-level counters, as [server.*] key/value pairs: accepted and
-    active connections, queued and in-flight queries, totals for
-    completed queries, busy/draining rejections, degradations
-    ([server.deadline_exceeded]), truncations and errors. Always live,
+(** Server-level counters, as [server.*] key/value pairs: the spine's
+    ({!Serve.counters}: connections, subscriptions, deltas, resyncs,
+    draining), then totals for completed queries, busy/draining
+    rejections, degradations ([server.deadline_exceeded]), truncations
+    and errors, and queued and in-flight queries. Always live,
     independent of {!Pref_obs.Control} (the same values also feed
     [server.*] metrics when telemetry is on). *)
