@@ -561,8 +561,8 @@ let b3_wall () =
   let families =
     Pref_workload.Synthetic.[ Independent; Correlated; Anti_correlated ]
   in
-  Fmt.pr "  %-16s %-4s %-7s %-9s %-12s %-12s %-12s %-12s %s@." "family" "d"
-    "n" "skyline" "naive" "bnl" "sfs" "dnc" "bbs";
+  Fmt.pr "  %-16s %-4s %-7s %-9s %-12s %-12s %-12s %s@." "family" "d"
+    "n" "skyline" "naive" "bnl" "sfs" "dnc";
   hr ();
   let naive_beaten = ref true in
   List.iter
@@ -583,9 +583,6 @@ let b3_wall () =
               let r_sfs, t_sfs = wall (fun () -> Sfs.maxima ~key dom rows) in
               let dims_fn = Dnc.dims_of schema attrs ~maximize:true in
               let r_dnc, t_dnc = wall (fun () -> Dnc.maxima ~dims:dims_fn rows) in
-              let r_bbs, t_bbs =
-                wall (fun () -> fst (Bbs.maxima ~dims:dims_fn rows))
-              in
               let t_naive_str, naive_ok =
                 if run_naive then begin
                   let r_naive, t_naive = wall (fun () -> Naive.maxima dom rows) in
@@ -601,14 +598,12 @@ let b3_wall () =
                 naive_ok
                 && List.length r_bnl = List.length r_sfs
                 && List.length r_bnl = List.length r_dnc
-                && List.length r_bnl = List.length r_bbs
               in
               if not agree then naive_beaten := false;
               Fmt.pr
-                "  %-16s %-4d %-7d %-9d %s %9.1f ms %9.1f ms %9.1f ms %9.1f \
-                 ms%s@."
+                "  %-16s %-4d %-7d %-9d %s %9.1f ms %9.1f ms %9.1f ms%s@."
                 (Pref_workload.Synthetic.correlation_to_string family)
-                dims n (List.length r_bnl) t_naive_str t_bnl t_sfs t_dnc t_bbs
+                dims n (List.length r_bnl) t_naive_str t_bnl t_sfs t_dnc
                 (if agree then "" else "  [DISAGREE]"))
             ns)
         dims_list)
@@ -822,7 +817,10 @@ let b8 () =
      metrics registry *)
   Pref_obs.Control.with_enabled true (fun () ->
       ignore (Bnl.query schema p rel);
-      ignore (Query.sigma ~algorithm:Query.Alg_auto schema p rel))
+      ignore
+        (Query.sigma_within ~deadline:Engine.no_deadline
+           { Engine.default with algorithm = Engine.Alg_auto }
+           schema p rel))
 
 (* ------------------------------------------------------------------ *)
 (* B6 — the cost-based planner (§7 optimizer roadmap, extension)        *)
@@ -1034,7 +1032,7 @@ let b10 () =
   let refined = Pref.prior q (Pref.highest "year") in
   let nocache = { Engine.default with cache = false } in
   let r_ref_cold, t_ref_cold =
-    wall (fun () -> fst (Query.sigma_cfg nocache schema refined rel))
+    wall (fun () -> fst (Query.sigma_within ~deadline:Engine.no_deadline nocache schema refined rel))
   in
   record_probes "semantic_prior" refined rel;
   let r_ref, t_ref = wall (fun () -> Query.sigma schema refined rel) in
@@ -1050,7 +1048,7 @@ let b10 () =
   ignore (Query.sigma schema hp rel);
   let comp = Pref.pareto hp (Pref.pos "color" [ v "red"; v "blue" ]) in
   let r_comp_cold, t_comp_cold =
-    wall (fun () -> fst (Query.sigma_cfg nocache schema comp rel))
+    wall (fun () -> fst (Query.sigma_within ~deadline:Engine.no_deadline nocache schema comp rel))
   in
   record_probes "pareto_compose" comp rel;
   (* at n = 200k the pareto-restrict derivation re-groups the whole base
@@ -1080,7 +1078,7 @@ let b10 () =
     t_patch;
   check "insert patches the cached entries" (patched > 0);
   let r_fresh, t_fresh =
-    wall (fun () -> fst (Query.sigma_cfg nocache schema q rel'))
+    wall (fun () -> fst (Query.sigma_within ~deadline:Engine.no_deadline nocache schema q rel'))
   in
   let r_patched, t_patched = wall (fun () -> Query.sigma schema q rel') in
   ignore (row "patched" t_fresh t_patched);

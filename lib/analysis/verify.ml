@@ -470,7 +470,9 @@ let merge_section rels =
                       d union
                   in
                   let single =
-                    Pref_sql.Exec.run_query_cfg config [ ("t", rel) ] q
+                    Pref_sql.Exec.run_query_within
+                      ~deadline:(Engine.deadline_of config) config
+                      [ ("t", rel) ] q
                   in
                   if
                     not

@@ -1,201 +1,84 @@
 open Pref_relation
 
-(* Window of mutually undominated tuples seen so far.  A candidate dominated
-   by a window tuple is discarded; window tuples dominated by the candidate
+(* Window of mutually undominated points seen so far.  A candidate dominated
+   by a window point is discarded; window points dominated by the candidate
    are evicted.  With unbounded memory no temporary file is needed, so a
    single pass suffices (the in-memory special case of block-nested-loops
    from the skyline paper).
 
-   The window is a mutable array, not a list: the scan is two flat loops
-   (probe for a dominator, then compact out evicted tuples in place), so the
-   pass allocates nothing per candidate and survives windows of any size —
-   the former recursive scan kept one stack frame per window tuple and
-   overflowed on large anti-chains. *)
+   The window is a flat array of indices into the point array: the scan is
+   two flat loops (probe for a dominator, then compact out evicted points
+   in place), so the pass allocates nothing per candidate, survives
+   windows of any size, and hands back positions the caller maps to
+   whatever it scanned (tuples, or projections paired with their tuples)
+   without unpacking pairs in the hot loop. *)
 
-let maxima (dom : Dominance.t) rows =
-  match rows with
-  | [] -> []
-  | first :: _ ->
-    let arr = Array.of_list rows in
-    let n = Array.length arr in
-    let win = Array.make n first in
-    let size = ref 0 in
-    for k = 0 to n - 1 do
-      let t = Array.unsafe_get arr k in
-      let dominated = ref false in
-      let i = ref 0 in
-      while (not !dominated) && !i < !size do
-        if dom (Array.unsafe_get win !i) t then dominated := true else incr i
-      done;
-      if not !dominated then begin
-        let j = ref 0 in
-        for i = 0 to !size - 1 do
-          let w = Array.unsafe_get win i in
-          if not (dom t w) then begin
-            Array.unsafe_set win !j w;
-            incr j
-          end
-        done;
-        win.(!j) <- t;
-        size := !j + 1
-      end
-    done;
-    Array.to_list (Array.sub win 0 !size)
+type run = { survivors : int array; tests : int; peak : int; timed_out : bool }
 
-(* Deadline-aware variant of [maxima]: identical window pass, but the
-   monotonic clock is polled every [deadline_stride] candidates and the
-   scan stops — returning the window built so far — once the budget is
-   spent.  The window at any candidate boundary is the exact BMO set of
-   the scanned prefix, so a degraded result is still sound, merely
-   incomplete. *)
-
+(* The window at any candidate boundary is the exact BMO set of the scanned
+   prefix, so stopping at a poll yields a sound, merely incomplete answer. *)
 let deadline_stride = 128
 
-let maxima_deadline ~deadline (dom : Dominance.t) rows =
-  if not (Engine.has_deadline deadline) then (maxima dom rows, false)
-  else if Engine.expired deadline then ([], true)
-  else
-    match rows with
-    | [] -> ([], false)
-    | first :: _ ->
-      let arr = Array.of_list rows in
-      let n = Array.length arr in
-      let win = Array.make n first in
-      let size = ref 0 in
-      let k = ref 0 in
-      let timed_out = ref false in
-      while !k < n && not !timed_out do
-        if !k land (deadline_stride - 1) = 0 && Engine.expired deadline then
-          timed_out := true
-        else begin
-          let t = Array.unsafe_get arr !k in
-          let dominated = ref false in
-          let i = ref 0 in
-          while (not !dominated) && !i < !size do
-            if dom (Array.unsafe_get win !i) t then dominated := true
-            else incr i
-          done;
-          if not !dominated then begin
-            let j = ref 0 in
-            for i = 0 to !size - 1 do
-              let w = Array.unsafe_get win i in
-              if not (dom t w) then begin
-                Array.unsafe_set win !j w;
-                incr j
-              end
-            done;
-            win.(!j) <- t;
-            size := !j + 1
-          end;
-          incr k
-        end
-      done;
-      (Array.to_list (Array.sub win 0 !size), !timed_out)
-
-let maxima_traced (dom : Dominance.t) rows =
-  (* Same pass as [maxima], tracking the peak window size for telemetry
-     without O(n) length scans. *)
-  match rows with
-  | [] -> ([], 0)
-  | first :: _ ->
-    let arr = Array.of_list rows in
-    let n = Array.length arr in
-    let win = Array.make n first in
-    let size = ref 0 in
-    let peak = ref 0 in
-    for k = 0 to n - 1 do
-      let t = Array.unsafe_get arr k in
-      let dominated = ref false in
-      let i = ref 0 in
-      while (not !dominated) && !i < !size do
-        if dom (Array.unsafe_get win !i) t then dominated := true else incr i
-      done;
-      if not !dominated then begin
-        let j = ref 0 in
-        for i = 0 to !size - 1 do
-          let w = Array.unsafe_get win i in
-          if not (dom t w) then begin
-            Array.unsafe_set win !j w;
-            incr j
-          end
-        done;
-        win.(!j) <- t;
-        size := !j + 1;
-        if !size > !peak then peak := !size
-      end
-    done;
-    (Array.to_list (Array.sub win 0 !size), !peak)
-
-(* ------------------------------------------------------------------ *)
-(* Vectorized kernels                                                  *)
-
-(* The same window pass over pre-projected vectors: each tuple is projected
-   once up front, every dominance test then reads flat arrays.  [count], when
-   given, accumulates the number of dominance tests (a plain ref the caller
-   owns — safe for per-domain counting in the parallel layer). *)
-
-let maxima_proj ~(dominates : 'p -> 'p -> bool) ?count
-    (points : ('p * Tuple.t) array) =
+let window ?(deadline = Engine.no_deadline) better points =
   let n = Array.length points in
-  if n = 0 then [||]
-  else begin
-    let tests = ref 0 in
-    let win = Array.make n points.(0) in
-    let size = ref 0 in
-    for k = 0 to n - 1 do
-      let ((pt, _) as cand) = Array.unsafe_get points k in
+  let polls = Engine.has_deadline deadline in
+  let win = Array.make n 0 in
+  let size = ref 0 and peak = ref 0 and tests = ref 0 in
+  let timed_out = ref false in
+  let k = ref 0 in
+  while !k < n do
+    if polls && !k land (deadline_stride - 1) = 0 && Engine.expired deadline
+    then begin
+      timed_out := true;
+      k := n
+    end
+    else begin
+      let p = Array.unsafe_get points !k in
       let dominated = ref false in
       let i = ref 0 in
       while (not !dominated) && !i < !size do
         incr tests;
-        if dominates (fst (Array.unsafe_get win !i)) pt then dominated := true
+        if better (Array.unsafe_get points (Array.unsafe_get win !i)) p then
+          dominated := true
         else incr i
       done;
       if not !dominated then begin
         let j = ref 0 in
         for i = 0 to !size - 1 do
-          let ((wp, _) as w) = Array.unsafe_get win i in
+          let w = Array.unsafe_get win i in
           incr tests;
-          if not (dominates pt wp) then begin
+          if not (better p (Array.unsafe_get points w)) then begin
             Array.unsafe_set win !j w;
             incr j
           end
         done;
-        win.(!j) <- cand;
-        size := !j + 1
-      end
-    done;
-    (match count with Some c -> c := !c + !tests | None -> ());
-    Array.sub win 0 !size
-  end
+        Array.unsafe_set win !j !k;
+        size := !j + 1;
+        if !size > !peak then peak := !size
+      end;
+      incr k
+    end
+  done;
+  {
+    survivors = Array.sub win 0 !size;
+    tests = !tests;
+    peak = !peak;
+    timed_out = !timed_out;
+  }
 
-let project_floats proj rows = Array.map (fun t -> (proj t, t)) rows
+let select arr r = Array.fold_right (fun i acc -> arr.(i) :: acc) r.survivors []
 
-let maxima_vec ?count (vec : Dominance.vec) (rows : Tuple.t array) =
-  match vec.Dominance.floats with
-  | Some proj ->
-    let pts = project_floats proj rows in
-    Array.map snd
-      (maxima_proj ~dominates:Dominance.float_dominates ?count pts)
-  | None ->
-    let pts = Array.map (fun t -> (vec.Dominance.project t, t)) rows in
-    Array.map snd (maxima_proj ~dominates:vec.Dominance.better ?count pts)
-
-(* ------------------------------------------------------------------ *)
+let maxima (dom : Dominance.t) rows =
+  let arr = Array.of_list rows in
+  select arr (window dom arr)
 
 let query schema p rel =
   Pref_obs.Span.with_span "bmo.bnl" (fun () ->
       let dom = Dominance.of_pref schema p in
-      let rows = Relation.rows rel in
-      if Pref_obs.Control.is_enabled () then begin
-        let dom, comparisons = Dominance.counting dom in
-        let (best, peak), ms =
-          Pref_obs.Span.timed (fun () -> maxima_traced dom rows)
-        in
-        Obs.record_query ~algorithm:"bnl" ~n_in:(List.length rows)
-          ~n_out:(List.length best) ~comparisons:(comparisons ()) ~ms;
-        Pref_obs.Metrics.set_max Obs.window_peak (float_of_int peak);
-        Pref_obs.Span.add_attr "window_peak" (string_of_int peak);
-        Relation.make (Relation.schema rel) best
-      end
-      else Relation.make (Relation.schema rel) (maxima dom rows))
+      let arr = Array.of_list (Relation.rows rel) in
+      let r, ms = Pref_obs.Span.timed (fun () -> window dom arr) in
+      let best = select arr r in
+      Obs.record_query ~algorithm:"bnl" ~n_in:(Array.length arr)
+        ~n_out:(Array.length r.survivors) ~comparisons:r.tests ~ms;
+      Obs.record_peak r.peak;
+      Relation.make (Relation.schema rel) best)

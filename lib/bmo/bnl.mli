@@ -1,63 +1,56 @@
 (** Block-nested-loops BMO evaluation ([BKS01], in-memory variant).
 
-    Maintains a window of mutually undominated tuples; average-case far
-    fewer comparisons than {!Naive} because dominated tuples are discarded
+    Maintains a window of mutually undominated points; average-case far
+    fewer comparisons than {!Naive} because dominated points are discarded
     on the fly and never compared again. Correct for every strict partial
-    order: transitivity guarantees a tuple dominated by an evicted window
-    tuple is also dominated by the evicting one. Result order: first
-    appearance order of the surviving tuples.
+    order: transitivity guarantees a point dominated by an evicted window
+    point is also dominated by the evicting one. Result order: first
+    appearance order of the surviving points.
 
-    The window lives in a mutable array and the scan is iterative, so the
-    pass allocates nothing per candidate and handles anti-chain windows of
-    any size (the former recursive scan kept a stack frame per window
-    tuple). *)
+    {!window} is the one evicting window loop of the engine. It is generic
+    over the point type, so each caller picks the dominance
+    representation: served queries pass the compiled closure over tuples,
+    the parallel chunk workers projected float or value vectors. The
+    window holds indices into the point array, lives in a flat array and
+    the scan is iterative, so the pass allocates nothing per candidate
+    and handles anti-chain windows of any size. *)
 
 open Pref_relation
 
-val maxima : Dominance.t -> Tuple.t list -> Tuple.t list
-
-val maxima_deadline :
-  deadline:Engine.deadline -> Dominance.t -> Tuple.t list -> Tuple.t list * bool
-(** The window pass with a time budget: the monotonic clock is polled
-    every {!deadline_stride} candidates, and when the deadline expires the
-    pass stops and returns the current window with [true] — the exact BMO
-    set of the scanned prefix (window tuples are mutually undominated and
-    every discarded tuple was dominated by a window tuple, so the prefix
-    semantics is sound; unscanned rows may have dominated them, which is
-    what the [partial] flag reports). With {!Engine.no_deadline} or a
-    budget that never expires the result is exactly {!maxima} and [false].
-    An already-expired deadline returns [([], true)] without scanning —
-    degradation is deterministic, never an exception. *)
+type run = {
+  survivors : int array;
+      (** indices into the input of the window at exit, ascending (the
+          first-appearance order of the surviving points) *)
+  tests : int;  (** dominance tests performed *)
+  peak : int;  (** largest window size reached *)
+  timed_out : bool;
+      (** the deadline expired and the scan stopped early; [survivors] is
+          then the exact BMO set of the scanned prefix *)
+}
 
 val deadline_stride : int
 (** Candidates scanned between clock polls (clock reads are cheap but not
-    free; the stride bounds deadline overshoot to [stride] dominance
-    scans). *)
+    free; the stride bounds deadline overshoot to [stride] candidates). *)
 
-val maxima_traced : Dominance.t -> Tuple.t list -> Tuple.t list * int
-(** [maxima] plus the peak window size reached during the pass — the
-    memory high-water mark query profiles report. Same result as
-    {!maxima}. *)
+val window : ?deadline:Engine.deadline -> ('p -> 'p -> bool) -> 'p array -> run
+(** [window better points]: the maxima of [points] under [better a b]
+    ("[a] dominates [b]"). With a [deadline] the monotonic clock is polled
+    before every {!deadline_stride}-th candidate (the first included);
+    when it has expired the scan stops and returns the current window
+    with [timed_out] set — the exact BMO set of the scanned prefix (window
+    points are mutually undominated and every discarded point was
+    dominated by a window point; unscanned points may have dominated
+    them, which is what the [partial] flag reports). An already-expired
+    deadline returns an empty window without scanning. Without a deadline
+    the clock is never read. *)
 
-val maxima_vec :
-  ?count:int ref -> Dominance.vec -> Tuple.t array -> Tuple.t array
-(** The vectorized kernel: projects each row once, then runs the window
-    pass over flat vectors ([float array] for pure numeric skylines,
-    [Value.t array] otherwise). [count] accumulates the number of dominance
-    tests performed — a caller-owned ref, so per-chunk counting stays
-    race-free in the parallel layer. Same result set and order as
-    {!maxima}. *)
+val select : 'a array -> run -> 'a list
+(** The surviving elements of the scanned array, in window order. *)
 
-val maxima_proj :
-  dominates:('p -> 'p -> bool) ->
-  ?count:int ref ->
-  ('p * Tuple.t) array ->
-  ('p * Tuple.t) array
-(** The window pass over caller-projected points, keeping the projections
-    in the result — the building block {!Parallel} reuses so chunk windows
-    can be merged without re-projecting. *)
+val maxima : Dominance.t -> Tuple.t list -> Tuple.t list
+(** {!window} over tuples, without a deadline. *)
 
 val query : Schema.t -> Preferences.Pref.t -> Relation.t -> Relation.t
-(** σ[P](R) via BNL. When telemetry ({!Pref_obs.Control}) is on, reports
-    dominance-test counts, scanned/pruned tuples and the window peak; when
-    off, runs the exact uninstrumented pass. *)
+(** σ[P](R) via BNL. Reports dominance-test counts, scanned/pruned tuples
+    and the window peak into the engine metrics (no-ops while
+    {!Pref_obs.Control} is off). *)

@@ -53,11 +53,14 @@ let rec eval schema p rel =
   | Pref.Highest _ | Pref.Score _ | Pref.Antichain _ | Pref.Dual _
   | Pref.Pareto _ | Pref.Prior _ | Pref.Rank _ | Pref.Lsum _
   | Pref.Two_graphs _ ->
-    Relation.distinct (Naive.query schema p rel)
+    Relation.distinct
+      (Relation.make (Relation.schema rel)
+         (Naive.maxima (Dominance.of_pref schema p) (Relation.rows rel)))
 
 let cascade schema p1 p2 rel =
   (* Proposition 11: σ[P1&P2](R) = σ[P2](σ[P1](R)) when P1 is a chain.  BNL
      is safe for both stages (each stage's preference is an SPO) and the
      chain stage degenerates to a single linear pass with a one-element
      window in the common case. *)
-  Bnl.query schema p2 (Bnl.query schema p1 rel)
+  let pass p rows = Bnl.maxima (Dominance.of_pref schema p) rows in
+  Relation.make (Relation.schema rel) (pass p2 (pass p1 (Relation.rows rel)))

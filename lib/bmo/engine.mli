@@ -3,8 +3,8 @@
     [Query.sigma] / [Exec.run] / the shell / the CLIs.
 
     The record travels as a value: sessions hold one, the server's SET
-    verb edits one, compatibility wrappers build one from the old
-    optional arguments. {!set} is the single string-typed knob parser the
+    verb edits one, and no entry point duplicates one of its fields as an
+    optional argument. {!set} is the single string-typed knob parser the
     shell's [\set] and the wire protocol's [SET] share.
 
     Deadlines implement graceful degradation rather than cancellation:
@@ -55,8 +55,8 @@ type config = {
 
 val default : config
 (** [Alg_bnl], engine-default domains, cache on (inert until the global
-    cache is enabled), no checking, no profile, no deadline, no cap —
-    exactly the behaviour of the old optional-argument defaults. *)
+    cache is enabled), no checking, no profile, no deadline, no cap — the
+    configuration of the knob-less [Query.sigma] and [Exec.run]. *)
 
 (** {1 Result flags} *)
 

@@ -96,15 +96,12 @@ module Plan = struct
     total_ms : float option;
   }
 
-  (* Mirror of the σ[P] dispatch in {!Query.sigma_within}: cache first
-     (a probe hit wins over everything), then the deadline's degradation
-     ladder, then the algorithm knob, then the planner. The trace always
-     records the planner's own choice so a forced plan can show what was
-     bypassed. *)
+  (* The σ[P] decision itself ({!Query.decide}) over a non-counting cache
+     probe. The planner's traced choice is always computed so a forced
+     plan can show what it bypassed. *)
   let decide (cfg : Engine.config) ~deadline schema p rel =
-    let use_cache = cfg.Engine.cache && Cache.is_enabled () in
     let probe =
-      if use_cache then
+      if cfg.Engine.cache && Cache.is_enabled () then
         Cache.probe_traced ~gate:cfg.Engine.costmodel Cache.global schema p rel
       else (None, [])
     in
@@ -112,7 +109,12 @@ module Plan = struct
       Planner.choose_traced ~costmodel:cfg.Engine.costmodel ~probe
         ?domains:cfg.Engine.domains schema p rel
     in
-    let bypass reason plan =
+    match
+      Query.decide cfg ~deadline ~cached:(fst probe) ~choose:(fun () ->
+          auto_plan)
+    with
+    | Query.Cached _ | Query.Planned (_, None) -> (auto_plan, trace, None)
+    | Query.Planned (plan, Some reason) ->
       let trace =
         {
           trace with
@@ -122,37 +124,6 @@ module Plan = struct
         }
       in
       (plan, trace, Some reason)
-    in
-    match fst probe with
-    | Some _ -> (auto_plan, trace, None)
-    | None ->
-      if Engine.has_deadline deadline then
-        bypass
-          "deadline set: budgeted queries run on the interruptible \
-           sequential window kernel (degradation ladder)"
-          Planner.Plan_bnl
-      else (
-        match cfg.Engine.algorithm with
-        | Engine.Alg_auto -> (auto_plan, trace, None)
-        | alg ->
-          let plan =
-            match alg with
-            | Engine.Alg_naive -> Planner.Plan_naive
-            | Engine.Alg_bnl -> Planner.Plan_bnl
-            | Engine.Alg_decompose -> Planner.Plan_decompose
-            | Engine.Alg_parallel ->
-              Planner.Plan_par_dnc
-                {
-                  domains =
-                    (match cfg.Engine.domains with
-                    | Some d -> max 1 d
-                    | None -> Parallel.default_domains ());
-                }
-            | Engine.Alg_auto -> assert false
-          in
-          bypass
-            ("algorithm knob forces " ^ Engine.algorithm_to_string alg)
-            plan)
 
   let make ~query ~analyze ~plan ~forced ~trace ~ops ~total_ms () =
     { query; analyze; plan; forced; trace; ops; total_ms }

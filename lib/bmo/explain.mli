@@ -85,13 +85,12 @@ module Plan : sig
     Preferences.Pref.t ->
     Pref_relation.Relation.t ->
     Planner.plan * Planner.trace * string option
-  (** The σ[P] plan decision exactly as [Query.sigma_within] would make
-      it under this configuration: cache probe first, then the deadline
-      degradation ladder, then the algorithm knob, then the planner.
-      Returns the plan, the planner's trace (with the bypassed auto
-      choice prepended to [t_rejected] when a forcing rule applied), and
-      the forcing reason. Probes the cache non-destructively — no
-      counting, no stores. *)
+  (** The σ[P] plan decision of {!Query.run_within} under this
+      configuration — {!Query.decide} fed a non-counting cache probe
+      (no counting, no stores) and the planner's traced choice. Returns
+      the plan, the planner's trace (with the bypassed auto choice
+      prepended to [t_rejected] when a forcing rule applied), and the
+      forcing reason. *)
 
   val make :
     query:string ->

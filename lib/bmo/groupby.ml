@@ -5,7 +5,7 @@ let query schema p ~by rel =
   let groups = Relation.group_by rel by in
   let dom = Dominance.of_pref schema p in
   let rows =
-    List.concat_map (fun g -> Naive.maxima dom (Relation.rows g)) groups
+    List.concat_map (fun g -> Bnl.maxima dom (Relation.rows g)) groups
   in
   Relation.make (Relation.schema rel) rows
 

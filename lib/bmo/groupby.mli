@@ -8,8 +8,8 @@ open Pref_relation
 
 val query :
   Schema.t -> Preferences.Pref.t -> by:string list -> Relation.t -> Relation.t
-(** Operational form: group by [by], evaluate σ[P] in each group. Result
-    order: groups in first-appearance order. *)
+(** Operational form: group by [by], run the {!Bnl} window loop in each
+    group. Result order: groups in first-appearance order. *)
 
 val query_via_antichain :
   Schema.t -> Preferences.Pref.t -> by:string list -> Relation.t -> Relation.t

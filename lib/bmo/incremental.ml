@@ -23,12 +23,22 @@ type t = {
   mutable shadow : Tuple.t list;  (** dominated tuples, newest first *)
 }
 
+(* One window pass splits rows into their maxima and the rest, both in
+   input order. *)
+let split dominates rows =
+  let arr = Array.of_list rows in
+  let survives = Array.make (Array.length arr) false in
+  Array.iter (fun i -> survives.(i) <- true) (Bnl.window dominates arr).survivors;
+  let maxima = ref [] and rest = ref [] in
+  for i = Array.length arr - 1 downto 0 do
+    if survives.(i) then maxima := arr.(i) :: !maxima
+    else rest := arr.(i) :: !rest
+  done;
+  (!maxima, !rest)
+
 let create schema pref rows =
   let dominates = Dominance.of_pref schema pref in
-  let result = Naive.maxima dominates rows in
-  let shadow =
-    List.filter (fun t -> not (List.memq t result)) rows
-  in
+  let result, shadow = split dominates rows in
   { schema; dominates; result; shadow }
 
 let of_parts schema pref ~result ~shadow =
@@ -82,10 +92,7 @@ let delete_delta t row =
         (fun s -> not (List.exists (fun u -> t.dominates u s) t.result))
         t.shadow
     in
-    let promoted = Naive.maxima t.dominates candidates in
-    let demoted =
-      List.filter (fun s -> not (List.memq s promoted)) candidates
-    in
+    let promoted, demoted = split t.dominates candidates in
     t.result <- promoted @ t.result;
     t.shadow <- demoted @ still_shadow;
     Some { added = promoted; removed = [ row ] }

@@ -19,7 +19,7 @@ val of_parts :
   shadow:Tuple.t list ->
   t
 (** Build the structure from an already-known split — [result] must be
-    exactly σ[P](result ∪ shadow) — without the O(n²) recomputation of
+    exactly σ[P](result ∪ shadow) — without the window pass of
     {!create}. This is how the result cache ({!Cache}) rehydrates an entry
     before patching it: the cached BMO set is the result, the rest of the
     base relation the shadow. *)

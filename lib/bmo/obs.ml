@@ -45,6 +45,12 @@ let plan_chosen kind =
   if Control.is_enabled () then
     Metrics.incr (Metrics.counter ("bmo.plan_chosen." ^ kind))
 
+let record_peak peak =
+  if Control.is_enabled () then begin
+    Metrics.set_max window_peak (float_of_int peak);
+    Span.add_attr "window_peak" (string_of_int peak)
+  end
+
 let record_query ~algorithm ~n_in ~n_out ~comparisons ~ms =
   if Control.is_enabled () then begin
     Metrics.incr queries;

@@ -14,6 +14,10 @@ val queries : Pref_obs.Metrics.counter
 val window_peak : Pref_obs.Metrics.gauge
 (** Largest BNL window seen (engine-wide peak). *)
 
+val record_peak : int -> unit
+(** Raise {!window_peak} to a finished window pass's peak and attach it to
+    the current span as [window_peak]; no-op while telemetry is off. *)
+
 val levels_computed : Pref_obs.Metrics.counter
 (** Levels materialised by iterated-BMO ([sigma_levels]) evaluation. *)
 

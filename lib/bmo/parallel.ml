@@ -3,8 +3,8 @@ open Pref_relation
 (* Parallel BMO evaluation over a reusable {!Pool} of domains.
 
    Divide-and-conquer skyline: split the input into P contiguous chunks,
-   run the array-window BNL pass ({!Bnl.maxima_proj}) on each chunk in its
-   own domain, then merge the chunk windows pairwise, filtering out
+   run the window loop ({!Bnl.window}) over the chunk's projected points in
+   its own domain, then merge the chunk windows pairwise, filtering out
    cross-chunk dominated tuples.  Correct for every strict partial order:
    in a finite SPO every dominated tuple is dominated by some *maximal*
    tuple (domination chains are finite and transitivity closes them), so
@@ -129,7 +129,7 @@ let merge_windows ~dominates ~tests parts =
 
 let dnc_points ~dominates ~pool ~chunks ~project rows =
   let k = Array.length chunks in
-  let counts = Array.init k (fun _ -> ref 0) in
+  let counts = Array.make k 0 in
   let doms = Array.make k 0 in
   let locals, local_ms =
     Pref_obs.Span.timed (fun () ->
@@ -138,19 +138,19 @@ let dnc_points ~dominates ~pool ~chunks ~project rows =
             let off, len = chunks.(i) in
             doms.(i) <- Pool.self ();
             Pref_obs.Span.with_span "bmo.par.chunk" (fun () ->
-                let pts =
-                  Array.init len (fun j ->
-                      let t = Array.unsafe_get rows (off + j) in
-                      (project t, t))
+                let pts = Array.init len (fun j -> project rows.(off + j)) in
+                let r = Bnl.window dominates pts in
+                counts.(i) <- r.Bnl.tests;
+                let out =
+                  Array.map (fun j -> (pts.(j), rows.(off + j))) r.Bnl.survivors
                 in
-                let out = Bnl.maxima_proj ~dominates ~count:counts.(i) pts in
                 Pref_obs.Span.add_attrs
                   [
                     ("chunk", string_of_int i);
                     ("domain", string_of_int doms.(i));
                     ("rows", string_of_int len);
                     ("out", string_of_int (Array.length out));
-                    ("tests", string_of_int !(counts.(i)));
+                    ("tests", string_of_int counts.(i));
                   ];
                 out))
           (Array.init k Fun.id))
@@ -175,7 +175,7 @@ let dnc_points ~dominates ~pool ~chunks ~project rows =
             {
               c_rows = snd chunks.(i);
               c_out = Array.length locals.(i);
-              c_tests = !(counts.(i));
+              c_tests = counts.(i);
               c_domain = doms.(i);
             });
       s_local_ms = local_ms;
@@ -202,7 +202,7 @@ let maxima_dnc ~domains (vec : Dominance.vec) (rows : Tuple.t array) =
 
 let sfs_points ~dominates ~pool ~chunks ~project sorted =
   let k = Array.length chunks in
-  let counts = Array.init k (fun _ -> ref 0) in
+  let counts = Array.make k 0 in
   let doms = Array.make k 0 in
   (* Phase 1: local append-only windows over contiguous sorted ranges. *)
   let locals, local_ms =
@@ -212,12 +212,10 @@ let sfs_points ~dominates ~pool ~chunks ~project sorted =
             let off, len = chunks.(i) in
             doms.(i) <- Pool.self ();
             Pref_obs.Span.with_span "bmo.par.chunk" (fun () ->
-                let pts =
-                  Array.init len (fun j ->
-                      let t = Array.unsafe_get sorted (off + j) in
-                      (project t, t))
-                in
-                Sfs.filter_sorted ~dominates ~count:counts.(i) pts))
+                let pts = Array.init len (fun j -> project sorted.(off + j)) in
+                let r = Sfs.window dominates pts in
+                counts.(i) <- r.Bnl.tests;
+                Array.map (fun j -> (pts.(j), sorted.(off + j))) r.Bnl.survivors))
           (Array.init k Fun.id))
   in
   (* Phase 2: drop chunk k's survivors dominated by a local survivor of
@@ -262,7 +260,7 @@ let sfs_points ~dominates ~pool ~chunks ~project sorted =
             {
               c_rows = snd chunks.(i);
               c_out = Array.length survivors.(i);
-              c_tests = !(counts.(i));
+              c_tests = counts.(i);
               c_domain = doms.(i);
             });
       s_local_ms = local_ms;
@@ -276,8 +274,7 @@ let sfs_points ~dominates ~pool ~chunks ~project sorted =
 
 let maxima_sfs ~domains ~key (vec : Dominance.vec) (rows : Tuple.t array) =
   let domains = max 1 domains in
-  let sorted = Array.copy rows in
-  Array.stable_sort (fun a b -> Float.compare (key b) (key a)) sorted;
+  let sorted = Sfs.sorted ~key rows in
   let chunks = Pool.chunks ~domains (Array.length sorted) in
   let pool = pool_for domains in
   match vec.Dominance.floats with
@@ -291,15 +288,18 @@ let maxima_sfs ~domains ~key (vec : Dominance.vec) (rows : Tuple.t array) =
 (* ------------------------------------------------------------------ *)
 (* Relation-level wrappers                                             *)
 
+let observe stats =
+  Pref_obs.Metrics.incr Obs.par_queries;
+  Array.iter
+    (fun c -> Pref_obs.Metrics.observe Obs.par_chunk_rows (float_of_int c.c_rows))
+    stats.s_chunks;
+  Pref_obs.Metrics.observe Obs.par_merge_ms stats.s_merge_ms
+
 let record ~algorithm ~n_in ~best ~stats ~ms =
   if Pref_obs.Control.is_enabled () then begin
     Obs.record_query ~algorithm ~n_in ~n_out:(Array.length best)
       ~comparisons:(total_tests stats) ~ms;
-    Pref_obs.Metrics.incr Obs.par_queries;
-    Array.iter
-      (fun c -> Pref_obs.Metrics.observe Obs.par_chunk_rows (float_of_int c.c_rows))
-      stats.s_chunks;
-    Pref_obs.Metrics.observe Obs.par_merge_ms stats.s_merge_ms;
+    observe stats;
     Pref_obs.Span.add_attrs (stats_attrs stats)
   end
 

@@ -45,6 +45,10 @@ type stats = {
 val total_tests : stats -> int
 val stats_attrs : stats -> (string * string) list
 
+val observe : stats -> unit
+(** Feed one run's statistics into the [bmo.par.*] metrics (no-ops while
+    telemetry is off). *)
+
 (** {1 Kernels} *)
 
 val maxima_dnc :

@@ -428,54 +428,132 @@ let choose_traced ?(cache = true) ?(costmodel = true) ?probe ?domains schema p
       t_costs = dec.d_costs;
     } )
 
+(* ------------------------------------------------------------------ *)
+(* Execution                                                           *)
+
+type outcome = {
+  result : Relation.t;
+  tests : int;
+  timed_out : bool;
+  attrs : (string * string) list;
+  phases : Pref_obs.Profile.phase list;
+}
+
+let prepare ?(deadline = Engine.no_deadline) schema p rel plan =
+  let remake rows = Relation.make (Relation.schema rel) rows in
+  let plain ?(tests = -1) result =
+    { result; tests; timed_out = false; attrs = []; phases = [] }
+  in
+  (* a window plan scans an array and maps its survivors back *)
+  let windowed points r =
+    {
+      result = remake (Bnl.select points r);
+      tests = r.Bnl.tests;
+      timed_out = r.Bnl.timed_out;
+      attrs = [];
+      phases = [];
+    }
+  in
+  let parallel (best, stats) =
+    Parallel.observe stats;
+    {
+      result = remake (Array.to_list best);
+      tests = Parallel.total_tests stats;
+      timed_out = false;
+      attrs = Parallel.stats_attrs stats;
+      phases =
+        [
+          Pref_obs.Profile.phase "local" stats.Parallel.s_local_ms;
+          Pref_obs.Profile.phase "merge" stats.Parallel.s_merge_ms;
+        ];
+    }
+  in
+  match plan with
+  | Plan_naive ->
+    let dom, count = Dominance.counting (Dominance.of_pref schema p) in
+    fun () ->
+      let best = Naive.maxima dom (Relation.rows rel) in
+      plain ~tests:(count ()) (remake best)
+  | Plan_bnl ->
+    let dom = Dominance.of_pref schema p in
+    fun () ->
+      let points = Array.of_list (Relation.rows rel) in
+      let r = Bnl.window ~deadline dom points in
+      Obs.record_peak r.Bnl.peak;
+      {
+        (windowed points r) with
+        attrs = [ ("window_peak", string_of_int r.Bnl.peak) ];
+      }
+  | Plan_sfs { attrs; maximize } ->
+    let dom = Dominance.of_pref schema p in
+    let key = Sfs.sum_key schema attrs ~maximize in
+    fun () ->
+      let points = Sfs.sorted ~key (Array.of_list (Relation.rows rel)) in
+      windowed points (Sfs.window ~deadline dom points)
+  | Plan_dnc { attrs; maximize } ->
+    let dims = Dnc.dims_of schema attrs ~maximize in
+    fun () -> plain (remake (Dnc.maxima ~dims (Relation.rows rel)))
+  | Plan_par_dnc { domains } ->
+    let vec = Dominance.of_pref_vec schema p in
+    fun () ->
+      parallel
+        (Parallel.maxima_dnc ~domains vec (Array.of_list (Relation.rows rel)))
+  | Plan_par_sfs { attrs; maximize; domains } ->
+    let vec = Dominance.of_pref_vec schema p in
+    let key = Sfs.sum_key schema attrs ~maximize in
+    fun () ->
+      parallel
+        (Parallel.maxima_sfs ~domains ~key vec
+           (Array.of_list (Relation.rows rel)))
+  | Plan_cascade (p1, p2) -> fun () -> plain (Decompose.cascade schema p1 p2 rel)
+  | Plan_decompose -> fun () -> plain (Decompose.eval schema p rel)
+  | Plan_identity -> fun () -> plain rel
+  | Plan_cache_hit | Plan_cache_semantic _ -> (
+    fun () ->
+      (* [choose] probed the cache; serve through the counting lookup. An
+         eviction between probe and execute degrades to a plain BNL pass. *)
+      match Cache.lookup Cache.global schema p rel with
+      | Some (result, _) -> plain result
+      | None ->
+        let result =
+          remake (Bnl.maxima (Dominance.of_pref schema p) (Relation.rows rel))
+        in
+        Cache.store Cache.global schema p rel result;
+        plain result)
+
 let execute schema p rel plan =
   Pref_obs.Span.with_span "bmo.plan.execute"
     ~attrs:[ ("plan", plan_kind plan) ]
   @@ fun () ->
-  match plan with
-  | Plan_naive -> Naive.query schema p rel
-  | Plan_bnl -> Bnl.query schema p rel
-  | Plan_sfs { attrs; maximize } ->
-    Sfs.query schema ~key:(Sfs.sum_key schema attrs ~maximize) p rel
-  | Plan_dnc { attrs; maximize } -> Dnc.query schema ~attrs ~maximize rel
-  | Plan_par_dnc { domains } -> Parallel.query ~domains schema p rel
-  | Plan_par_sfs { attrs; maximize; domains } ->
-    Parallel.query_sfs ~domains schema ~attrs ~maximize p rel
-  | Plan_cascade (p1, p2) -> Decompose.cascade schema p1 p2 rel
-  | Plan_decompose -> Decompose.eval schema p rel
-  | Plan_identity -> rel
-  | Plan_cache_hit | Plan_cache_semantic _ -> (
-    (* [choose] probed the cache; serve through the counting lookup. An
-       eviction between probe and execute degrades to a plain BNL pass. *)
-    match Cache.lookup Cache.global schema p rel with
-    | Some (result, _) -> result
-    | None ->
-      let result = Bnl.query schema p rel in
-      Cache.store Cache.global schema p rel result;
-      result)
+  let o, ms = Pref_obs.Span.timed (prepare schema p rel plan) in
+  Obs.record_query ~algorithm:(plan_kind plan)
+    ~n_in:(Relation.cardinality rel)
+    ~n_out:(Relation.cardinality o.result)
+    ~comparisons:o.tests ~ms;
+  o.result
+
+let observe p rel plan ~ms ~n_out =
+  if Cost.learning () then begin
+    (* fold the measured runtime back into the model (per-kind EMA) and
+       record the Prop. 13 filter effect the query exhibited *)
+    let n = List.length (Relation.rows rel) in
+    let dims = pref_dims (chain_dims p) p in
+    let w = { Cost.n; dims; domains = 1; correlation = 0. } in
+    (match plan with
+    | Plan_naive | Plan_bnl | Plan_sfs _ | Plan_dnc _ | Plan_decompose
+    | Plan_cascade _ ->
+      Cost.observe ~kind:(plan_kind plan) w ~ms
+    | Plan_par_dnc { domains } | Plan_par_sfs { domains; _ } ->
+      Cost.observe ~kind:(plan_kind plan) { w with Cost.domains } ~ms
+    | Plan_identity | Plan_cache_hit | Plan_cache_semantic _ -> ());
+    Cost.observe_filter ~dims ~n_in:n ~n_out
+  end
 
 let run ?(cache = true) ?(costmodel = true) ?domains schema p rel =
   let plan = choose ~cache ~costmodel ?domains schema p rel in
   Obs.plan_chosen (plan_kind plan);
-  let t0 = Pref_obs.Clock.now_ns () in
-  let result = execute schema p rel plan in
-  (if Cost.learning () then begin
-     (* fold the measured runtime back into the model (per-kind EMA) and
-        record the Prop. 13 filter effect the query exhibited *)
-     let ms = Pref_obs.Clock.elapsed_ms ~since:t0 in
-     let n = List.length (Relation.rows rel) in
-     let dims = pref_dims (chain_dims p) p in
-     let w = { Cost.n; dims; domains = 1; correlation = 0. } in
-     (match plan with
-     | Plan_naive | Plan_bnl | Plan_sfs _ | Plan_dnc _ | Plan_decompose
-     | Plan_cascade _ ->
-       Cost.observe ~kind:(plan_kind plan) w ~ms
-     | Plan_par_dnc { domains } | Plan_par_sfs { domains; _ } ->
-       Cost.observe ~kind:(plan_kind plan) { w with Cost.domains } ~ms
-     | Plan_identity | Plan_cache_hit | Plan_cache_semantic _ -> ());
-     Cost.observe_filter ~dims ~n_in:n
-       ~n_out:(List.length (Relation.rows result))
-   end);
+  let result, ms = Pref_obs.Span.timed (fun () -> execute schema p rel plan) in
+  observe p rel plan ~ms ~n_out:(Relation.cardinality result);
   (match plan with
   | _ when not cache -> ()
   | Plan_cache_hit | Plan_cache_semantic _ -> ()

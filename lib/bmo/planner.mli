@@ -115,16 +115,55 @@ val choose_traced :
     probed themselves (EXPLAIN) do not probe twice; without it the cache
     is probed as in {!choose}. *)
 
+(** {1 Execution} *)
+
+type outcome = {
+  result : Relation.t;
+  tests : int;
+      (** dominance tests performed; [-1] when the plan does not count
+          them *)
+  timed_out : bool;
+      (** a window plan's deadline expired: [result] is a prefix BMO set *)
+  attrs : (string * string) list;
+      (** plan-specific facts for profiles: [window_peak] for BNL, the
+          chunk statistics of the parallel plans *)
+  phases : Pref_obs.Profile.phase list;
+      (** sub-phases of the evaluation (the parallel plans' [local] and
+          [merge]) *)
+}
+
+val prepare :
+  ?deadline:Engine.deadline ->
+  Schema.t ->
+  Preferences.Pref.t ->
+  Relation.t ->
+  plan ->
+  unit ->
+  outcome
+(** [prepare schema p rel plan] compiles what the plan evaluates with (its
+    dominance test, key or projection — a profile's [compile] phase); the
+    returned thunk evaluates it (the [evaluate] phase). The window plans
+    (BNL, SFS) pass [deadline] down to their loop; the others run to
+    completion. Records nothing into the query metrics beyond the
+    plan-specific [bmo.window_peak] and [bmo.par.*] instruments. *)
+
 val execute :
   Schema.t -> Preferences.Pref.t -> Relation.t -> plan -> Relation.t
+(** {!prepare} and evaluate without a deadline, recording the run into
+    the engine metrics under the plan's {!plan_kind}. *)
+
+val observe :
+  Preferences.Pref.t -> Relation.t -> plan -> ms:float -> n_out:int -> unit
+(** While {!Cost.set_learning} is on, fold a planner-chosen plan's
+    measured runtime and the observed Prop. 13 filter effect back into the
+    cost model. *)
 
 val run :
   ?cache:bool ->
   ?costmodel:bool ->
   ?domains:int ->
   Schema.t -> Preferences.Pref.t -> Relation.t -> Relation.t * plan
-(** Choose and execute; returns the chosen plan for EXPLAIN output. Cold
-    results are stored into {!Cache.global} when it is enabled and [cache]
-    (default [true]) is not overridden to [false]. While
-    {!Cost.set_learning} is on, the measured runtime and the observed
-    Prop. 13 filter effect are folded back into the cost model. *)
+(** {!choose}, {!execute} and {!observe}; returns the chosen plan for
+    EXPLAIN output. Cold results are stored into {!Cache.global} when it
+    is enabled and [cache] (default [true]) is not overridden to
+    [false]. *)

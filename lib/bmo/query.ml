@@ -23,291 +23,158 @@ let cap_rows max_rows rel =
           (List.filteri (fun i _ -> i < k) rows),
         true )
 
-let evaluate (cfg : Engine.config) ~use_cache schema p rel =
-  match cfg.algorithm with
-  | Alg_naive -> Naive.query schema p rel
-  | Alg_bnl -> Bnl.query schema p rel
-  | Alg_decompose -> Decompose.eval schema p rel
-  | Alg_parallel -> Parallel.query ?domains:cfg.domains schema p rel
-  | Alg_auto ->
-    fst
-      (Planner.run ~cache:use_cache ~costmodel:cfg.costmodel
-         ?domains:cfg.domains schema p rel)
+(* ------------------------------------------------------------------ *)
+(* The decision: cache, then deadline, then knob, then planner          *)
 
-let sigma_within ~deadline (cfg : Engine.config) schema p rel =
-  let use_cache = cfg.cache && Cache.is_enabled () in
-  let cached =
-    if use_cache then
-      Cache.lookup ~gate:cfg.costmodel Cache.global schema p rel
-    else None
-  in
-  let result, flags =
-    match cached with
-    | Some (result, _) -> (result, Engine.complete)
-    | None ->
-      if Engine.has_deadline deadline then begin
-        (* Degradation ladder: a budgeted query runs on the interruptible
-           sequential window kernel regardless of [cfg.algorithm] — the
-           domain fan-out cannot be cancelled mid-batch, the window scan
-           can stop at any candidate.  On expiry the window so far is the
-           exact BMO set of the scanned prefix: sound, merely partial. *)
-        let dom = Dominance.of_pref schema p in
-        let best, timed_out =
-          Bnl.maxima_deadline ~deadline dom (Relation.rows rel)
-        in
-        let r = Relation.make (Relation.schema rel) best in
-        if timed_out then (r, { Engine.partial = true; truncated = false })
-        else begin
-          if use_cache then Cache.store Cache.global schema p rel r;
-          (r, Engine.complete)
-        end
-      end
-      else begin
-        let result = evaluate cfg ~use_cache schema p rel in
-        (* the planner stores its own cold results *)
-        if use_cache && cfg.algorithm <> Alg_auto then
-          Cache.store Cache.global schema p rel result;
-        (result, Engine.complete)
-      end
-  in
-  let result, truncated = cap_rows cfg.max_rows result in
-  (result, Engine.union_flags flags { partial = false; truncated })
+type 'hit decision = Cached of 'hit | Planned of Planner.plan * string option
 
-let sigma_cfg cfg schema p rel =
-  sigma_within ~deadline:(Engine.deadline_of cfg) cfg schema p rel
-
-let sigma ?algorithm ?cache ?domains schema p rel =
-  fst (sigma_cfg (Compat.legacy_cfg ?algorithm ?cache ?domains ()) schema p rel)
-
-let sigma_profiled_within ~deadline (cfg : Engine.config) schema p rel =
-  Pref_obs.Span.with_span "bmo.sigma_profiled" @@ fun () ->
-  let rows = Relation.rows rel in
-  let input_rows = List.length rows in
-  let remake best = Relation.make (Relation.schema rel) best in
-  let use_cache = cfg.cache && Cache.is_enabled () in
-  let finish ~phases ~attrs ~comparisons ~alg_name (result, flags) =
-    let result, truncated = cap_rows cfg.max_rows result in
-    let flags =
-      Engine.union_flags flags { Engine.partial = false; truncated }
-    in
-    let output_rows = Relation.cardinality result in
-    let profile =
-      Pref_obs.Profile.make ~phases
-        ~attrs:(attrs @ Engine.flags_attrs flags)
-        ~comparisons ~algorithm:alg_name ~input_rows ~output_rows ()
-    in
-    (result, flags, profile)
-  in
-  let cached =
-    if not use_cache then None
-    else
-      let r, ms =
-        Pref_obs.Span.timed (fun () ->
-            Cache.lookup ~gate:cfg.costmodel Cache.global schema p rel)
-      in
-      Option.map (fun x -> (x, ms)) r
+(* Degradation ladder: a budgeted query runs on the interruptible
+   sequential window loop regardless of [cfg.algorithm] — the domain
+   fan-out cannot be cancelled mid-batch, the window scan can stop at any
+   poll.  Without a deadline the algorithm knob names its plan. *)
+let decide (cfg : Engine.config) ~deadline ~cached ~choose =
+  let knob plan =
+    Planned
+      (plan, Some ("algorithm knob forces " ^ algorithm_to_string cfg.algorithm))
   in
   match cached with
-  | Some ((result, reuse), lookup_ms) ->
-    let alg_name, attrs =
-      match reuse with
-      | Cache.Exact -> ("cache:exact", [ ("cache", "exact") ])
-      | Cache.Semantic desc ->
-        ("cache:semantic:" ^ desc, [ ("cache", "semantic:" ^ desc) ])
-    in
-    Obs.record_query ~algorithm:alg_name ~n_in:input_rows
-      ~n_out:(Relation.cardinality result) ~comparisons:(-1) ~ms:lookup_ms;
-    finish
-      ~phases:[ Pref_obs.Profile.phase "cache_lookup" lookup_ms ]
-      ~attrs ~comparisons:(-1) ~alg_name (result, Engine.complete)
+  | Some hit -> Cached hit
   | None when Engine.has_deadline deadline ->
-    (* same degradation path as {!sigma_within}, with phase timings *)
-    let dom_raw, compile_ms =
-      Pref_obs.Span.timed (fun () -> Dominance.of_pref schema p)
-    in
-    let dom, comparisons = Dominance.counting dom_raw in
-    let (best, timed_out), eval_ms =
-      Pref_obs.Span.timed (fun () -> Bnl.maxima_deadline ~deadline dom rows)
-    in
-    let result = remake best in
-    if not timed_out && use_cache then
-      Cache.store Cache.global schema p rel result;
-    let comparisons = comparisons () in
-    let alg_name = if timed_out then "bnl:degraded" else "bnl" in
-    Obs.record_query ~algorithm:alg_name ~n_in:input_rows
-      ~n_out:(Relation.cardinality result) ~comparisons ~ms:eval_ms;
-    finish
-      ~phases:
-        [
-          Pref_obs.Profile.phase "compile" compile_ms;
-          Pref_obs.Profile.phase "evaluate" eval_ms;
-        ]
-      ~attrs:[] ~comparisons ~alg_name
-      (result, { Engine.partial = timed_out; truncated = false })
-  | None ->
-    let dom_raw, compile_ms =
-      Pref_obs.Span.timed (fun () -> Dominance.of_pref schema p)
-    in
-    let dom, comparisons = Dominance.counting dom_raw in
-    let alg_name, result, extra_phases, attrs, eval_ms, comparisons_of =
-      match cfg.algorithm with
-      | Alg_naive ->
-        let best, ms = Pref_obs.Span.timed (fun () -> Naive.maxima dom rows) in
-        ("naive", remake best, [], [], ms, comparisons)
-      | Alg_bnl ->
-        let (best, peak), ms =
-          Pref_obs.Span.timed (fun () -> Bnl.maxima_traced dom rows)
-        in
-        Pref_obs.Metrics.set_max Obs.window_peak (float_of_int peak);
-        ( "bnl",
-          remake best,
-          [],
-          [ ("window_peak", string_of_int peak) ],
-          ms,
-          comparisons )
-      | Alg_decompose ->
-        (* decomposition compiles its own sub-preference dominance tests, so
-           the explicit counter does not see them *)
-        let r, ms =
-          Pref_obs.Span.timed (fun () -> Decompose.eval schema p rel)
-        in
-        ("decompose", r, [], [], ms, fun () -> -1)
-      | Alg_parallel ->
-        let d =
-          match cfg.domains with
-          | Some d -> max 1 d
-          | None -> Parallel.default_domains ()
-        in
-        let vec = Dominance.of_pref_vec schema p in
-        let rows_arr = Array.of_list rows in
-        let (best, stats), ms =
-          Pref_obs.Span.timed (fun () ->
-              Parallel.maxima_dnc ~domains:d vec rows_arr)
-        in
-        Pref_obs.Metrics.incr Obs.par_queries;
-        Array.iter
-          (fun c ->
-            Pref_obs.Metrics.observe Obs.par_chunk_rows
-              (float_of_int c.Parallel.c_rows))
-          stats.Parallel.s_chunks;
-        Pref_obs.Metrics.observe Obs.par_merge_ms stats.Parallel.s_merge_ms;
-        ( "par_dnc",
-          remake (Array.to_list best),
-          [
-            Pref_obs.Profile.phase "local" stats.Parallel.s_local_ms;
-            Pref_obs.Profile.phase "merge" stats.Parallel.s_merge_ms;
-          ],
-          Parallel.stats_attrs stats,
-          ms,
-          fun () -> Parallel.total_tests stats )
-      | Alg_auto ->
-        let plan, plan_ms =
-          Pref_obs.Span.timed (fun () ->
-              Planner.choose ~cache:use_cache ~costmodel:cfg.costmodel
-                ?domains:cfg.domains schema p rel)
-        in
-        Obs.plan_chosen (Planner.plan_kind plan);
-        let r, ms =
-          Pref_obs.Span.timed (fun () -> Planner.execute schema p rel plan)
-        in
-        ( "auto:" ^ Planner.plan_kind plan,
-          r,
-          [ Pref_obs.Profile.phase "plan" plan_ms ],
-          [ ("plan", Planner.plan_to_string plan) ],
-          ms,
-          fun () -> -1 )
-    in
-    let comparisons = comparisons_of () in
-    if use_cache then Cache.store Cache.global schema p rel result;
-    Obs.record_query ~algorithm:alg_name ~n_in:input_rows
-      ~n_out:(Relation.cardinality result) ~comparisons ~ms:eval_ms;
-    finish
-      ~phases:
-        ((Pref_obs.Profile.phase "compile" compile_ms :: extra_phases)
-        @ [ Pref_obs.Profile.phase "evaluate" eval_ms ])
-      ~attrs ~comparisons ~alg_name
-      (result, Engine.complete)
+    Planned
+      ( Planner.Plan_bnl,
+        Some
+          "deadline set: budgeted queries run on the interruptible sequential \
+           window kernel (degradation ladder)" )
+  | None -> (
+    match cfg.algorithm with
+    | Alg_auto -> Planned (choose (), None)
+    | Alg_naive -> knob Planner.Plan_naive
+    | Alg_bnl -> knob Planner.Plan_bnl
+    | Alg_decompose -> knob Planner.Plan_decompose
+    | Alg_parallel ->
+      knob
+        (Planner.Plan_par_dnc
+           {
+             domains =
+               (match cfg.domains with
+               | Some d -> max 1 d
+               | None -> Parallel.default_domains ());
+           }))
 
-let sigma_profiled_cfg cfg schema p rel =
-  sigma_profiled_within ~deadline:(Engine.deadline_of cfg) cfg schema p rel
+(* ------------------------------------------------------------------ *)
+(* Execution                                                           *)
 
 let run_within ~deadline (cfg : Engine.config) schema p rel =
-  if cfg.Engine.profile then
-    let rows, flags, profile =
-      sigma_profiled_within ~deadline cfg schema p rel
+  Pref_obs.Span.with_span "bmo.sigma" @@ fun () ->
+  let use_cache = cfg.cache && Cache.is_enabled () in
+  let cached, lookup_ms =
+    if use_cache then
+      Pref_obs.Span.timed (fun () ->
+          Cache.lookup ~gate:cfg.costmodel Cache.global schema p rel)
+    else (None, 0.)
+  in
+  let plan_phase = ref [] in
+  let choose () =
+    (* the lookup above already missed, so the planner need not probe *)
+    let plan, ms =
+      Pref_obs.Span.timed (fun () ->
+          Planner.choose ~cache:false ~costmodel:cfg.costmodel
+            ?domains:cfg.domains schema p rel)
     in
-    Engine.Result.make ~profile ~plan:profile.Pref_obs.Profile.algorithm rows
-      flags
-  else
-    let rows, flags = sigma_within ~deadline cfg schema p rel in
-    Engine.Result.make
-      ~plan:(Engine.algorithm_to_string cfg.algorithm)
-      rows flags
-
-let run_cfg cfg schema p rel =
-  run_within ~deadline:(Engine.deadline_of cfg) cfg schema p rel
-
-let sigma_profiled ?algorithm ?cache ?domains schema p rel =
-  let result, _flags, profile =
-    sigma_profiled_cfg (Compat.legacy_cfg ?algorithm ?cache ?domains ()) schema
-      p rel
+    Obs.plan_chosen (Planner.plan_kind plan);
+    plan_phase := [ Pref_obs.Profile.phase "plan" ms ];
+    plan
   in
-  (result, profile)
-
-let sigma_groupby_within ~deadline (cfg : Engine.config) schema p ~by rel =
-  let use_cache = cfg.Engine.cache && Cache.is_enabled () in
-  let legacy =
-    (not use_cache)
-    && (not (Engine.has_deadline deadline))
-    && cfg.domains = None
-  in
-  let result, flags =
-    if legacy then
-      (* the pre-engine evaluation: one dominance compile shared by every
-         group, no per-group cache probes *)
-      let r =
-        match cfg.algorithm with
-        | Alg_bnl ->
-          let dom = Dominance.of_pref schema p in
-          let rows =
-            List.concat_map
-              (fun g -> Bnl.maxima dom (Relation.rows g))
-              (Relation.group_by rel by)
-          in
-          Relation.make (Relation.schema rel) rows
-        (* groups are typically far below the parallel threshold, so the
-           parallel algorithm routes through the generic per-group
-           evaluation too *)
-        | Alg_naive | Alg_decompose | Alg_parallel | Alg_auto ->
-          Groupby.query schema p ~by rel
+  let algorithm, (o : Planner.outcome), phases, ms =
+    match decide cfg ~deadline ~cached ~choose with
+    | Cached (result, reuse) ->
+      let tier =
+        match reuse with
+        | Cache.Exact -> "exact"
+        | Cache.Semantic desc -> "semantic:" ^ desc
       in
-      (r, Engine.complete)
+      ( "cache:" ^ tier,
+        {
+          result;
+          tests = -1;
+          timed_out = false;
+          attrs = [ ("cache", tier) ];
+          phases = [];
+        },
+        [ Pref_obs.Profile.phase "cache_lookup" lookup_ms ],
+        lookup_ms )
+    | Planned (plan, forced) ->
+      let eval, compile_ms =
+        Pref_obs.Span.timed (fun () ->
+            Planner.prepare ~deadline schema p rel plan)
+      in
+      let o, eval_ms = Pref_obs.Span.timed eval in
+      let kind = Planner.plan_kind plan in
+      let algorithm, o =
+        match forced with
+        | Some _ -> ((if o.timed_out then kind ^ ":degraded" else kind), o)
+        | None ->
+          Planner.observe p rel plan ~ms:eval_ms
+            ~n_out:(Relation.cardinality o.result);
+          ( "auto:" ^ kind,
+            { o with attrs = ("plan", Planner.plan_to_string plan) :: o.attrs }
+          )
+      in
+      (* partial results never reach the cache *)
+      if use_cache && not o.timed_out then
+        Cache.store Cache.global schema p rel o.result;
+      ( algorithm,
+        o,
+        !plan_phase
+        @ (Pref_obs.Profile.phase "compile" compile_ms :: o.phases)
+        @ [ Pref_obs.Profile.phase "evaluate" eval_ms ],
+        eval_ms )
+  in
+  let rows, truncated = cap_rows cfg.max_rows o.result in
+  let flags = { Engine.partial = o.timed_out; truncated } in
+  let profile =
+    (* the metrics and the profile both read cardinalities, a walk of the
+       row lists that a warm cache hit would otherwise pay for nothing *)
+    if not (cfg.profile || Pref_obs.Control.is_enabled ()) then None
     else begin
-      (* engine path: each group is a sub-query through {!sigma_within},
-         so groups share the cache, the domain setting and one deadline
-         budget; the row cap applies to the combined result only *)
-      let group_cfg = { cfg with Engine.max_rows = None } in
-      let rows, flags =
-        List.fold_left
-          (fun (acc, flags) g ->
-            let r, f = sigma_within ~deadline group_cfg schema p g in
-            (List.rev_append (Relation.rows r) acc, Engine.union_flags flags f))
-          ([], Engine.complete)
-          (Relation.group_by rel by)
-      in
-      (Relation.make (Relation.schema rel) (List.rev rows), flags)
+      let input_rows = Relation.cardinality rel in
+      Obs.record_query ~algorithm ~n_in:input_rows
+        ~n_out:(Relation.cardinality o.result) ~comparisons:o.tests ~ms;
+      if not cfg.profile then None
+      else
+        Some
+          (Pref_obs.Profile.make ~phases
+             ~attrs:(o.attrs @ Engine.flags_attrs flags)
+             ~comparisons:o.tests ~algorithm ~input_rows
+             ~output_rows:(Relation.cardinality rows) ())
     end
   in
-  let result, truncated = cap_rows cfg.max_rows result in
+  Engine.Result.make ?profile ~plan:algorithm rows flags
+
+let sigma_within ~deadline cfg schema p rel =
+  let r = run_within ~deadline cfg schema p rel in
+  (r.Engine.Result.rows, r.Engine.Result.flags)
+
+let sigma schema p rel =
+  fst (sigma_within ~deadline:Engine.no_deadline Engine.default schema p rel)
+
+let sigma_groupby_within ~deadline (cfg : Engine.config) schema p ~by rel =
+  (* each group is a sub-query through the ladder, so groups share the
+     cache, the domain setting and one deadline budget; the row cap
+     applies to the combined result only *)
+  let group_cfg = { cfg with Engine.max_rows = None; profile = false } in
+  let rows, flags =
+    List.fold_left
+      (fun (acc, flags) g ->
+        let r, f = sigma_within ~deadline group_cfg schema p g in
+        (List.rev_append (Relation.rows r) acc, Engine.union_flags flags f))
+      ([], Engine.complete)
+      (Relation.group_by rel by)
+  in
+  let result, truncated =
+    cap_rows cfg.max_rows (Relation.make (Relation.schema rel) (List.rev rows))
+  in
   (result, Engine.union_flags flags { Engine.partial = false; truncated })
-
-let sigma_groupby_cfg cfg schema p ~by rel =
-  sigma_groupby_within ~deadline:(Engine.deadline_of cfg) cfg schema p ~by rel
-
-let sigma_groupby ?algorithm schema p ~by rel =
-  fst
-    (sigma_groupby_cfg (Compat.legacy_cfg ?algorithm ~cache:false ()) schema p
-       ~by rel)
 
 let sigma_levels schema p ~levels rel =
   (* iterated BMO: level 1 is sigma[P](R); level i+1 is sigma[P] of what is

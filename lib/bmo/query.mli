@@ -1,19 +1,15 @@
 (** Front door for BMO preference queries σ[P](R) (Definition 15).
 
-    Dispatches to one of the interchangeable evaluation algorithms. All
-    produce the same tuple set (the test suite checks this); they differ in
-    cost and in row order / duplicate handling ([Alg_decompose] removes
-    duplicate rows).
-
-    The [_cfg] entry points take the unified {!Engine.config} record and
-    are the primary API: they return the result together with
-    {!Engine.flags} (and {!run_cfg} the full {!Engine.result}); the
-    [_within] variants additionally accept an already-started deadline so
-    several sub-queries can draw down one budget. The plain [sigma] /
-    [sigma_profiled] / [sigma_groupby] functions are deprecated one-line
-    shims over these via {!Compat.legacy_cfg} — same signatures and
-    behaviour as before the engine API existed, kept so old call sites
-    compile. *)
+    Every σ[P] evaluation takes one ladder, {!run_within}: the result cache
+    first (when [cfg.cache] and the global cache is enabled), then the
+    deadline's degradation rule, then the algorithm knob, then the
+    cost-based {!Planner}; the chosen plan runs through
+    {!Planner.prepare}, with the deadline passed down to the window loop.
+    All algorithms produce the same tuple set (the test suite checks
+    this); they differ in cost and in row order / duplicate handling
+    ([Alg_decompose] removes duplicate rows). [cfg.profile] only decides
+    whether the run's record is also returned as a {!Pref_obs.Profile.t};
+    the engine metrics are fed the same way either way. *)
 
 open Pref_relation
 
@@ -27,54 +23,28 @@ type algorithm = Engine.algorithm =
 val algorithm_of_string : string -> algorithm option
 val algorithm_to_string : algorithm -> string
 
-(** {1 Engine entry points} *)
+(** {1 The plan decision} *)
 
-val sigma_within :
+type 'hit decision =
+  | Cached of 'hit  (** the cache step answered *)
+  | Planned of Planner.plan * string option
+      (** the plan to run, with the rule that forced it ([None] when the
+          planner chose) *)
+
+val decide :
+  Engine.config ->
   deadline:Engine.deadline ->
-  Engine.config ->
-  Schema.t ->
-  Preferences.Pref.t ->
-  Relation.t ->
-  Relation.t * Engine.flags
-(** σ[P](R) under a configuration and a running deadline. The cache is
-    consulted first (when [cfg.cache] and the global cache is enabled);
-    on a miss, a query with a live deadline evaluates on the
-    interruptible sequential window kernel ({!Bnl.maxima_deadline})
-    regardless of [cfg.algorithm] — the domain fan-out cannot be
-    cancelled — and degrades to the current window with [partial] set
-    when the budget expires. Partial results are never stored in the
-    cache. [cfg.max_rows] caps the returned rows and sets [truncated]. *)
+  cached:'hit option ->
+  choose:(unit -> Planner.plan) ->
+  'hit decision
+(** The σ[P] ladder's decision given the cache step's answer: a hit wins;
+    a live deadline forces the interruptible BNL window loop; an algorithm
+    knob other than [auto] forces its plan; otherwise [choose ()] is the
+    planner's choice. [choose] is called only in that last case, so a
+    query whose plan a rule fixes never prices alternatives. EXPLAIN
+    ({!Explain.Plan.decide}) feeds it its own non-counting probe. *)
 
-val sigma_cfg :
-  Engine.config ->
-  Schema.t ->
-  Preferences.Pref.t ->
-  Relation.t ->
-  Relation.t * Engine.flags
-(** {!sigma_within} with the deadline started now from
-    [cfg.deadline_ms]. *)
-
-val sigma_profiled_within :
-  deadline:Engine.deadline ->
-  Engine.config ->
-  Schema.t ->
-  Preferences.Pref.t ->
-  Relation.t ->
-  Relation.t * Engine.flags * Pref_obs.Profile.t
-(** {!sigma_within} plus a query profile: input/output cardinality, the
-    algorithm actually run (including the planner's choice under
-    [Alg_auto], [cache:*] for cache hits, [bnl:degraded] for
-    deadline-expired queries), dominance-test counts where the kernel
-    reports them, and per-phase timings. The profile is built
-    unconditionally — {!Pref_obs.Control} only decides whether the run
-    also feeds the engine-wide metrics and spans. *)
-
-val sigma_profiled_cfg :
-  Engine.config ->
-  Schema.t ->
-  Preferences.Pref.t ->
-  Relation.t ->
-  Relation.t * Engine.flags * Pref_obs.Profile.t
+(** {1 Evaluation} *)
 
 val run_within :
   deadline:Engine.deadline ->
@@ -83,19 +53,34 @@ val run_within :
   Preferences.Pref.t ->
   Relation.t ->
   Engine.Result.t
-(** The structured-result front door: {!sigma_within} (or
-    {!sigma_profiled_within} when [cfg.profile]) packaged as an
-    {!Engine.Result.t} — rows, flags, the profile when one was built,
-    and the executed plan identifier. *)
+(** σ[P](R) under a configuration and a running deadline (start one with
+    {!Engine.deadline_of} so several sub-queries can draw down one
+    budget). On deadline expiry the rows are the window at the last poll —
+    the exact BMO set of the scanned prefix — with [partial] set; partial
+    results are never stored in the cache. [cfg.max_rows] caps the
+    returned rows and sets [truncated]. [plan] is the executed algorithm:
+    [bnl], [naive], [decompose], [par_dnc], [bnl:degraded],
+    [auto:<kind>], [cache:exact] or [cache:semantic:<identity>]. With
+    [cfg.profile] the result also carries a profile: input/output
+    cardinality, dominance-test counts where the plan reports them and
+    per-phase timings ([plan], [compile], [evaluate], or [cache_lookup]).
+    The run feeds the engine metrics once ([bmo.queries],
+    [bmo.dominance_tests], [bmo.query_ms], ...) whenever
+    {!Pref_obs.Control} is on. *)
 
-val run_cfg :
+val sigma_within :
+  deadline:Engine.deadline ->
   Engine.config ->
   Schema.t ->
   Preferences.Pref.t ->
   Relation.t ->
-  Engine.Result.t
-(** {!run_within} with the deadline started now from
-    [cfg.deadline_ms]. *)
+  Relation.t * Engine.flags
+(** {!run_within}'s rows and flags. *)
+
+val sigma : Schema.t -> Preferences.Pref.t -> Relation.t -> Relation.t
+(** σ[P](R): all best-matching tuples, and only those, under
+    {!Engine.default} (BNL; the result cache when {!Cache.global} is
+    enabled) and no deadline. *)
 
 val sigma_groupby_within :
   deadline:Engine.deadline ->
@@ -108,61 +93,9 @@ val sigma_groupby_within :
 (** σ[P groupby A](R) (Definition 16) under a configuration: every group
     runs as a sub-query through {!sigma_within}, so groups share the
     result cache, the domain setting and one deadline budget; flags are
-    the union over groups and [cfg.max_rows] caps the combined result.
-    With cache off, no deadline and default domains this takes the exact
-    pre-engine evaluation path (one shared dominance compile, no cache
-    probes). *)
+    the union over groups and [cfg.max_rows] caps the combined result. *)
 
-val sigma_groupby_cfg :
-  Engine.config ->
-  Schema.t ->
-  Preferences.Pref.t ->
-  by:string list ->
-  Relation.t ->
-  Relation.t * Engine.flags
-
-(** {1 Compatibility wrappers}
-
-    Deprecated: thin shims over the [_cfg] API via {!Compat.legacy_cfg}.
-    Prefer passing an {!Engine.config}. *)
-
-val sigma :
-  ?algorithm:algorithm ->
-  ?cache:bool ->
-  ?domains:int ->
-  Schema.t ->
-  Preferences.Pref.t ->
-  Relation.t ->
-  Relation.t
-(** σ[P](R): all best-matching tuples, and only those. Default: BNL.
-    [domains] sets the degree of parallelism for [Alg_parallel] and caps
-    what [Alg_auto] may plan (default {!Parallel.default_domains}).
-    When {!Cache.global} is enabled the query first consults the result
-    cache (exact and semantic tiers) and stores cold results; [cache:false]
-    opts this one call out. With the cache disabled the flag is dead and
-    the evaluation path is byte-for-byte the old one. *)
-
-val sigma_profiled :
-  ?algorithm:algorithm ->
-  ?cache:bool ->
-  ?domains:int ->
-  Schema.t ->
-  Preferences.Pref.t ->
-  Relation.t ->
-  Relation.t * Pref_obs.Profile.t
-(** [sigma] plus a query profile — {!sigma_profiled_cfg} without a
-    deadline or row cap, flags dropped. A query served by the result
-    cache reports algorithm [cache:exact] or [cache:semantic:<identity>]
-    with a single [cache_lookup] phase. *)
-
-val sigma_groupby :
-  ?algorithm:algorithm ->
-  Schema.t ->
-  Preferences.Pref.t ->
-  by:string list ->
-  Relation.t ->
-  Relation.t
-(** σ[P groupby A](R) (Definition 16). *)
+(** {1 Derived queries} *)
 
 val sigma_levels :
   Schema.t ->

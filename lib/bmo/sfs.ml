@@ -6,35 +6,57 @@ open Pref_relation
    the current window.
 
    Like {!Bnl}, the sort and the window are array-based: [Array.stable_sort]
-   on a materialised array, then an append-only array window probed by a
+   on a materialised array, then an append-only index window probed by a
    flat loop. *)
 
-let sorted_array ~key rows =
-  let arr = Array.of_list rows in
+let sorted ~key arr =
+  let arr = Array.copy arr in
   Array.stable_sort (fun a b -> Float.compare (key b) (key a)) arr;
   arr
 
-let maxima ~key (dom : Dominance.t) rows =
-  match rows with
-  | [] -> []
-  | first :: _ ->
-    let arr = sorted_array ~key rows in
-    let n = Array.length arr in
-    let win = Array.make n first in
-    let size = ref 0 in
-    for k = 0 to n - 1 do
-      let t = Array.unsafe_get arr k in
+let window ?(deadline = Engine.no_deadline) better points =
+  let n = Array.length points in
+  let polls = Engine.has_deadline deadline in
+  let win = Array.make n 0 in
+  let size = ref 0 and tests = ref 0 in
+  let timed_out = ref false in
+  let k = ref 0 in
+  while !k < n do
+    if
+      polls
+      && !k land (Bnl.deadline_stride - 1) = 0
+      && Engine.expired deadline
+    then begin
+      timed_out := true;
+      k := n
+    end
+    else begin
+      let p = Array.unsafe_get points !k in
       let dominated = ref false in
       let i = ref 0 in
       while (not !dominated) && !i < !size do
-        if dom (Array.unsafe_get win !i) t then dominated := true else incr i
+        incr tests;
+        if better (Array.unsafe_get points (Array.unsafe_get win !i)) p then
+          dominated := true
+        else incr i
       done;
       if not !dominated then begin
-        win.(!size) <- t;
+        Array.unsafe_set win !size !k;
         incr size
-      end
-    done;
-    Array.to_list (Array.sub win 0 !size)
+      end;
+      incr k
+    end
+  done;
+  {
+    Bnl.survivors = Array.sub win 0 !size;
+    tests = !tests;
+    peak = !size;
+    timed_out = !timed_out;
+  }
+
+let maxima ~key (dom : Dominance.t) rows =
+  let arr = sorted ~key (Array.of_list rows) in
+  Bnl.select arr (window dom arr)
 
 let sum_key schema attrs ~maximize =
   let idx = List.map (Schema.index_of_exn schema) attrs in
@@ -47,74 +69,26 @@ let sum_key schema attrs ~maximize =
         | None -> acc +. (sign *. Float.neg_infinity))
       0.0 idx
 
-(* ------------------------------------------------------------------ *)
-(* Vectorized kernel                                                   *)
-
-(* Filter pass over pre-sorted, pre-projected points: append-only window,
-   no evictions.  Shared by the sequential path and the per-chunk workers
-   of {!Parallel}. *)
-let filter_sorted ~(dominates : 'p -> 'p -> bool) ?count
-    (points : ('p * Tuple.t) array) =
-  let n = Array.length points in
-  if n = 0 then [||]
-  else begin
-    let tests = ref 0 in
-    let win = Array.make n points.(0) in
-    let size = ref 0 in
-    for k = 0 to n - 1 do
-      let ((pt, _) as cand) = Array.unsafe_get points k in
-      let dominated = ref false in
-      let i = ref 0 in
-      while (not !dominated) && !i < !size do
-        incr tests;
-        if dominates (fst (Array.unsafe_get win !i)) pt then dominated := true
-        else incr i
-      done;
-      if not !dominated then begin
-        win.(!size) <- cand;
-        incr size
-      end
-    done;
-    (match count with Some c -> c := !c + !tests | None -> ());
-    Array.sub win 0 !size
-  end
-
-let project_sorted ~key (vec : Dominance.vec) rows =
-  let arr = sorted_array ~key rows in
-  match vec.Dominance.floats with
-  | Some proj ->
-    `Floats (Array.map (fun t -> (proj t, t)) arr)
-  | None -> `General (Array.map (fun t -> (vec.Dominance.project t, t)) arr)
-
-let maxima_vec ?count ~key (vec : Dominance.vec) rows =
-  match project_sorted ~key vec rows with
-  | `Floats pts ->
-    Array.map snd
-      (filter_sorted ~dominates:Dominance.float_dominates ?count pts)
-  | `General pts ->
-    Array.map snd (filter_sorted ~dominates:vec.Dominance.better ?count pts)
-
-(* ------------------------------------------------------------------ *)
-
 let query schema ~key p rel =
   Pref_obs.Span.with_span "bmo.sfs" (fun () ->
       let dom = Dominance.of_pref schema p in
-      let rows = Relation.rows rel in
-      if Pref_obs.Control.is_enabled () then begin
-        let dom, comparisons = Dominance.counting dom in
-        let best, ms = Pref_obs.Span.timed (fun () -> maxima ~key dom rows) in
-        Obs.record_query ~algorithm:"sfs" ~n_in:(List.length rows)
-          ~n_out:(List.length best) ~comparisons:(comparisons ()) ~ms;
-        Relation.make (Relation.schema rel) best
-      end
-      else Relation.make (Relation.schema rel) (maxima ~key dom rows))
+      let arr = Array.of_list (Relation.rows rel) in
+      let (best, r), ms =
+        Pref_obs.Span.timed (fun () ->
+            let arr = sorted ~key arr in
+            let r = window dom arr in
+            (Bnl.select arr r, r))
+      in
+      Obs.record_query ~algorithm:"sfs" ~n_in:(Array.length arr)
+        ~n_out:(List.length best) ~comparisons:r.Bnl.tests ~ms;
+      Relation.make (Relation.schema rel) best)
 
 let progressive ~key (dom : Dominance.t) rows =
   (* With a topological presort every window insertion is final, so maxima
      can be emitted as soon as they are found — the progressive behaviour
      of [TEO01]-style skyline computation.  The window is shared across
      pulls of the sequence. *)
-  let sorted = Array.to_list (sorted_array ~key rows) in
+  let sorted = Array.to_list (sorted ~key (Array.of_list rows)) in
   let window = ref [] in
   let rec emit pending () =
     match pending with

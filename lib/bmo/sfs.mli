@@ -7,37 +7,28 @@
     Supplying a non-topological key yields wrong results — the test suite
     checks both directions.
 
-    The sort runs over a materialised array ([Array.stable_sort]) and the
-    filter pass probes an append-only array window, so neither phase
-    allocates per candidate. *)
+    The sort runs over a materialised array ([Array.stable_sort]) and
+    {!window}, the one append-only window loop of the engine, probes an
+    index window, so neither phase allocates per candidate. *)
 
 open Pref_relation
+
+val sorted : key:('a -> float) -> 'a array -> 'a array
+(** A copy sorted by descending key — stable, so ties keep input order. *)
+
+val window :
+  ?deadline:Engine.deadline -> ('p -> 'p -> bool) -> 'p array -> Bnl.run
+(** The append-only filter pass over {e presorted} points, generic over
+    the point type like {!Bnl.window} and polling a [deadline] the same
+    way. Precondition: points are in descending topological-key order, so
+    no later point dominates an earlier one and the window never evicts
+    ([peak] is the final window size). *)
 
 val maxima : key:(Tuple.t -> float) -> Dominance.t -> Tuple.t list -> Tuple.t list
 
 val sum_key : Schema.t -> string list -> maximize:bool -> Tuple.t -> float
 (** Topological key for Pareto preferences of HIGHEST (or, with
     [maximize:false], LOWEST) chains over the named numeric attributes. *)
-
-val maxima_vec :
-  ?count:int ref ->
-  key:(Tuple.t -> float) ->
-  Dominance.vec ->
-  Tuple.t list ->
-  Tuple.t array
-(** Vectorized sort-filter: sort, project each row once, filter over flat
-    vectors. [count] accumulates dominance tests. Same result (and order:
-    descending key) as {!maxima}. *)
-
-val filter_sorted :
-  dominates:('p -> 'p -> bool) ->
-  ?count:int ref ->
-  ('p * Tuple.t) array ->
-  ('p * Tuple.t) array
-(** The append-only filter pass over {e presorted}, caller-projected
-    points — the building block the parallel layer splits across domains.
-    Precondition: points are in descending topological-key order, so no
-    later point dominates an earlier one. *)
 
 val query :
   Schema.t -> key:(Tuple.t -> float) -> Preferences.Pref.t -> Relation.t -> Relation.t

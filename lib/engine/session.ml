@@ -134,43 +134,36 @@ let seedable (q : Ast.query) =
   && q.Ast.grouping = []
   && match q.Ast.from with [ _ ] -> true | _ -> false
 
-let track t src qopt (r : Exec.result) =
+let track t (q : Ast.query) (r : Exec.result) =
   match r.Exec.preference with
-  | Some p when r.Exec.flags = Pref_bmo.Engine.complete -> (
-    let q =
-      match qopt with
-      | Some q -> Some q
-      | None -> ( try Some (Parser.parse_query src) with _ -> None)
-    in
-    match q with
-    | Some q when seedable q ->
-      t.last <-
-        Some
-          {
-            l_table = String.lowercase_ascii (List.hd q.Ast.from);
-            l_query = q;
-            l_dom = Pref_bmo.Dominance.of_pref (Relation.schema r.relation) p;
-            l_seed = Some r.relation;
-          }
-    | _ -> t.last <- None)
+  | Some p when r.Exec.flags = Pref_bmo.Engine.complete && seedable q ->
+    t.last <-
+      Some
+        {
+          l_table = String.lowercase_ascii (List.hd q.Ast.from);
+          l_query = q;
+          l_dom = Pref_bmo.Dominance.of_pref (Relation.schema r.relation) p;
+          l_seed = Some r.relation;
+        }
   | _ -> t.last <- None
 
 let execute t ~deadline src =
-  match resolve_statement t src with
-  | src, Some q ->
-    let r =
-      count_result t
-        (Exec.run_query_within ~registry:t.reg ~deadline t.config t.env q)
-    in
-    track t src (Some q) r;
-    r
-  | src, None ->
-    let r =
-      count_result t
-        (Exec.run_within ~registry:t.reg ~deadline t.config t.env src)
-    in
-    track t src None r;
-    r
+  let q, parse_ms =
+    match resolve_statement t src with
+    | _, Some q -> (q, None)
+    | src, None ->
+      let q, ms =
+        Pref_obs.Span.timed_span "psql.parse" (fun () -> Parser.parse_query src)
+      in
+      (q, Some ms)
+  in
+  let r =
+    count_result t
+      (Exec.run_query_within ~registry:t.reg ?parse_ms ~deadline t.config t.env
+         q)
+  in
+  track t q r;
+  r
 
 let plan_summary (r : Exec.result) =
   match r.Exec.profile with
@@ -228,7 +221,7 @@ let refine_within t ~deadline term_src =
         ~seed:l.l_seed ~old_q:l.l_query q'
     in
     let r = count_result t o.Revise.o_result in
-    track t "" (Some q') r;
+    track t q' r;
     { o with Revise.o_result = r }
   with e ->
     t.errors <- t.errors + 1;

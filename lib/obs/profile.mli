@@ -1,9 +1,9 @@
 (** Query profiles — the per-query record a BMO evaluation hands back.
 
     Unlike {!Metrics} and {!Span}, a profile is built only when the caller
-    explicitly asks for one (e.g. [Query.sigma_profiled] or the shell's
-    [\profile] mode), so it carries exact numbers regardless of the global
-    telemetry flag. *)
+    explicitly asks for one (e.g. [profile = true] in a query's engine
+    config, or the shell's [\profile] mode), so it carries exact numbers
+    regardless of the global telemetry flag. *)
 
 type phase = { phase_name : string; phase_ms : float }
 

@@ -215,8 +215,8 @@ let selection_commutes resolve p conjuncts =
         conjuncts
     with _ -> false)
 
-let run_query_within ?registry ~deadline (cfg : Pref_bmo.Engine.config) env
-    (q : Ast.query) : result =
+let run_query_within ?registry ?parse_ms ~deadline
+    (cfg : Pref_bmo.Engine.config) env (q : Ast.query) : result =
   let profile = cfg.Pref_bmo.Engine.profile in
   Pref_obs.Span.with_span "psql.query" @@ fun () ->
   if cfg.Pref_bmo.Engine.check then begin
@@ -226,7 +226,12 @@ let run_query_within ?registry ~deadline (cfg : Pref_bmo.Engine.config) env
   end;
   (* Per-clause phase runner: always a tracing span; additionally a timed
      profile phase when the caller asked for a profile. *)
-  let phases = ref [] in
+  let phases =
+    ref
+      (match parse_ms with
+      | Some ms when profile -> [ Pref_obs.Profile.phase "parse" ms ]
+      | _ -> [])
+  in
   let phase name f =
     if profile then begin
       let r, ms = Pref_obs.Span.timed_span ("psql." ^ name) f in
@@ -395,23 +400,13 @@ let run_query_within ?registry ~deadline (cfg : Pref_bmo.Engine.config) env
                 end
             in
             let fallback () =
-              if profile then begin
-                let r, f, prof =
-                  Pref_bmo.Query.sigma_profiled_within ~deadline bmo_cfg
-                    schema p_eval filtered
-                in
-                bmo_flags := f;
-                bmo_profile := Some prof;
-                r
-              end
-              else begin
-                let r, f =
-                  Pref_bmo.Query.sigma_within ~deadline bmo_cfg schema p_eval
-                    filtered
-                in
-                bmo_flags := f;
-                r
-              end
+              let r =
+                Pref_bmo.Query.run_within ~deadline bmo_cfg schema p_eval
+                  filtered
+              in
+              bmo_flags := r.Pref_bmo.Engine.Result.flags;
+              bmo_profile := r.Pref_bmo.Engine.Result.profile;
+              r.Pref_bmo.Engine.Result.rows
             in
             (match commute_serve () with
             | Some r -> r
@@ -541,7 +536,7 @@ let run_query_within ?registry ~deadline (cfg : Pref_bmo.Engine.config) env
 
 module Plan = Pref_bmo.Explain.Plan
 
-let explain_query_within ?registry ?(parse_ms = None) ~analyze ~deadline
+let explain_query_within ?registry ?parse_ms ~analyze ~deadline
     (cfg : Pref_bmo.Engine.config) env ~query_text (q : Ast.query) : Plan.t =
   Pref_obs.Span.with_span "psql.explain" @@ fun () ->
   if cfg.Pref_bmo.Engine.check then begin
@@ -655,11 +650,15 @@ let explain_query_within ?registry ?(parse_ms = None) ~analyze ~deadline
         Some filtered
       end
       else if analyze then begin
-        let (r, flags, prof), ms =
+        let res, ms =
           timed "evaluate" (fun () ->
-              Pref_bmo.Query.sigma_profiled_within ~deadline bmo_cfg schema
-                p_eval filtered)
+              Pref_bmo.Query.run_within ~deadline
+                { bmo_cfg with Pref_bmo.Engine.profile = true }
+                schema p_eval filtered)
         in
+        let r = res.Pref_bmo.Engine.Result.rows
+        and flags = res.Pref_bmo.Engine.Result.flags
+        and prof = Option.get res.Pref_bmo.Engine.Result.profile in
         let children =
           List.map
             (fun ph ->
@@ -814,48 +813,16 @@ let explain_within ?registry ~analyze ~deadline cfg env src =
   let q, parse_ms =
     Pref_obs.Span.timed_span "psql.parse" (fun () -> Parser.parse_query src)
   in
-  explain_query_within ?registry ~parse_ms:(Some parse_ms) ~analyze ~deadline
+  explain_query_within ?registry ~parse_ms ~analyze ~deadline
     cfg env ~query_text:(String.trim src) q
-
-let run_query_cfg ?registry cfg env q =
-  run_query_within ?registry ~deadline:(Pref_bmo.Engine.deadline_of cfg) cfg
-    env q
-
-let run_within ?registry ~deadline cfg env src =
-  if cfg.Pref_bmo.Engine.profile then begin
-    let q, parse_ms =
-      Pref_obs.Span.timed_span "psql.parse" (fun () -> Parser.parse_query src)
-    in
-    let r = run_query_within ?registry ~deadline cfg env q in
-    {
-      r with
-      profile =
-        Option.map
-          (fun p ->
-            Pref_obs.Profile.add_phases p
-              [ Pref_obs.Profile.phase "parse" parse_ms ])
-          r.profile;
-    }
-  end
-  else
-    run_query_within ?registry ~deadline cfg env
-      (Pref_obs.Span.with_span "psql.parse" (fun () -> Parser.parse_query src))
 
 let run_cfg ?registry cfg env src =
   (* the deadline starts before parsing, so parse / join / BMO all draw
      down the same budget *)
-  run_within ?registry ~deadline:(Pref_bmo.Engine.deadline_of cfg) cfg env src
+  let deadline = Pref_bmo.Engine.deadline_of cfg in
+  let q, parse_ms =
+    Pref_obs.Span.timed_span "psql.parse" (fun () -> Parser.parse_query src)
+  in
+  run_query_within ?registry ~parse_ms ~deadline cfg env q
 
-(* ------------------------------------------------------------------ *)
-(* Compatibility wrappers: the pre-engine optional-argument surface,
-   each a one-liner through the shared Compat.legacy_cfg builder. *)
-
-let run_query ?registry ?algorithm ?cache ?domains ?profile ?check env q =
-  run_query_cfg ?registry
-    (Pref_bmo.Compat.legacy_cfg ?algorithm ?cache ?domains ?profile ?check ())
-    env q
-
-let run ?registry ?algorithm ?cache ?domains ?profile ?check env src =
-  run_cfg ?registry
-    (Pref_bmo.Compat.legacy_cfg ?algorithm ?cache ?domains ?profile ?check ())
-    env src
+let run ?registry env src = run_cfg ?registry Pref_bmo.Engine.default env src

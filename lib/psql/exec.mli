@@ -27,14 +27,13 @@ type result = {
   preference : Preferences.Pref.t option;
       (** the translated preference term, for EXPLAIN-style output *)
   profile : Pref_obs.Profile.t option;
-      (** present when the query ran with [~profile:true]: per-clause phase
-          timings (parse → from → where → translate → rewrite → evaluate →
-          quality/order), the BMO algorithm and its dominance-test count *)
+      (** present when the query ran with [config.profile]: per-clause
+          phase timings (parse → from → where → translate → rewrite →
+          evaluate → quality/order), the BMO algorithm and its
+          dominance-test count *)
   flags : Pref_bmo.Engine.flags;
       (** [partial] when a deadline expired and the BMO set is a sound
-          prefix; [truncated] when [max_rows] dropped result rows.
-          {!Pref_bmo.Engine.complete} for every query run through the
-          compatibility wrappers. *)
+          prefix; [truncated] when [max_rows] dropped result rows *)
 }
 
 val full_preference :
@@ -56,7 +55,7 @@ type check_finding = {
 }
 
 exception Rejected of check_finding list
-(** Raised by [run]/[run_query] with [~check:true] when the installed
+(** Raised by the entry points under [config.check] when the installed
     checker reports at least one error-severity finding; carries the full
     report (warnings and hints included). *)
 
@@ -71,34 +70,29 @@ val static_check :
 
 (** {1 Engine entry points}
 
-    The executor's primary interface: one {!Pref_bmo.Engine.config}
-    record carries every knob (algorithm, domains, cache, check, profile,
-    deadline, row cap). The [_within] variants accept an
-    already-started deadline so a server can begin the budget at
-    admission rather than at parse time. *)
+    The executor's interface: one {!Pref_bmo.Engine.config} record carries
+    every knob (algorithm, domains, cache, check, profile, deadline, row
+    cap, cost model). *)
 
 val run_query_within :
   ?registry:Translate.registry ->
+  ?parse_ms:float ->
   deadline:Pref_bmo.Engine.deadline ->
   Pref_bmo.Engine.config ->
   env ->
   Ast.query ->
   result
-
-val run_query_cfg :
-  ?registry:Translate.registry ->
-  Pref_bmo.Engine.config ->
-  env ->
-  Ast.query ->
-  result
-
-val run_within :
-  ?registry:Translate.registry ->
-  deadline:Pref_bmo.Engine.deadline ->
-  Pref_bmo.Engine.config ->
-  env ->
-  string ->
-  result
+(** Execute a parsed query under a configuration and an already-started
+    deadline (a server begins the budget at admission, not at parse
+    time). On expiry during BMO evaluation the result degrades to a sound
+    prefix with [flags.partial] set (see {!Pref_bmo.Query.run_within});
+    [config.max_rows] caps the final projected, ordered result and sets
+    [flags.truncated]. With [config.profile], {!result.profile} carries
+    the clause phases, led by a [parse] phase when [parse_ms] reports
+    one. Every clause runs inside a {!Pref_obs.Span}, so traces appear
+    whenever telemetry is globally enabled. Raises {!Translate.Error},
+    {!Error}, {!Unknown_table}, or {!Rejected} (with [config.check]: the
+    installed checker reported an error-severity finding). *)
 
 val run_cfg :
   ?registry:Translate.registry ->
@@ -106,18 +100,17 @@ val run_cfg :
   env ->
   string ->
   result
-(** Parse and execute under a configuration. The deadline starts before
-    parsing; on expiry during BMO evaluation the result degrades to a
-    sound prefix with [flags.partial] set (see {!Pref_bmo.Query.sigma_within}).
-    [config.max_rows] caps the final projected, ordered result and sets
-    [flags.truncated]. Raises {!Parser.Error}, {!Translate.Error},
-    {!Error}, {!Unknown_table}, or {!Rejected} (with [config.check]). *)
+(** Parse and execute, the deadline started from [config.deadline_ms]
+    before parsing. Also raises {!Parser.Error}. *)
+
+val run : ?registry:Translate.registry -> env -> string -> result
+(** {!run_cfg} under {!Pref_bmo.Engine.default}. *)
 
 (** {1 EXPLAIN [ANALYZE]} *)
 
 val explain_query_within :
   ?registry:Translate.registry ->
-  ?parse_ms:float option ->
+  ?parse_ms:float ->
   analyze:bool ->
   deadline:Pref_bmo.Engine.deadline ->
   Pref_bmo.Engine.config ->
@@ -144,46 +137,4 @@ val explain_within :
     tail (BUT ONLY / ORDER BY / TOP / projection) also run, filling
     per-operator actual cardinalities and timings. Raises {!Error} when
     the query has no PREFERRING/CASCADE clause, plus everything
-    {!run_within} raises. *)
-
-(** {1 Compatibility wrappers}
-
-    Deprecated: the pre-engine optional-argument surface; each is a
-    one-line wrapper building its config via
-    {!Pref_bmo.Compat.legacy_cfg}. No deadline, no row cap —
-    [result.flags] is always {!Pref_bmo.Engine.complete}. Prefer the
-    [_cfg]/[_within] entry points above. *)
-
-val run_query :
-  ?registry:Translate.registry ->
-  ?algorithm:Pref_bmo.Query.algorithm ->
-  ?cache:bool ->
-  ?domains:int ->
-  ?profile:bool ->
-  ?check:bool ->
-  env ->
-  Ast.query ->
-  result
-
-val run :
-  ?registry:Translate.registry ->
-  ?algorithm:Pref_bmo.Query.algorithm ->
-  ?cache:bool ->
-  ?domains:int ->
-  ?profile:bool ->
-  ?check:bool ->
-  env ->
-  string ->
-  result
-(** Parse and execute. Raises {!Parser.Error}, {!Translate.Error} or
-    {!Error}. [~check:true] runs the installed static checker first and
-    raises {!Rejected} on error-severity findings (a no-op when no checker
-    is installed). [domains] sets the degree of parallelism for the parallel
-    and auto algorithms (the shell's [\set domains N]). [cache] opts the
-    BMO evaluation out of the result cache for this call (the cache only
-    acts at all when {!Pref_bmo.Cache.global} is enabled, e.g. via the
-    shell's [\cache on]); it applies to the pre-projection BMO set, so
-    queries differing only in their SELECT list share cache entries.
-    [~profile:true] additionally fills {!result.profile};
-    independent of that, every clause runs inside a {!Pref_obs.Span} so
-    traces appear whenever telemetry is globally enabled. *)
+    {!run_cfg} raises. *)

@@ -743,7 +743,10 @@ let stream_union conn ?trace pref shard_subs =
   let cfg = { conn.config with Pref_bmo.Engine.cache = false } in
   let winnow rs =
     Relation.rows
-      (fst (Pref_bmo.Query.sigma_cfg cfg schema pref (Relation.make schema rs)))
+      (fst
+         (Pref_bmo.Query.sigma_within
+            ~deadline:(Pref_bmo.Engine.deadline_of cfg)
+            cfg schema pref (Relation.make schema rs)))
   in
   let current = ref (winnow (List.concat (Array.to_list rows))) in
   let first =

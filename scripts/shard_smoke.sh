@@ -25,12 +25,32 @@ CLIENTS=${CLIENTS:-8}
 QUERIES=${QUERIES:-25}
 
 workdir=$(mktemp -d)
+# every process started below, recorded in this shell (never inside a
+# $(...) subshell, whose variables die with it)
 pids=()
 cleanup() {
+  local status=$? alive=
   for pid in "${pids[@]:-}"; do
     [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
   done
+  for _ in $(seq 1 50); do
+    alive=
+    for pid in "${pids[@]:-}"; do
+      [ -n "$pid" ] && kill -0 "$pid" 2>/dev/null && alive="$alive $pid"
+    done
+    [ -z "$alive" ] && break
+    sleep 0.1
+  done
+  for pid in $alive; do kill -KILL "$pid" 2>/dev/null || true; done
+  for pid in "${pids[@]:-}"; do
+    [ -n "$pid" ] && { wait "$pid" 2>/dev/null || true; }
+  done
   rm -rf "$workdir"
+  if [ -n "$alive" ]; then
+    echo "FAIL: still running 5 s after cleanup:$alive" >&2
+    exit 1
+  fi
+  exit "$status"
 }
 trap cleanup EXIT
 
@@ -51,10 +71,10 @@ total=$(for i in 0 1 2; do tail -n +2 "$workdir/cars.shard$i.csv"; done | wc -l)
   echo "FAIL: shards hold $total rows, expected 600"; exit 1
 }
 
-start_server() { # args: logfile, table spec
+start_server() { # args: logfile, table spec; sets $started to the pid
   "$BIN/prefserve.exe" --table "$2" --port 0 >"$1" 2>&1 &
-  pids+=($!)
-  echo $!
+  started=$!
+  pids+=("$started")
 }
 
 wait_port() { # args: logfile, pid
@@ -74,10 +94,11 @@ wait_port() { # args: logfile, pid
 echo "== start 3 shard backends + 1 single-node reference =="
 declare -a backend_pids backend_ports
 for i in 0 1 2; do
-  pid=$(start_server "$workdir/backend$i.log" "cars=$workdir/cars.shard$i.csv")
-  backend_pids[$i]=$pid
+  start_server "$workdir/backend$i.log" "cars=$workdir/cars.shard$i.csv"
+  backend_pids[$i]=$started
 done
-ref_pid=$(start_server "$workdir/reference.log" "cars=$workdir/cars.csv")
+start_server "$workdir/reference.log" "cars=$workdir/cars.csv"
+ref_pid=$started
 for i in 0 1 2; do
   backend_ports[$i]=$(wait_port "$workdir/backend$i.log" "${backend_pids[$i]}")
 done
@@ -137,6 +158,7 @@ echo "== kill one backend mid-soak =="
   --strict --json "$workdir/midkill-soak.json" \
   -s "SELECT * FROM cars PREFERRING LOWEST(price) AND LOWEST(mileage)" &
 soak_pid=$!
+pids+=("$soak_pid")
 sleep 0.3
 kill -TERM "${backend_pids[2]}"
 # zero-loss even with a backend dying under load: --strict enforces

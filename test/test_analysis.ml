@@ -242,14 +242,14 @@ let xpath_cases () =
 
 let exec_rejects () =
   Install.install ();
-  (match Exec.run ~check:true env "SELECT * FROM r PREFERRING LOWEST(zz)" with
+  (match Exec.run_cfg { Pref_bmo.Engine.default with check = true } env "SELECT * FROM r PREFERRING LOWEST(zz)" with
   | _ -> Alcotest.fail "checked run of a broken query did not raise"
   | exception Exec.Rejected findings ->
     Alcotest.(check bool)
       "rejection carries E102" true
       (List.exists (fun f -> f.Exec.check_code = "E102") findings));
   let result =
-    Exec.run ~check:true env "SELECT * FROM r PREFERRING LOWEST(a)"
+    Exec.run_cfg { Pref_bmo.Engine.default with check = true } env "SELECT * FROM r PREFERRING LOWEST(a)"
   in
   Alcotest.(check int)
     "checked run of a clean query still executes" 1
@@ -696,7 +696,10 @@ let fuzz_soundness =
       let errors =
         List.filter Diagnostic.is_error (Ast_check.check_query ~env query)
       in
-      match Exec.run_query env query with
+      match
+        Exec.run_query_within ~deadline:Pref_bmo.Engine.no_deadline
+          Pref_bmo.Engine.default env query
+      with
       | result ->
         errors = []
         || (List.for_all

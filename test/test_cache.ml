@@ -277,7 +277,12 @@ let test_planner_cache_plans () =
   with_global @@ fun () ->
   let rel = Relation.make Gen.schema sample_rows in
   let p = Pref.pareto (Pref.lowest "a") (Pref.highest "b") in
-  let cold = Query.sigma ~algorithm:Query.Alg_auto Gen.schema p rel in
+  let cold =
+    fst
+      (Query.sigma_within ~deadline:Engine.no_deadline
+         { Engine.default with algorithm = Query.Alg_auto }
+         Gen.schema p rel)
+  in
   let plan = Planner.choose Gen.schema p rel in
   check "exact hit plan" true (plan = Planner.Plan_cache_hit);
   Alcotest.(check string) "plan kind" "cache_hit" (Planner.plan_kind plan);
@@ -308,13 +313,24 @@ let test_query_cache_integration () =
   check "cached result equals first evaluation" true
     (Relation.equal_as_sets r1 r2);
   check_int "second call hit" (hits0 + 1) (Cache.stats Cache.global).Cache.hits;
-  let _, prof = Query.sigma_profiled Gen.schema p rel in
+  let prof =
+    Option.get
+      (Query.run_within ~deadline:Engine.no_deadline
+         { Engine.default with profile = true }
+         Gen.schema p rel)
+        .Engine.Result.profile
+  in
   Alcotest.(check string)
     "profile reports the cache tier" "cache:exact"
     prof.Pref_obs.Profile.algorithm;
   (* per-call opt-out evaluates but does not count *)
   let before = (Cache.stats Cache.global).Cache.hits in
-  let r3 = Query.sigma ~cache:false Gen.schema p rel in
+  let r3 =
+    fst
+      (Query.sigma_within ~deadline:Engine.no_deadline
+         { Engine.default with cache = false }
+         Gen.schema p rel)
+  in
   check "opt-out still correct" true (Relation.equal_as_sets r1 r3);
   check_int "opt-out did not touch the cache" before
     (Cache.stats Cache.global).Cache.hits

@@ -77,11 +77,15 @@ let test_predicted_matches_measured () =
   let p = Pref.pareto_all (List.map Pref.highest (Synthetic.dim_names 2)) in
   let _, naive_ms =
     Pref_obs.Span.timed_span "t" (fun () ->
-        Query.sigma ~algorithm:Query.Alg_naive schema p rel)
+        Query.sigma_within ~deadline:Engine.no_deadline
+          { Engine.default with algorithm = Query.Alg_naive }
+          schema p rel)
   in
   let _, bnl_ms =
     Pref_obs.Span.timed_span "t" (fun () ->
-        Query.sigma ~algorithm:Query.Alg_bnl schema p rel)
+        Query.sigma_within ~deadline:Engine.no_deadline
+          { Engine.default with algorithm = Query.Alg_bnl }
+          schema p rel)
   in
   check "measured: bnl beats naive" true (bnl_ms < naive_ms);
   check "predicted: bnl beats naive" true

@@ -22,6 +22,9 @@ let pareto_pref =
       rest
   | _ -> assert false
 
+let sigma_with cfg schema p rel =
+  Query.sigma_within ~deadline:(Engine.deadline_of cfg) cfg schema p rel
+
 (* ------------------------------------------------------------------ *)
 
 let test_knobs () =
@@ -70,9 +73,9 @@ let test_knobs () =
 let test_cfg_matches_legacy () =
   List.iter
     (fun alg ->
-      let legacy = Query.sigma ~algorithm:alg ~cache:false schema pareto_pref rel in
+      let legacy = Query.sigma schema pareto_pref rel in
       let via_cfg, flags =
-        Query.sigma_cfg
+        sigma_with
           { Engine.default with algorithm = alg; cache = false }
           schema pareto_pref rel
       in
@@ -85,9 +88,9 @@ let test_cfg_matches_legacy () =
     [ Query.Alg_naive; Query.Alg_bnl; Query.Alg_decompose; Query.Alg_auto ];
   (* groupby wrapper vs cfg *)
   let by = [ List.hd (Synthetic.dim_names 3) ] in
-  let legacy = Query.sigma_groupby ~algorithm:Query.Alg_bnl schema pareto_pref ~by rel in
+  let legacy = Groupby.query schema pareto_pref ~by rel in
   let via_cfg, _ =
-    Query.sigma_groupby_cfg
+    Query.sigma_groupby_within ~deadline:Engine.no_deadline
       { Engine.default with cache = false }
       schema pareto_pref ~by rel
   in
@@ -95,13 +98,13 @@ let test_cfg_matches_legacy () =
 
 let test_max_rows () =
   let full, flags =
-    Query.sigma_cfg { Engine.default with cache = false } schema pareto_pref rel
+    sigma_with { Engine.default with cache = false } schema pareto_pref rel
   in
   check "uncapped is complete" true (not flags.Engine.truncated);
   let n = Relation.cardinality full in
   check "anti-correlated BMO is big enough to cap" true (n > 3);
   let capped, flags =
-    Query.sigma_cfg
+    sigma_with
       { Engine.default with cache = false; max_rows = Some 3 }
       schema pareto_pref rel
   in
@@ -109,7 +112,7 @@ let test_max_rows () =
   check "truncated flagged" true flags.Engine.truncated;
   check "cap above cardinality does not flag" true
     (let r, f =
-       Query.sigma_cfg
+       sigma_with
          { Engine.default with cache = false; max_rows = Some (n + 10) }
          schema pareto_pref rel
      in
@@ -119,16 +122,18 @@ let test_deadline_degradation () =
   (* an already-expired budget degrades deterministically: empty prefix,
      partial flag — and it never errors or hangs *)
   let r, flags =
-    Query.sigma_cfg
+    sigma_with
       { Engine.default with cache = false; deadline_ms = Some 0. }
       schema pareto_pref rel
   in
   check "expired deadline yields empty prefix" true (Relation.cardinality r = 0);
   check "partial flagged" true flags.Engine.partial;
   (* a generous budget completes identically to no deadline *)
-  let full = Query.sigma ~cache:false schema pareto_pref rel in
+  let full =
+    fst (sigma_with { Engine.default with cache = false } schema pareto_pref rel)
+  in
   let r, flags =
-    Query.sigma_cfg
+    sigma_with
       { Engine.default with cache = false; deadline_ms = Some 60_000. }
       schema pareto_pref rel
   in
@@ -139,7 +144,9 @@ let test_deadline_degradation () =
   let dom = Dominance.of_pref schema pareto_pref in
   let rows = Relation.rows rel in
   let best, timed_out =
-    Bnl.maxima_deadline ~deadline:Engine.no_deadline dom rows
+    let arr = Array.of_list rows in
+    let r = Bnl.window ~deadline:Engine.no_deadline dom arr in
+    (Bnl.select arr r, r.Bnl.timed_out)
   in
   check "no-deadline kernel = maxima" true
     (best = Bnl.maxima dom rows && not timed_out)
@@ -153,26 +160,157 @@ let test_partial_never_cached () =
       Cache.set_enabled false)
     (fun () ->
       let degraded, flags =
-        Query.sigma_cfg
+        sigma_with
           { Engine.default with deadline_ms = Some 0. }
           schema pareto_pref rel
       in
       check "degraded under cache" true
         (flags.Engine.partial && Relation.cardinality degraded = 0);
       (* the partial result must not have poisoned the cache *)
-      let full, flags = Query.sigma_cfg Engine.default schema pareto_pref rel in
+      let full, flags = sigma_with Engine.default schema pareto_pref rel in
       check "subsequent full query is complete" true (not flags.Engine.partial);
       check "and correct" true
         (Relation.equal_as_sets full
-           (Query.sigma ~cache:false schema pareto_pref rel));
+           (fst
+              (sigma_with { Engine.default with cache = false } schema
+                 pareto_pref rel)));
       (* now warm: an expired deadline is served from the cache, complete *)
       let warm, flags =
-        Query.sigma_cfg
+        sigma_with
           { Engine.default with deadline_ms = Some 0. }
           schema pareto_pref rel
       in
       check "cache outruns the deadline" true
         ((not flags.Engine.partial) && Relation.equal_as_sets warm full))
+
+(* The degradation oracle: a deadline cut returns exactly the BMO set of
+   the rows scanned up to the poll that saw the expiry. The cut is made
+   deterministic by a dominance test that, on candidate [j], spins until a
+   short deadline has passed: the scan then stops at the next multiple of
+   [Bnl.deadline_stride]. *)
+let test_deadline_cut_oracle () =
+  let stride = Bnl.deadline_stride in
+  let rel =
+    Synthetic.relation ~seed:7 ~n:(3 * stride) ~dims:3
+      Synthetic.Anti_correlated
+  in
+  let schema = Relation.schema rel in
+  let rows = Relation.rows rel in
+  let arr = Array.of_list rows in
+  let j = stride + (stride / 2) in
+  let next_poll = ((j / stride) + 1) * stride in
+  let budget () =
+    Engine.deadline_of { Engine.default with deadline_ms = Some 200. }
+  in
+  (* a score preference on d0 that stalls on row j's value until [deadline]
+     has expired — equivalent to LOWEST(d0) otherwise *)
+  let slow_pref deadline =
+    let stall = Tuple.get arr.(j) (Schema.index_of_exn schema "d0") in
+    Pref.pareto
+      (Pref.score "d0" ~name:"slow_d0" (fun v ->
+           if Value.equal v stall then
+             while not (Engine.expired deadline) do
+               ()
+             done;
+           -.Option.get (Value.as_float v)))
+      (Pref.pareto (Pref.lowest "d1") (Pref.lowest "d2"))
+  in
+  let prefix_bmo p =
+    Naive.maxima (Dominance.of_pref schema p)
+      (List.filteri (fun i _ -> i < next_poll) rows)
+  in
+  (* from the loop directly *)
+  let deadline = budget () in
+  let p = slow_pref deadline in
+  let r = Bnl.window ~deadline (Dominance.of_pref schema p) arr in
+  check "loop: cut flagged" true r.Bnl.timed_out;
+  check "loop: window = naive BMO of the rows up to the next poll" true
+    (List.equal Tuple.equal (Bnl.select arr r) (prefix_bmo p));
+  (* through the query ladder, with the cache on: the degraded answer is
+     the same prefix BMO set and never reaches the cache *)
+  Cache.set_enabled true;
+  Cache.clear Cache.global;
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.clear Cache.global;
+      Cache.set_enabled false)
+    (fun () ->
+      let deadline = budget () in
+      let p = slow_pref deadline in
+      let out, flags =
+        Query.sigma_within ~deadline Engine.default schema p rel
+      in
+      check "query: partial flagged" true flags.Engine.partial;
+      check "query: answer = naive BMO of the rows up to the next poll" true
+        (List.equal Tuple.equal (Relation.rows out) (prefix_bmo p));
+      check "query: degraded answer not cached" true
+        ((Cache.stats Cache.global).Cache.entries = 0
+        && Cache.probe Cache.global schema p rel = None))
+
+(* One statement four ways — [deadline_ms] unset or generous, crossed with
+   [profile] off or on — returns the same rows and flags and moves the
+   query metrics by the same amounts: the flags pick the budget and what
+   the run reports, not what it runs or records. *)
+let test_same_answer_whatever_the_flags () =
+  let counts () =
+    Pref_obs.Metrics.
+      ( count Obs.queries,
+        count Obs.dominance_tests,
+        hist_count Obs.query_ms )
+  in
+  let run deadline_ms profile =
+    Pref_obs.Control.with_enabled true (fun () ->
+        let q0, t0, h0 = counts () in
+        let r =
+          Pref_sql.Exec.run_cfg
+            { Engine.default with cache = false; deadline_ms; profile }
+            [ ("sky", rel) ]
+            "SELECT * FROM sky PREFERRING LOWEST(d0) AND LOWEST(d1) AND \
+             LOWEST(d2)"
+        in
+        let q1, t1, h1 = counts () in
+        (r, (q1 - q0, t1 - t0, h1 - h0)))
+  in
+  let runs =
+    List.concat_map
+      (fun deadline_ms -> [ run deadline_ms false; run deadline_ms true ])
+      [ None; Some 1e9 ]
+  in
+  Pref_obs.Span.clear ();
+  let r0, m0 = List.hd runs in
+  let q, t, h = m0 in
+  check "one query, its dominance tests and its latency recorded" true
+    (q = 1 && t > 0 && h = 1);
+  List.iteri
+    (fun i (r, m) ->
+      check (Printf.sprintf "run %d: same rows" i) true
+        (List.equal Tuple.equal
+           (Relation.rows r.Pref_sql.Exec.relation)
+           (Relation.rows r0.Pref_sql.Exec.relation));
+      check (Printf.sprintf "run %d: same flags" i) true
+        (r.Pref_sql.Exec.flags = r0.Pref_sql.Exec.flags);
+      check (Printf.sprintf "run %d: same metric moves" i) true (m = m0))
+    runs;
+  (* warm cache: the structured result names the tier whatever [profile] *)
+  Cache.set_enabled true;
+  Cache.clear Cache.global;
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.clear Cache.global;
+      Cache.set_enabled false)
+    (fun () ->
+      ignore (Query.sigma schema pareto_pref rel);
+      List.iter
+        (fun profile ->
+          let r =
+            Query.run_within ~deadline:Engine.no_deadline
+              { Engine.default with profile }
+              schema pareto_pref rel
+          in
+          Alcotest.(check (option string))
+            (Printf.sprintf "warm plan, profile %b" profile)
+            (Some "cache:exact") r.Engine.Result.plan)
+        [ false; true ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -271,6 +409,10 @@ let suite =
     Gen.quick "engine: max_rows cap" test_max_rows;
     Gen.quick "engine: deadline degradation" test_deadline_degradation;
     Gen.quick "engine: partial results never cached" test_partial_never_cached;
+    Gen.quick "engine: deadline cut = BMO of the scanned prefix"
+      test_deadline_cut_oracle;
+    Gen.quick "engine: same answer whatever the flags"
+      test_same_answer_whatever_the_flags;
     Gen.quick "exec: config entry points" test_exec_cfg;
     Gen.quick "session: knobs, prepared, stats" test_session;
     Gen.quick "session: isolation" test_session_isolation;

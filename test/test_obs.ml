@@ -230,6 +230,14 @@ let test_json () =
 
 (* --- profiles ----------------------------------------------------------- *)
 
+let profiled algorithm schema p rel =
+  let r =
+    Query.run_within ~deadline:Engine.no_deadline
+      { Engine.default with algorithm; profile = true }
+      schema p rel
+  in
+  (r.Engine.Result.rows, Option.get r.Engine.Result.profile)
+
 (* BNL's profiled comparison count must equal running the same counted
    dominance test through the same window pass by hand. *)
 let test_profile_bnl_exact () =
@@ -238,7 +246,7 @@ let test_profile_bnl_exact () =
   let expected_rows = Bnl.maxima dom_counted (Relation.rows rel) in
   let expected_comparisons = n () in
   let out, prof =
-    Query.sigma_profiled ~algorithm:Query.Alg_bnl schema skyline rel
+    profiled Query.Alg_bnl schema skyline rel
   in
   check_str "algorithm" "bnl" prof.Pref_obs.Profile.algorithm;
   check_int "input rows" (Relation.cardinality rel)
@@ -265,14 +273,14 @@ let test_profile_naive_exact () =
   let dom_counted, n = Dominance.counting dom in
   ignore (Naive.maxima dom_counted (Relation.rows rel));
   let _, prof =
-    Query.sigma_profiled ~algorithm:Query.Alg_naive schema skyline rel
+    profiled Query.Alg_naive schema skyline rel
   in
   check_str "algorithm" "naive" prof.Pref_obs.Profile.algorithm;
   check_int "exact comparison count" (n ()) prof.Pref_obs.Profile.comparisons
 
 let test_profile_auto_and_decompose () =
   let _, prof =
-    Query.sigma_profiled ~algorithm:Query.Alg_auto schema skyline rel
+    profiled Query.Alg_auto schema skyline rel
   in
   check "auto reports the plan" true
     (has_prefix ~prefix:"auto:" prof.Pref_obs.Profile.algorithm);
@@ -281,7 +289,7 @@ let test_profile_auto_and_decompose () =
        (fun ph -> ph.Pref_obs.Profile.phase_name = "plan")
        prof.Pref_obs.Profile.phases);
   let out, dprof =
-    Query.sigma_profiled ~algorithm:Query.Alg_decompose schema skyline rel
+    profiled Query.Alg_decompose schema skyline rel
   in
   check_int "decompose comparisons untracked" (-1)
     dprof.Pref_obs.Profile.comparisons;
@@ -290,19 +298,23 @@ let test_profile_auto_and_decompose () =
 
 (* profiles do not depend on the global telemetry flag *)
 let test_profile_independent_of_flag () =
-  let _, off = Query.sigma_profiled ~algorithm:Query.Alg_bnl schema skyline rel in
+  let _, off = profiled Query.Alg_bnl schema skyline rel in
   let _, on =
     Pref_obs.Control.with_enabled true (fun () ->
-        Query.sigma_profiled ~algorithm:Query.Alg_bnl schema skyline rel)
+        profiled Query.Alg_bnl schema skyline rel)
   in
   check_int "same comparisons on or off" off.Pref_obs.Profile.comparisons
     on.Pref_obs.Profile.comparisons;
   Pref_obs.Span.clear ()
 
-let test_maxima_traced_agrees () =
+let test_window_peak_agrees () =
   let dom = Dominance.of_pref schema skyline in
   let plain = Bnl.maxima dom (Relation.rows rel) in
-  let traced, peak = Bnl.maxima_traced dom (Relation.rows rel) in
+  let traced, peak =
+    let arr = Array.of_list (Relation.rows rel) in
+    let r = Bnl.window dom arr in
+    (Bnl.select arr r, r.Bnl.peak)
+  in
   check "traced returns the same maxima" true (plain = traced);
   check "peak covers the final window" true (peak >= List.length traced);
   check "peak bounded by input" true (peak <= Relation.cardinality rel)
@@ -345,7 +357,7 @@ let test_exec_profile () =
   let sql = "SELECT * FROM r WHERE c = 'x' PREFERRING LOWEST(a) AND LOWEST(b)" in
   let plain = Pref_sql.Exec.run exec_env sql in
   check "no profile unless asked" true (plain.Pref_sql.Exec.profile = None);
-  let r = Pref_sql.Exec.run ~profile:true exec_env sql in
+  let r = Pref_sql.Exec.run_cfg { Engine.default with profile = true } exec_env sql in
   match r.Pref_sql.Exec.profile with
   | None -> Alcotest.fail "expected a profile"
   | Some prof ->
@@ -378,7 +390,7 @@ let test_exec_rewrite_preserves_results () =
     (fun sql ->
       let a = (Pref_sql.Exec.run exec_env sql).Pref_sql.Exec.relation in
       let b =
-        (Pref_sql.Exec.run ~profile:true exec_env sql).Pref_sql.Exec.relation
+        (Pref_sql.Exec.run_cfg { Engine.default with profile = true } exec_env sql).Pref_sql.Exec.relation
       in
       check sql true (Relation.equal_as_sets a b))
     [
@@ -447,8 +459,8 @@ let suite =
       test_profile_auto_and_decompose;
     Alcotest.test_case "profile ignores the global flag" `Quick
       test_profile_independent_of_flag;
-    Alcotest.test_case "maxima_traced agrees with maxima" `Quick
-      test_maxima_traced_agrees;
+    Alcotest.test_case "window peak agrees with maxima" `Quick
+      test_window_peak_agrees;
     Alcotest.test_case "queries feed the metrics" `Quick
       test_query_feeds_metrics;
     Alcotest.test_case "simplify_count" `Quick test_simplify_count;

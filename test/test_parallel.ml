@@ -3,6 +3,11 @@ open Preferences
 open Pref_bmo
 module Synthetic = Pref_workload.Synthetic
 
+let sigma_alg algorithm schema p rel =
+  fst
+    (Query.sigma_within ~deadline:Engine.no_deadline
+       { Engine.default with algorithm } schema p rel)
+
 let check = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
@@ -64,7 +69,7 @@ let par_dnc_equiv =
     ~name:"parallel dnc = naive BMO set (1, 2, 4 domains)" Gen.arb_pref_rows
     (fun (p, rows) ->
       let rel = Gen.rel rows in
-      let naive = Query.sigma ~algorithm:Query.Alg_naive Gen.schema p rel in
+      let naive = sigma_alg Query.Alg_naive Gen.schema p rel in
       List.for_all
         (fun d ->
           Relation.equal_as_sets naive
@@ -81,7 +86,7 @@ let par_sfs_equiv =
         (fun (attrs, maximize) ->
           let chain = if maximize then Pref.highest else Pref.lowest in
           let p = Pref.pareto_all (List.map chain attrs) in
-          let naive = Query.sigma ~algorithm:Query.Alg_naive Gen.schema p rel in
+          let naive = sigma_alg Query.Alg_naive Gen.schema p rel in
           List.for_all
             (fun d ->
               Relation.equal_as_sets naive
@@ -99,7 +104,7 @@ let test_par_on_synthetic () =
       let schema = Relation.schema rel in
       let attrs = Synthetic.dim_names dims in
       let p = Pref.pareto_all (List.map Pref.highest attrs) in
-      let naive = Query.sigma ~algorithm:Query.Alg_naive schema p rel in
+      let naive = sigma_alg Query.Alg_naive schema p rel in
       let seq_sfs =
         Sfs.query schema ~key:(Sfs.sum_key schema attrs ~maximize:true) p rel
       in
@@ -141,7 +146,7 @@ let test_kernel_stats () =
     (Array.for_all (fun c -> c.Parallel.c_tests > 0) stats.Parallel.s_chunks);
   check "total includes merge" true
     (Parallel.total_tests stats >= stats.Parallel.s_merge_tests);
-  let naive = Query.sigma ~algorithm:Query.Alg_naive schema p rel in
+  let naive = sigma_alg Query.Alg_naive schema p rel in
   check "stats run is exact" true
     (Relation.equal_as_sets naive
        (Relation.make schema (Array.to_list best)))
@@ -153,10 +158,18 @@ let test_sigma_parallel_profiled () =
   let rel = Synthetic.relation ~seed:7 ~n:2000 ~dims:3 Synthetic.Independent in
   let schema = Relation.schema rel in
   let p = Pref.pareto_all (List.map Pref.highest (Synthetic.dim_names 3)) in
-  let naive = Query.sigma ~algorithm:Query.Alg_naive schema p rel in
-  let r, prof =
-    Query.sigma_profiled ~algorithm:Query.Alg_parallel ~domains:4 schema p rel
+  let naive = sigma_alg Query.Alg_naive schema p rel in
+  let res =
+    Query.run_within ~deadline:Engine.no_deadline
+      {
+        Engine.default with
+        algorithm = Query.Alg_parallel;
+        domains = Some 4;
+        profile = true;
+      }
+      schema p rel
   in
+  let r = res.Engine.Result.rows and prof = Option.get res.Engine.Result.profile in
   check "parallel sigma is exact" true (Relation.equal_as_sets naive r);
   Alcotest.(check string) "algorithm" "par_dnc" prof.Pref_obs.Profile.algorithm;
   check "comparisons tracked" true (prof.Pref_obs.Profile.comparisons > 0);
@@ -209,7 +222,7 @@ let test_planner_parallel_choice () =
     Alcotest.fail "domains:1 must not plan parallel"
   | _ -> ());
   (* parallel plans execute exactly *)
-  let naive = Query.sigma ~algorithm:Query.Alg_naive schema non_chain rel in
+  let naive = sigma_alg Query.Alg_naive schema non_chain rel in
   let plan = Planner.choose ~domains:2 schema non_chain rel in
   check "par plan executes exactly" true
     (Relation.equal_as_sets naive (Planner.execute schema non_chain rel plan))
@@ -234,11 +247,14 @@ let test_float_path_nulls () =
   let p = Pref.pareto (Pref.highest "x") (Pref.highest "y") in
   let vec = Dominance.of_pref_vec schema p in
   check "float path applies" true (vec.Dominance.floats <> None);
-  let naive = Query.sigma ~algorithm:Query.Alg_naive schema p rel in
+  let naive = sigma_alg Query.Alg_naive schema p rel in
   check "vec kernel matches naive on NULLs" true
     (Relation.equal_as_sets naive
        (Relation.make schema
-          (Array.to_list (Bnl.maxima_vec vec (Array.of_list rows)))));
+          (let arr = Array.of_list rows in
+           Bnl.select arr
+             (Bnl.window Dominance.float_dominates
+                (Array.map (Option.get vec.Dominance.floats) arr)))));
   List.iter
     (fun d ->
       check "parallel matches naive on NULLs" true
@@ -269,16 +285,22 @@ let test_antichain_window () =
   let schema = Schema.make [ ("x", Value.TFloat); ("y", Value.TFloat) ] in
   let p = Pref.pareto (Pref.highest "x") (Pref.highest "y") in
   let vec = Dominance.of_pref_vec schema p in
-  let count = ref 0 in
-  let out = Bnl.maxima_vec ~count vec (Array.of_list (antichain_rows n)) in
-  Alcotest.(check int) "every anti-chain row survives" n (Array.length out);
+  let r =
+    Bnl.window Dominance.float_dominates
+      (Array.map (Option.get vec.Dominance.floats)
+         (Array.of_list (antichain_rows n)))
+  in
+  Alcotest.(check int) "every anti-chain row survives" n
+    (Array.length r.Bnl.survivors);
   check "quadratic test count reached (window really grew)" true
-    (!count >= n * (n - 1) / 2);
+    (r.Bnl.tests >= n * (n - 1) / 2);
   (* the traced list pass agrees and reports the full window as its peak *)
   let small = 2_000 in
   let rows = antichain_rows small in
   let dom = Dominance.of_pref schema p in
-  let best, peak = Bnl.maxima_traced dom rows in
+  let arr = Array.of_list rows in
+  let traced = Bnl.window dom arr in
+  let best = Bnl.select arr traced and peak = traced.Bnl.peak in
   Alcotest.(check int) "traced pass keeps all rows" small (List.length best);
   Alcotest.(check int) "window peak = input size" small peak;
   check "list and vec kernels agree" true

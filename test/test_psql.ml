@@ -353,7 +353,9 @@ let test_order_by () =
 let test_exec_bmo_equivalence () =
   (* all three algorithms agree through the SQL layer *)
   let q = "SELECT * FROM car PREFERRING LOWEST(price) AND LOWEST(mileage)" in
-  let with_algo a = (Exec.run ~algorithm:a env q).Exec.relation in
+  let with_algo algorithm =
+    (Exec.run_cfg { Pref_bmo.Engine.default with algorithm } env q).Exec.relation
+  in
   let naive = with_algo Pref_bmo.Query.Alg_naive in
   check "bnl agrees" true
     (Relation.equal_as_sets naive (with_algo Pref_bmo.Query.Alg_bnl));
