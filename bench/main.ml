@@ -851,11 +851,16 @@ let b6 () =
   hr ();
   let all_correct = ref true in
   let planner_wins_anti = ref false in
+  let auto = { Engine.default with algorithm = Engine.Alg_auto } in
   List.iter
     (fun (name, mk_rel, p) ->
       let rel = mk_rel () in
       let schema = Relation.schema rel in
-      let (result, plan), t_planner = wall (fun () -> Planner.run schema p rel) in
+      let r, t_planner =
+        wall (fun () ->
+            Query.run_within ~deadline:Engine.no_deadline auto schema p rel)
+      in
+      let result = r.Engine.Result.rows in
       let r_bnl, t_bnl = wall (fun () -> Bnl.query schema p rel) in
       let correct =
         Relation.equal_as_sets (Relation.distinct result) (Relation.distinct r_bnl)
@@ -863,7 +868,7 @@ let b6 () =
       if not correct then all_correct := false;
       if name = "anti-correlated skyline" && t_planner < t_bnl then
         planner_wins_anti := true;
-      let plan_str = Planner.plan_to_string plan in
+      let plan_str = Option.value r.Engine.Result.plan ~default:"?" in
       let plan_str =
         if String.length plan_str > 20 then String.sub plan_str 0 20 else plan_str
       in
@@ -935,7 +940,7 @@ let b9 () =
       (* what would the cost-based planner run here? speedup is measured
          against its choice: 1.0 by identity when it keeps the BNL
          baseline, the measured ratio when it fans out *)
-      let plan = Planner.choose ~cache:false ~domains schema p rel in
+      let plan = Planner.choose ~domains schema p rel in
       let kind = Planner.plan_kind plan in
       count_chosen kind;
       let t_chosen =

@@ -32,11 +32,18 @@ let () =
 
   (* 3. Cost-based plan choice on real data. *)
   let show_plan name rel p =
-    let schema = Relation.schema rel in
-    let result, plan = Planner.run schema p rel in
+    let r =
+      Query.run_within ~deadline:Engine.no_deadline
+        { Engine.default with algorithm = Engine.Alg_auto; profile = true }
+        (Relation.schema rel) p rel
+    in
+    let plan =
+      Option.bind r.Engine.Result.profile (fun prof ->
+          List.assoc_opt "plan" prof.Pref_obs.Profile.attrs)
+    in
     Fmt.pr "  %-28s -> %-20s (%d best matches)@." name
-      (Planner.plan_to_string plan)
-      (Relation.cardinality result)
+      (Option.value plan ~default:"?")
+      (Relation.cardinality r.Engine.Result.rows)
   in
   Fmt.pr "@.Planner choices:@.";
   let anti =

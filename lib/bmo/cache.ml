@@ -10,7 +10,6 @@ type entry = {
   e_pref : Pref.t;  (** canonical form *)
   e_pref_key : string;
   e_fp : string;
-  e_proj : string list;
   e_result : Relation.t;
   e_bytes : int;
   mutable e_tick : int;
@@ -115,8 +114,7 @@ let fingerprint rel =
     Mutex.unlock fp_mutex;
     fp
 
-let entry_key ~fp ~proj ~pref_key =
-  String.concat "\x00" (fp :: pref_key :: proj)
+let entry_key ~fp ~pref_key = fp ^ "\x00" ^ pref_key
 
 (* {1 Capacity} *)
 
@@ -171,8 +169,8 @@ let touch t e =
   t.tick <- t.tick + 1;
   e.e_tick <- t.tick
 
-let store_entry t ~fp ~proj ~pref_key schema cpref result =
-  let key = entry_key ~fp ~proj ~pref_key in
+let store_entry t ~fp ~pref_key schema cpref result =
+  let key = entry_key ~fp ~pref_key in
   (match Hashtbl.find_opt t.table key with
   | Some old ->
     Hashtbl.remove t.table key;
@@ -184,7 +182,6 @@ let store_entry t ~fp ~proj ~pref_key schema cpref result =
       e_pref = cpref;
       e_pref_key = pref_key;
       e_fp = fp;
-      e_proj = proj;
       e_result = result;
       e_bytes = 0;
       e_tick = 0;
@@ -199,17 +196,15 @@ let store_entry t ~fp ~proj ~pref_key schema cpref result =
   t.bytes <- t.bytes + e.e_bytes;
   evict_until_fits t
 
-let store t ?(projection = []) schema p rel result =
+let store t schema p rel result =
   if t.enabled then begin
     let fp = fingerprint rel in
     let pref_key = Canon.key p in
     let cpref = Canon.canonical p in
-    locked t @@ fun () ->
-    store_entry t ~fp ~proj:projection ~pref_key schema cpref result
+    locked t @@ fun () -> store_entry t ~fp ~pref_key schema cpref result
   end
 
-let find_exact t ~fp ~proj pref_key =
-  Hashtbl.find_opt t.table (entry_key ~fp ~proj ~pref_key)
+let find_exact t ~fp pref_key = Hashtbl.find_opt t.table (entry_key ~fp ~pref_key)
 
 (* {1 Semantic reuse} *)
 
@@ -235,14 +230,14 @@ let rec drop n = function
 (* Longest cached prefix of the &-spine: σ[Q & P'](R) = σ[P' groupby
    attrs(Q)](σ[Q](R)) (Proposition 10; the A1-group of every Q-maximal
    tuple lies wholly inside σ[Q](R), so grouping the cached set suffices). *)
-let find_prior t ~fp ~proj spine =
+let find_prior t ~fp spine =
   let n = List.length spine in
   let rec go k =
     if k < 1 then None
     else
       let prefix = take k spine in
       let prefix_term = rebuild (fun a b -> Pref.Prior (a, b)) prefix in
-      match find_exact t ~fp ~proj (Preferences.Serialize.to_string prefix_term) with
+      match find_exact t ~fp (Preferences.Serialize.to_string prefix_term) with
       | Some e ->
         let rest = rebuild (fun a b -> Pref.Prior (a, b)) (drop k spine) in
         Some (D_prior (e, rest, Pref.attrs prefix_term))
@@ -250,11 +245,9 @@ let find_prior t ~fp ~proj spine =
   in
   go (n - 1)
 
-let find_dunion t ~fp ~proj ops =
+let find_dunion t ~fp ops =
   let cached =
-    List.map
-      (fun op -> find_exact t ~fp ~proj (Preferences.Serialize.to_string op))
-      ops
+    List.map (fun op -> find_exact t ~fp (Preferences.Serialize.to_string op)) ops
   in
   if List.for_all Option.is_some cached then
     Some (D_dunion (List.filter_map Fun.id cached))
@@ -264,7 +257,7 @@ let find_dunion t ~fp ~proj ops =
    σ[P1 ⊗ P2](R) = σ[P1 ⊗ P2](σ[P2 groupby attrs(P1)](R)), and the cached
    σ[P1](R) tuples surviving that restriction are already final
    (Proposition 12's first term) — they seed the scan. *)
-let find_pareto t ~fp ~proj ops =
+let find_pareto t ~fp ops =
   let rec go before = function
     | [] -> None
     | op :: after -> (
@@ -278,7 +271,7 @@ let find_pareto t ~fp ~proj ops =
       if not (Preferences.Attr.disjoint a1 rest_attrs) then
         go (op :: before) after
       else
-        match find_exact t ~fp ~proj (Preferences.Serialize.to_string op) with
+        match find_exact t ~fp (Preferences.Serialize.to_string op) with
         | Some e ->
           let rest = rebuild (fun a b -> Pref.Pareto (a, b)) others in
           Some (D_pareto (e, rest, a1))
@@ -286,20 +279,20 @@ let find_pareto t ~fp ~proj ops =
   in
   go [] ops
 
-let find_semantic t ~fp ~proj cpref =
+let find_semantic t ~fp cpref =
   match cpref with
   | Pref.Prior _ ->
     Option.map
       (fun d -> ("prior-prefix", d))
-      (find_prior t ~fp ~proj (Canon.prior_spine cpref))
+      (find_prior t ~fp (Canon.prior_spine cpref))
   | Pref.Dunion _ ->
     Option.map
       (fun d -> ("dunion-inter", d))
-      (find_dunion t ~fp ~proj (Canon.dunion_operands cpref))
+      (find_dunion t ~fp (Canon.dunion_operands cpref))
   | Pref.Pareto _ ->
     Option.map
       (fun d -> ("pareto-restrict", d))
-      (find_pareto t ~fp ~proj (Canon.pareto_operands cpref))
+      (find_pareto t ~fp (Canon.pareto_operands cpref))
   | _ -> None
 
 let derive schema cpref rel = function
@@ -342,6 +335,11 @@ let derivation_overhead_ms ~n = function
 (* {1 The counting protocol} *)
 
 type reuse = Exact | Semantic of string
+
+let reuse_to_string = function
+  | Exact -> "exact"
+  | Semantic desc -> "semantic:" ^ desc
+
 type tier_probe = { tier : string; hit : bool; ms : float }
 
 (* The semantic tier a canonical term would be matched against — one per
@@ -361,100 +359,99 @@ let timed_tier tier hit_of f =
   Obs.observe_probe tier ms;
   (r, { tier; hit = hit_of r; ms })
 
-let lookup t ?(projection = []) ?(gate = true) schema p rel =
+(* A lookup's keys, computed before the lock is taken; the row count only
+   when the gate prices a derivation, so an exact hit never walks the
+   rows. *)
+type keys = { fp : string; cpref : Pref.t; pref_key : string; n : int Lazy.t }
+
+let keys p rel =
+  let cpref = Canon.canonical p in
+  {
+    fp = fingerprint rel;
+    cpref;
+    pref_key = Preferences.Serialize.to_string cpref;
+    n = lazy (Relation.cardinality rel);
+  }
+
+(* The one tier walk behind both [lookup] and [probe_traced]: exact tier,
+   then the term's semantic tier, then the cost gate. It neither counts
+   nor derives; the caller holds the lock. *)
+type walk = Hit of entry | Derive of string * derivation | Skipped | Miss
+
+let walk t ~gate k =
+  let exact, p_exact =
+    timed_tier "exact" Option.is_some (fun () ->
+        find_exact t ~fp:k.fp k.pref_key)
+  in
+  match exact, semantic_tier k.cpref with
+  | Some e, _ -> (Hit e, [ p_exact ])
+  | None, None -> (Miss, [ p_exact ])
+  | None, Some tier -> (
+    let found, p_sem =
+      timed_tier tier Option.is_some (fun () ->
+          find_semantic t ~fp:k.fp k.cpref)
+    in
+    match found with
+    | None -> (Miss, [ p_exact; p_sem ])
+    | Some (desc, d) -> (
+      match
+        if gate then derivation_overhead_ms ~n:(Lazy.force k.n) d else None
+      with
+      | None -> (Derive (desc, d), [ p_exact; p_sem ])
+      | Some overhead ->
+        (* predicted to lose to a cold run: the probe row carries the
+           predicted reconstruction overhead *)
+        ( Skipped,
+          [
+            p_exact;
+            {
+              p_sem with
+              tier = Printf.sprintf "%s[cost-skip +%.1fms]" tier overhead;
+            };
+          ] )))
+
+let lookup t ?(gate = true) schema p rel =
   if not t.enabled then None
   else begin
-    let fp = fingerprint rel in
-    let cpref = Canon.canonical p in
-    let pref_key = Preferences.Serialize.to_string cpref in
-    let n = List.length (Relation.rows rel) in
+    let k = keys p rel in
     locked t @@ fun () ->
-    let exact, _ =
-      timed_tier "exact" Option.is_some (fun () ->
-          find_exact t ~fp ~proj:projection pref_key)
+    let miss () =
+      t.misses <- t.misses + 1;
+      Pref_obs.Metrics.incr Obs.cache_misses;
+      None
     in
-    match exact with
-    | Some e ->
+    match fst (walk t ~gate k) with
+    | Hit e ->
       touch t e;
       t.hits <- t.hits + 1;
       Pref_obs.Metrics.incr Obs.cache_hits;
       Some (e.e_result, Exact)
-    | None -> (
-      let semantic =
-        match semantic_tier cpref with
-        | None -> None
-        | Some tier ->
-          fst
-            (timed_tier tier Option.is_some (fun () ->
-                 find_semantic t ~fp ~proj:projection cpref))
-      in
-      let semantic =
-        match semantic with
-        | Some (_, d) when gate && derivation_overhead_ms ~n d <> None ->
-          (* predicted to lose to a cold run: miss instead of serving *)
-          t.cost_skipped <- t.cost_skipped + 1;
-          Pref_obs.Metrics.incr Obs.cache_cost_skipped;
-          None
-        | s -> s
-      in
-      match semantic with
-      | Some (desc, d) ->
-        let result = derive schema cpref rel d in
-        (* repeat queries become exact hits *)
-        store_entry t ~fp ~proj:projection ~pref_key schema cpref result;
-        t.semantic <- t.semantic + 1;
-        Pref_obs.Metrics.incr Obs.cache_semantic;
-        Some (result, Semantic desc)
-      | None ->
-        t.misses <- t.misses + 1;
-        Pref_obs.Metrics.incr Obs.cache_misses;
-        None)
+    | Derive (desc, d) ->
+      let result = derive schema k.cpref rel d in
+      (* repeat queries become exact hits *)
+      store_entry t ~fp:k.fp ~pref_key:k.pref_key schema k.cpref result;
+      t.semantic <- t.semantic + 1;
+      Pref_obs.Metrics.incr Obs.cache_semantic;
+      Some (result, Semantic desc)
+    | Skipped ->
+      t.cost_skipped <- t.cost_skipped + 1;
+      Pref_obs.Metrics.incr Obs.cache_cost_skipped;
+      miss ()
+    | Miss -> miss ()
   end
 
-let probe_traced t ?(projection = []) ?(gate = true) _schema p rel =
+let probe_traced t ?(gate = true) _schema p rel =
   if not t.enabled then (None, [])
   else begin
-    let fp = fingerprint rel in
-    let cpref = Canon.canonical p in
-    let pref_key = Preferences.Serialize.to_string cpref in
-    let n = List.length (Relation.rows rel) in
+    let k = keys p rel in
     locked t @@ fun () ->
-    let exact, p_exact =
-      timed_tier "exact" Option.is_some (fun () ->
-          find_exact t ~fp ~proj:projection pref_key)
-    in
-    match exact with
-    | Some _ -> (Some Exact, [ p_exact ])
-    | None -> (
-      match semantic_tier cpref with
-      | None -> (None, [ p_exact ])
-      | Some tier ->
-        let found, p_sem =
-          timed_tier tier Option.is_some (fun () ->
-              find_semantic t ~fp ~proj:projection cpref)
-        in
-        match found with
-        | Some (_, d) when gate && derivation_overhead_ms ~n d <> None ->
-          (* a probe never counts, so the skip is only marked in the
-             probe record EXPLAIN renders *)
-          let overhead = Option.get (derivation_overhead_ms ~n d) in
-          ( None,
-            [
-              p_exact;
-              {
-                tier =
-                  Printf.sprintf "%s[cost-skip +%.1fms]" tier overhead;
-                hit = false;
-                ms = p_sem.ms;
-              };
-            ] )
-        | _ ->
-          ( Option.map (fun (desc, _) -> Semantic desc) found,
-            [ p_exact; p_sem ] ))
+    match walk t ~gate k with
+    | Hit _, probes -> (Some Exact, probes)
+    | Derive (desc, _), probes -> (Some (Semantic desc), probes)
+    | (Skipped | Miss), probes -> (None, probes)
   end
 
-let probe t ?projection ?gate schema p rel =
-  fst (probe_traced t ?projection ?gate schema p rel)
+let probe t ?gate schema p rel = fst (probe_traced t ?gate schema p rel)
 
 (* {1 Incremental maintenance} *)
 
@@ -484,8 +481,8 @@ let patch t ~old_rel ~new_rel update =
             ~result:(List.rev result_rows) ~shadow
         in
         update inc;
-        store_entry t ~fp:new_fp ~proj:e.e_proj ~pref_key:e.e_pref_key
-          e.e_schema e.e_pref (Incremental.result inc);
+        store_entry t ~fp:new_fp ~pref_key:e.e_pref_key e.e_schema e.e_pref
+          (Incremental.result inc);
         t.patched <- t.patched + 1;
         Pref_obs.Metrics.incr Obs.cache_patched)
       affected;

@@ -1,7 +1,7 @@
 (** Preference-aware BMO result cache with semantic reuse.
 
-    Entries are keyed by (relation fingerprint, canonical preference term,
-    projection): the fingerprint is a structural hash of the row list so a
+    Entries are keyed by (relation fingerprint, canonical preference
+    term): the fingerprint is a structural hash of the row list so a
     reloaded-but-identical relation still hits, and the term key is
     {!Preferences.Canon.key} so queries equal up to the algebra's pure
     reordering laws (⊗/♦/+ commutativity, value-set order, …) share one
@@ -75,9 +75,12 @@ type reuse =
       (** Which identity applied, e.g. ["prior-prefix"] — surfaced in
           plans, profiles and stats. *)
 
+val reuse_to_string : reuse -> string
+(** [exact] or [semantic:<identity>] — the tier as plans and profiles
+    name it. *)
+
 val lookup :
   t ->
-  ?projection:string list ->
   ?gate:bool ->
   Schema.t ->
   Preferences.Pref.t ->
@@ -97,7 +100,6 @@ val lookup :
 
 val probe :
   t ->
-  ?projection:string list ->
   ?gate:bool ->
   Schema.t ->
   Preferences.Pref.t ->
@@ -115,7 +117,6 @@ type tier_probe = {
 
 val probe_traced :
   t ->
-  ?projection:string list ->
   ?gate:bool ->
   Schema.t ->
   Preferences.Pref.t ->
@@ -131,7 +132,6 @@ val probe_traced :
 
 val store :
   t ->
-  ?projection:string list ->
   Schema.t ->
   Preferences.Pref.t ->
   Relation.t ->

@@ -130,7 +130,7 @@ val scatter_gather_ms :
 
 val learning : unit -> bool
 val set_learning : bool -> unit
-(** Off by default so plan choices stay deterministic; {!Planner.run}
+(** Off by default so plan choices stay deterministic; {!Planner.observe}
     only feeds measurements back while this is on. *)
 
 val observe : kind:string -> workload -> ms:float -> unit

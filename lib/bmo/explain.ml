@@ -86,19 +86,47 @@ module Plan = struct
       op_children = children;
     }
 
+  type serve =
+    | Evaluate of Planner.plan
+    | Cached of Cache.reuse
+    | Identity
+    | Commute of Cache.reuse
+    | Pushdown of int
+    | Ranked of int
+    | Grouped of string list
+
+  let serve_to_string = function
+    | Evaluate plan -> Planner.plan_to_string plan
+    | Cached reuse -> "cache(" ^ Cache.reuse_to_string reuse ^ ")"
+    | Identity -> "identity (sigma[P](R) = R)"
+    | Commute reuse -> "cache-commute(" ^ Cache.reuse_to_string reuse ^ ")"
+    | Pushdown distinct -> Printf.sprintf "pushdown(distinct=%d)" distinct
+    | Ranked k -> Printf.sprintf "topk(k=%d)" k
+    | Grouped by -> "groupby(" ^ String.concat "," by ^ ")"
+
+  let serve_kind = function
+    | Evaluate plan -> Planner.plan_kind plan
+    | Cached Cache.Exact -> "cache_hit"
+    | Cached (Cache.Semantic _) -> "cache_semantic"
+    | Identity -> "identity"
+    | Commute _ -> "cache_commute"
+    | Pushdown _ -> "pushdown"
+    | Ranked _ -> "topk"
+    | Grouped _ -> "groupby"
+
   type t = {
     query : string;
     analyze : bool;
-    plan : Planner.plan;
+    plan : serve;
     forced : string option;
     trace : Planner.trace;
     ops : op list;
     total_ms : float option;
   }
 
-  (* The σ[P] decision itself ({!Query.decide}) over a non-counting cache
-     probe. The planner's traced choice is always computed so a forced
-     plan can show what it bypassed. *)
+  (* The σ[P] ladder's decision itself ({!Query.decide}) over a
+     non-counting cache probe. The planner's traced choice is always
+     computed so a cache hit or a forced plan can show what it bypassed. *)
   let decide (cfg : Engine.config) ~deadline schema p rel =
     let probe =
       if cfg.Engine.cache && Cache.is_enabled () then
@@ -109,21 +137,30 @@ module Plan = struct
       Planner.choose_traced ~costmodel:cfg.Engine.costmodel ~probe
         ?domains:cfg.Engine.domains schema p rel
     in
+    let bypassed why =
+      {
+        trace with
+        Planner.t_rejected =
+          ("auto:" ^ Planner.plan_kind auto_plan, why) :: trace.Planner.t_rejected;
+      }
+    in
     match
       Query.decide cfg ~deadline ~cached:(fst probe) ~choose:(fun () ->
           auto_plan)
     with
-    | Query.Cached _ | Query.Planned (_, None) -> (auto_plan, trace, None)
+    | Query.Cached Cache.Exact ->
+      ( Cached Cache.Exact,
+        bypassed "an exact cache hit beats any evaluation",
+        None )
+    | Query.Cached (Cache.Semantic desc as reuse) ->
+      ( Cached reuse,
+        bypassed
+          ("deriving from cached entries (" ^ desc
+         ^ ") is predicted cheaper than re-evaluation"),
+        None )
+    | Query.Planned (plan, None) -> (Evaluate plan, trace, None)
     | Query.Planned (plan, Some reason) ->
-      let trace =
-        {
-          trace with
-          Planner.t_rejected =
-            ("auto:" ^ Planner.plan_kind auto_plan, reason)
-            :: trace.Planner.t_rejected;
-        }
-      in
-      (plan, trace, Some reason)
+      (Evaluate plan, bypassed reason, Some reason)
 
   let make ~query ~analyze ~plan ~forced ~trace ~ops ~total_ms () =
     { query; analyze; plan; forced; trace; ops; total_ms }
@@ -160,8 +197,7 @@ module Plan = struct
       Printf.sprintf "EXPLAIN%s %s" (if e.analyze then " ANALYZE" else "") e.query
     in
     let plan_line =
-      Printf.sprintf "plan: %s%s"
-        (Planner.plan_to_string e.plan)
+      Printf.sprintf "plan: %s%s" (serve_to_string e.plan)
         (match e.forced with None -> "" | Some r -> "  [forced: " ^ r ^ "]")
     in
     let inputs =
@@ -195,7 +231,7 @@ module Plan = struct
       match tr.Planner.t_costs with
       | [] -> []
       | cs ->
-        let chosen = Planner.plan_kind e.plan in
+        let chosen = serve_kind e.plan in
         "predicted costs (ms):"
         :: List.map
              (fun (alt, ms) ->
@@ -261,8 +297,8 @@ module Plan = struct
       [
         ("query", Str e.query);
         ("analyze", Bool e.analyze);
-        ("plan", Str (Planner.plan_to_string e.plan));
-        ("plan_kind", Str (Planner.plan_kind e.plan));
+        ("plan", Str (serve_to_string e.plan));
+        ("plan_kind", Str (serve_kind e.plan));
         ("forced", json_opt (fun s -> Str s) e.forced);
         ( "inputs",
           Obj

@@ -47,7 +47,7 @@ val to_string : t -> string
 
 module Plan : sig
   type op = {
-    op_name : string;  (** e.g. [psql.from], [sigma], [psql.top] *)
+    op_name : string;  (** e.g. [from], [sigma], [top], [cap] *)
     op_rows_in : int option;
     op_rows_out : int option;  (** actual output rows; [None] without ANALYZE *)
     op_est_out : float option;  (** estimated output rows, where modelled *)
@@ -66,10 +66,41 @@ module Plan : sig
     string ->
     op
 
+  (** What serves σ[P] — the name on EXPLAIN's plan line and the
+      σ operator. The first two come out of {!Query.run_within}'s
+      ladder; the rest are the SQL executor's serves, decided before the
+      ladder is consulted. *)
+  type serve =
+    | Evaluate of Planner.plan
+        (** the ladder runs this plan (planner, knob or deadline) *)
+    | Cached of Cache.reuse  (** the ladder's cache step answers *)
+    | Identity
+        (** σ[P](R) = R is provable (e.g. from {!Preferences.Constraints}):
+            the input is returned unchanged *)
+    | Commute of Cache.reuse
+        (** a domination-closed WHERE commutes with the winnow: the cached
+            unfiltered winnow, filtered *)
+    | Pushdown of int
+        (** join fan-out: winnow the (this many) distinct attrs(P)
+            projections and keep the rows whose projection survived *)
+    | Ranked of int  (** scorable TOP k: the k best by score (§6.2) *)
+    | Grouped of string list
+        (** GROUPING: σ[P groupby A], each group through the ladder *)
+
+  val serve_to_string : serve -> string
+  (** The plan line: [bnl], [cache(exact)], [cache(semantic:<identity>)],
+      [identity (sigma[P](R) = R)], [cache-commute(<tier>)],
+      [pushdown(distinct=N)], [topk(k=N)], [groupby(<attrs>)]. *)
+
+  val serve_kind : serve -> string
+  (** {!Planner.plan_kind} for [Evaluate]; [cache_hit],
+      [cache_semantic], [identity], [cache_commute], [pushdown], [topk],
+      [groupby] otherwise. *)
+
   type t = {
     query : string;
     analyze : bool;
-    plan : Planner.plan;
+    plan : serve;
     forced : string option;
         (** why the planner was bypassed (deadline ladder, algorithm
             knob), when it was *)
@@ -84,18 +115,18 @@ module Plan : sig
     Pref_relation.Schema.t ->
     Preferences.Pref.t ->
     Pref_relation.Relation.t ->
-    Planner.plan * Planner.trace * string option
-  (** The σ[P] plan decision of {!Query.run_within} under this
+    serve * Planner.trace * string option
+  (** The σ[P] decision of {!Query.run_within} under this
       configuration — {!Query.decide} fed a non-counting cache probe
       (no counting, no stores) and the planner's traced choice. Returns
-      the plan, the planner's trace (with the bypassed auto choice
-      prepended to [t_rejected] when a forcing rule applied), and the
-      forcing reason. *)
+      [Cached] or [Evaluate], the planner's trace (with the bypassed auto
+      choice prepended to [t_rejected] when the cache or a forcing rule
+      decided), and the forcing reason. *)
 
   val make :
     query:string ->
     analyze:bool ->
-    plan:Planner.plan ->
+    plan:serve ->
     forced:string option ->
     trace:Planner.trace ->
     ops:op list ->

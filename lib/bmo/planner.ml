@@ -10,11 +10,6 @@ type plan =
   | Plan_par_sfs of { attrs : string list; maximize : bool; domains : int }
   | Plan_cascade of Pref.t * Pref.t  (** Proposition 11: chain & rest *)
   | Plan_decompose
-  | Plan_identity
-      (** the winnow is provably redundant: sigma[P](R) = R holds under the
-          relation's constraints, so the plan is "return the input" *)
-  | Plan_cache_hit
-  | Plan_cache_semantic of string
 
 let plan_kind = function
   | Plan_naive -> "naive"
@@ -25,9 +20,6 @@ let plan_kind = function
   | Plan_par_sfs _ -> "par_sfs"
   | Plan_cascade _ -> "cascade"
   | Plan_decompose -> "decompose"
-  | Plan_identity -> "identity"
-  | Plan_cache_hit -> "cache_hit"
-  | Plan_cache_semantic _ -> "cache_semantic"
 
 let plan_to_string = function
   | Plan_naive -> "naive"
@@ -46,9 +38,6 @@ let plan_to_string = function
   | Plan_cascade (p1, p2) ->
     Printf.sprintf "cascade(%s; %s)" (Show.to_string p1) (Show.to_string p2)
   | Plan_decompose -> "decompose"
-  | Plan_identity -> "identity (sigma[P](R) = R)"
-  | Plan_cache_hit -> "cache(exact)"
-  | Plan_cache_semantic desc -> Printf.sprintf "cache(semantic:%s)" desc
 
 (* ------------------------------------------------------------------ *)
 (* Structural analysis                                                 *)
@@ -290,90 +279,66 @@ let decide_by_rule ~missed ~chain ~big ~big_str ~d schema rows =
             ];
       }
 
-let decide ~costmodel ~reuse ~probes ~d ~n schema p rel =
+(* [missed]: the cache was probed and no tier applied — recorded so
+   EXPLAIN shows why evaluation was needed at all. *)
+let decide ~costmodel ~missed ~d ~n schema p rel =
   let rows = Relation.rows rel in
   let big = d > 1 && n >= par_chunk_threshold * d in
   let big_str =
     Printf.sprintf "%d (= %d domains x %d)" (par_chunk_threshold * d) d
       par_chunk_threshold
   in
-  match reuse with
-  | Some Cache.Exact ->
+  let missed =
+    if missed then [ ("cache", "probe missed every applicable tier") ] else []
+  in
+  if n <= 64 then
     {
-      d_plan = Plan_cache_hit;
-      d_correlation = None;
-      d_costs = [];
-      d_rejected = [ ("bnl", "an exact cache hit beats any evaluation") ];
-    }
-  | Some (Cache.Semantic desc) ->
-    {
-      d_plan = Plan_cache_semantic desc;
+      d_plan = Plan_naive;
       d_correlation = None;
       d_costs = [];
       d_rejected =
-        [
-          ( "bnl",
-            "deriving from cached entries (" ^ desc
-            ^ ") is predicted cheaper than re-evaluation" );
-        ];
+        missed
+        @ [ ("bnl", "n <= 64: window bookkeeping costs more than the n^2 scan") ];
     }
-  | None -> (
-    let missed =
-      if probes = [] then []
-      else [ ("cache", "probe missed every applicable tier") ]
-    in
-    if n <= 64 then
+  else
+    match p with
+    | Pref.Prior (p1, p2) when syntactic_chain p1 ->
+      (* Proposition 11: evaluate the chain first, then the rest on the
+         (typically tiny) intermediate result. Structural, not costed:
+         the cascade's first pass subsumes any alternative's scan. *)
       {
-        d_plan = Plan_naive;
+        d_plan = Plan_cascade (p1, p2);
         d_correlation = None;
-        d_costs = [];
+        d_costs =
+          (if costmodel then
+             let w =
+               { Cost.n; dims = pref_dims None p; domains = d; correlation = 0. }
+             in
+             [
+               ("cascade", Cost.predict_ms ~kind:"cascade" w);
+               ("bnl", Cost.predict_ms ~kind:"bnl" w);
+             ]
+           else []);
         d_rejected =
           missed
-          @ [ ("bnl", "n <= 64: window bookkeeping costs more than the n^2 scan") ];
+          @ [
+              ( "bnl",
+                "prioritisation head is a syntactic chain: the cascade \
+                 prunes the input to a thin slice first (Prop. 11)" );
+            ];
       }
-    else
-      match p with
-      | Pref.Prior (p1, p2) when syntactic_chain p1 ->
-        (* Proposition 11: evaluate the chain first, then the rest on the
-           (typically tiny) intermediate result. Structural, not costed:
-           the cascade's first pass subsumes any alternative's scan. *)
-        {
-          d_plan = Plan_cascade (p1, p2);
-          d_correlation = None;
-          d_costs =
-            (if costmodel then
-               let w =
-                 { Cost.n; dims = pref_dims None p; domains = d; correlation = 0. }
-               in
-               [
-                 ("cascade", Cost.predict_ms ~kind:"cascade" w);
-                 ("bnl", Cost.predict_ms ~kind:"bnl" w);
-               ]
-             else []);
-          d_rejected =
-            missed
-            @ [
-                ( "bnl",
-                  "prioritisation head is a syntactic chain: the cascade \
-                   prunes the input to a thin slice first (Prop. 11)" );
-              ];
-        }
-      | _ ->
-        let chain = chain_dims p in
-        if costmodel then decide_by_cost ~missed ~chain ~d ~n schema p rows
-        else decide_by_rule ~missed ~chain ~big ~big_str ~d schema rows)
+    | _ ->
+      let chain = chain_dims p in
+      if costmodel then decide_by_cost ~missed ~chain ~d ~n schema p rows
+      else decide_by_rule ~missed ~chain ~big ~big_str ~d schema rows
 
-let choose ?(cache = true) ?(costmodel = true) ?domains schema p rel =
+let choose ?(costmodel = true) ?domains schema p rel =
   Pref_obs.Span.with_span "bmo.plan.choose" @@ fun () ->
   let d =
     match domains with Some d -> max 1 d | None -> Parallel.default_domains ()
   in
   let n = List.length (Relation.rows rel) in
-  let reuse =
-    if cache then Cache.probe ~gate:costmodel Cache.global schema p rel
-    else None
-  in
-  (decide ~costmodel ~reuse ~probes:[] ~d ~n schema p rel).d_plan
+  (decide ~costmodel ~missed:false ~d ~n schema p rel).d_plan
 
 (* ------------------------------------------------------------------ *)
 (* Traced choice — the same [decide], with its inputs and the rejected
@@ -412,7 +377,9 @@ let choose_traced ?(cache = true) ?(costmodel = true) ?probe ?domains schema p
   let estimate =
     if n = 0 then None else Some (Estimate.expected_skyline_size_fast ~n ~dims)
   in
-  let dec = decide ~costmodel ~reuse ~probes ~d ~n schema p rel in
+  let dec =
+    decide ~costmodel ~missed:(reuse = None && probes <> []) ~d ~n schema p rel
+  in
   ( dec.d_plan,
     {
       t_n = n;
@@ -507,19 +474,6 @@ let prepare ?(deadline = Engine.no_deadline) schema p rel plan =
            (Array.of_list (Relation.rows rel)))
   | Plan_cascade (p1, p2) -> fun () -> plain (Decompose.cascade schema p1 p2 rel)
   | Plan_decompose -> fun () -> plain (Decompose.eval schema p rel)
-  | Plan_identity -> fun () -> plain rel
-  | Plan_cache_hit | Plan_cache_semantic _ -> (
-    fun () ->
-      (* [choose] probed the cache; serve through the counting lookup. An
-         eviction between probe and execute degrades to a plain BNL pass. *)
-      match Cache.lookup Cache.global schema p rel with
-      | Some (result, _) -> plain result
-      | None ->
-        let result =
-          remake (Bnl.maxima (Dominance.of_pref schema p) (Relation.rows rel))
-        in
-        Cache.store Cache.global schema p rel result;
-        plain result)
 
 let execute schema p rel plan =
   Pref_obs.Span.with_span "bmo.plan.execute"
@@ -538,24 +492,13 @@ let observe p rel plan ~ms ~n_out =
        record the Prop. 13 filter effect the query exhibited *)
     let n = List.length (Relation.rows rel) in
     let dims = pref_dims (chain_dims p) p in
-    let w = { Cost.n; dims; domains = 1; correlation = 0. } in
-    (match plan with
-    | Plan_naive | Plan_bnl | Plan_sfs _ | Plan_dnc _ | Plan_decompose
-    | Plan_cascade _ ->
-      Cost.observe ~kind:(plan_kind plan) w ~ms
-    | Plan_par_dnc { domains } | Plan_par_sfs { domains; _ } ->
-      Cost.observe ~kind:(plan_kind plan) { w with Cost.domains } ~ms
-    | Plan_identity | Plan_cache_hit | Plan_cache_semantic _ -> ());
+    let domains =
+      match plan with
+      | Plan_par_dnc { domains } | Plan_par_sfs { domains; _ } -> domains
+      | _ -> 1
+    in
+    Cost.observe ~kind:(plan_kind plan)
+      { Cost.n; dims; domains; correlation = 0. }
+      ~ms;
     Cost.observe_filter ~dims ~n_in:n ~n_out
   end
-
-let run ?(cache = true) ?(costmodel = true) ?domains schema p rel =
-  let plan = choose ~cache ~costmodel ?domains schema p rel in
-  Obs.plan_chosen (plan_kind plan);
-  let result, ms = Pref_obs.Span.timed (fun () -> execute schema p rel plan) in
-  observe p rel plan ~ms ~n_out:(Relation.cardinality result);
-  (match plan with
-  | _ when not cache -> ()
-  | Plan_cache_hit | Plan_cache_semantic _ -> ()
-  | _ -> Cache.store Cache.global schema p rel result);
-  (result, plan)

@@ -10,10 +10,11 @@
     cheapest wins. Two structural rules short-circuit the comparison:
     tiny inputs (n ≤ 64) run naively, and a prioritization headed by a
     syntactic chain becomes a query cascade (Proposition 11) because its
-    first pass subsumes any alternative's scan. When the result cache is
-    enabled it is probed first; semantic reuse only short-circuits when
-    the cache's own cost gate predicts the reconstruction beats a cold
-    run.
+    first pass subsumes any alternative's scan. The planner only picks an
+    evaluation plan: whether the result cache or a semantic rewrite
+    serves σ[P] instead is decided above it ({!Query.run_within}, the SQL
+    executor), and EXPLAIN names those serves itself
+    ({!Explain.Plan.serve}).
 
     [~costmodel:false] falls back to the pre-cost-model threshold
     heuristics (anti-correlation picks divide & conquer, ≥ 8192 rows per
@@ -34,23 +35,13 @@ type plan =
   | Plan_par_sfs of { attrs : string list; maximize : bool; domains : int }
   | Plan_cascade of Preferences.Pref.t * Preferences.Pref.t
   | Plan_decompose
-  | Plan_identity
-      (** σ[P](R) = R is provable (e.g. from {!Preferences.Constraints}):
-          return the input unchanged. Never produced by {!choose} — the
-      planner sees no integrity constraints — but chosen by the SQL
-          executor when the winnow is redundant. *)
-  | Plan_cache_hit
-      (** Serve the stored BMO set from {!Cache.global} verbatim. *)
-  | Plan_cache_semantic of string
-      (** Derive the result from cached entries via the named reuse
-          identity (see {!Cache.reuse}). *)
 
 val plan_to_string : plan -> string
 
 val plan_kind : plan -> string
 (** Constructor name only ([naive], [bnl], [sfs], [dnc], [par_dnc],
-    [par_sfs], [cascade], [decompose], [identity], [cache_hit],
-    [cache_semantic]) — the label the [bmo.plan_chosen.*] metrics use. *)
+    [par_sfs], [cascade], [decompose]) — the label the
+    [bmo.plan_chosen.*] metrics use. *)
 
 val chain_dims : Preferences.Pref.t -> (string list * bool) option
 (** [Some (attrs, maximize)] when the term is a Pareto accumulation of
@@ -62,7 +53,6 @@ val sampled_correlation :
     of at most 500 rows; 0 when not estimable. *)
 
 val choose :
-  ?cache:bool ->
   ?costmodel:bool ->
   ?domains:int ->
   Schema.t ->
@@ -71,11 +61,8 @@ val choose :
   plan
 (** [domains] caps the parallelism considered; defaults to
     {!Parallel.default_domains}. With [domains:1] no parallel plan is ever
-    chosen. When the result cache is enabled it is probed first: an exact
-    hit beats every evaluation plan, and a semantic match wins only when
-    its reconstruction is predicted to. [costmodel] (default [true])
-    selects between cost-based choice and the legacy threshold
-    heuristics. *)
+    chosen. [costmodel] (default [true]) selects between cost-based
+    choice and the legacy threshold heuristics. *)
 
 (** {1 Traced choice (EXPLAIN)} *)
 
@@ -110,10 +97,13 @@ val choose_traced :
   Relation.t ->
   plan * trace
 (** The same decision procedure as {!choose} (they share it; a test pins
-    them to the same answer) with every input it consulted recorded.
-    [probe] substitutes an already-measured cache probe so callers that
-    probed themselves (EXPLAIN) do not probe twice; without it the cache
-    is probed as in {!choose}. *)
+    them to the same answer) with every input it consulted recorded. The
+    cache probe only feeds the trace: its per-tier timings land in
+    [t_probes], and a probe that missed every tier is listed among the
+    rejected alternatives; the plan is the evaluation plan either way.
+    [probe] substitutes an already-measured probe so callers that probed
+    themselves (EXPLAIN) do not probe twice; without it the cache is
+    probed when [cache] (default [true]) is set. *)
 
 (** {1 Execution} *)
 
@@ -157,13 +147,3 @@ val observe :
 (** While {!Cost.set_learning} is on, fold a planner-chosen plan's
     measured runtime and the observed Prop. 13 filter effect back into the
     cost model. *)
-
-val run :
-  ?cache:bool ->
-  ?costmodel:bool ->
-  ?domains:int ->
-  Schema.t -> Preferences.Pref.t -> Relation.t -> Relation.t * plan
-(** {!choose}, {!execute} and {!observe}; returns the chosen plan for
-    EXPLAIN output. Cold results are stored into {!Cache.global} when it
-    is enabled and [cache] (default [true]) is not overridden to
-    [false]. *)

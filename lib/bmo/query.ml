@@ -11,17 +11,18 @@ let algorithm_of_string = Engine.algorithm_of_string
 let algorithm_to_string = Engine.algorithm_to_string
 
 (* [max_rows] caps the final result; the flag records that rows were
-   dropped so callers can surface it (the wire protocol's [truncated]). *)
+   dropped so callers can surface it (the wire protocol's [truncated]).
+   Walks at most k + 1 rows: the cap never counts the list. *)
 let cap_rows max_rows rel =
+  let rec drop k = function _ :: rest when k > 0 -> drop (k - 1) rest | l -> l in
+  let rec prefix k = function
+    | r :: rest when k > 0 -> r :: prefix (k - 1) rest
+    | _ -> []
+  in
   match max_rows with
-  | None -> (rel, false)
-  | Some k ->
-    let rows = Relation.rows rel in
-    if List.length rows <= k then (rel, false)
-    else
-      ( Relation.make (Relation.schema rel)
-          (List.filteri (fun i _ -> i < k) rows),
-        true )
+  | Some k when drop k (Relation.rows rel) <> [] ->
+    (Relation.make (Relation.schema rel) (prefix k (Relation.rows rel)), true)
+  | _ -> (rel, false)
 
 (* ------------------------------------------------------------------ *)
 (* The decision: cache, then deadline, then knob, then planner          *)
@@ -75,11 +76,10 @@ let run_within ~deadline (cfg : Engine.config) schema p rel =
   in
   let plan_phase = ref [] in
   let choose () =
-    (* the lookup above already missed, so the planner need not probe *)
     let plan, ms =
       Pref_obs.Span.timed (fun () ->
-          Planner.choose ~cache:false ~costmodel:cfg.costmodel
-            ?domains:cfg.domains schema p rel)
+          Planner.choose ~costmodel:cfg.costmodel ?domains:cfg.domains schema
+            p rel)
     in
     Obs.plan_chosen (Planner.plan_kind plan);
     plan_phase := [ Pref_obs.Profile.phase "plan" ms ];
@@ -88,11 +88,7 @@ let run_within ~deadline (cfg : Engine.config) schema p rel =
   let algorithm, (o : Planner.outcome), phases, ms =
     match decide cfg ~deadline ~cached ~choose with
     | Cached (result, reuse) ->
-      let tier =
-        match reuse with
-        | Cache.Exact -> "exact"
-        | Cache.Semantic desc -> "semantic:" ^ desc
-      in
+      let tier = Cache.reuse_to_string reuse in
       ( "cache:" ^ tier,
         {
           result;

@@ -23,6 +23,11 @@ type algorithm = Engine.algorithm =
 val algorithm_of_string : string -> algorithm option
 val algorithm_to_string : algorithm -> string
 
+val cap_rows : int option -> Relation.t -> Relation.t * bool
+(** [cap_rows max_rows rel] keeps the first [max_rows] rows and reports
+    whether any were dropped; it walks at most [max_rows + 1] rows. The
+    one row cap (and TOP k) of every evaluation path. *)
+
 (** {1 The plan decision} *)
 
 type 'hit decision =

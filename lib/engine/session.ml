@@ -109,20 +109,26 @@ let count_result t (r : Exec.result) =
   if r.flags.Pref_bmo.Engine.truncated then t.truncated <- t.truncated + 1;
   r
 
-(* [@name] resolves a prepared statement; anything else is source text. *)
-let resolve_statement t src =
+(* Resolve a statement once: [@name] is a prepared statement, anything
+   else is parsed (timed, for the profile's and EXPLAIN's [parse] row).
+   Returns the trimmed text, the query and the parse time. *)
+let resolve t src =
   let src = String.trim src in
   if String.length src > 0 && src.[0] = '@' then begin
     let name = String.sub src 1 (String.length src - 1) in
     match List.assoc_opt name t.statements with
-    | Some q -> (src, Some q)
+    | Some q -> (src, q, None)
     | None ->
       raise
         (Exec.Error
            (Printf.sprintf "no prepared statement %S%s" name
               (Typo.suggest (List.map fst t.statements) name)))
   end
-  else (src, None)
+  else
+    let q, ms =
+      Pref_obs.Span.timed_span "psql.parse" (fun () -> Parser.parse_query src)
+    in
+    (src, q, Some ms)
 
 (* Seed tracking: remember the statement iff its result is literally
    sigma[P](table) — the shape every revision strategy is proved
@@ -148,15 +154,7 @@ let track t (q : Ast.query) (r : Exec.result) =
   | _ -> t.last <- None
 
 let execute t ~deadline src =
-  let q, parse_ms =
-    match resolve_statement t src with
-    | _, Some q -> (q, None)
-    | src, None ->
-      let q, ms =
-        Pref_obs.Span.timed_span "psql.parse" (fun () -> Parser.parse_query src)
-      in
-      (q, Some ms)
-  in
+  let _, q, parse_ms = resolve t src in
   let r =
     count_result t
       (Exec.run_query_within ~registry:t.reg ?parse_ms ~deadline t.config t.env
@@ -314,30 +312,17 @@ let subscribe_payload src =
   then Some (String.sub s 10 (String.length s - 10))
   else None
 
-let delta_op t inner_src =
-  let q =
-    match resolve_statement t inner_src with
-    | _, Some q -> Some q
-    | inner, None -> ( try Some (Parser.parse_query inner) with _ -> None)
+let delta_op t (q : Ast.query) =
+  let n =
+    match q.Ast.from with
+    | [ tbl ] ->
+      Option.fold ~none:0 ~some:Relation.cardinality (find_table t tbl)
+    | _ -> 0
   in
-  let n, dims =
-    match q with
-    | Some q ->
-      let n =
-        match q.Ast.from with
-        | [ tbl ] -> (
-          match find_table t tbl with
-          | Some rel -> Relation.cardinality rel
-          | None -> 0)
-        | _ -> 0
-      in
-      let dims =
-        match Exec.full_preference ~registry:t.reg q with
-        | Some p -> List.length (Preferences.Pref.attrs p)
-        | None -> 1
-      in
-      (n, dims)
-    | None -> (0, 1)
+  let dims =
+    match Exec.full_preference ~registry:t.reg q with
+    | Some p -> List.length (Preferences.Pref.attrs p)
+    | None -> 1
   in
   let w =
     { Pref_bmo.Cost.n; dims = max 1 dims; domains = 1; correlation = 0. }
@@ -351,30 +336,20 @@ let delta_op t inner_src =
       ]
 
 let explain_within t ~analyze ~deadline src =
-  match subscribe_payload src with
-  | Some inner ->
-    let plan =
-      match resolve_statement t inner with
-      | text, Some q ->
-        Exec.explain_query_within ~registry:t.reg ~analyze ~deadline t.config
-          t.env ~query_text:text q
-      | inner, None ->
-        Exec.explain_within ~registry:t.reg ~analyze ~deadline t.config t.env
-          inner
-    in
+  let inner = subscribe_payload src in
+  let text, q, parse_ms = resolve t (Option.value inner ~default:src) in
+  let plan =
+    Exec.explain_query_within ~registry:t.reg ?parse_ms ~analyze ~deadline
+      t.config t.env ~query_text:text q
+  in
+  match inner with
+  | None -> plan
+  | Some _ ->
     {
       plan with
       Pref_bmo.Explain.Plan.query = String.trim src;
-      Pref_bmo.Explain.Plan.ops =
-        delta_op t inner :: plan.Pref_bmo.Explain.Plan.ops;
+      ops = delta_op t q :: plan.Pref_bmo.Explain.Plan.ops;
     }
-  | None -> (
-    match resolve_statement t src with
-    | text, Some q ->
-      Exec.explain_query_within ~registry:t.reg ~analyze ~deadline t.config
-        t.env ~query_text:text q
-    | src, None ->
-      Exec.explain_within ~registry:t.reg ~analyze ~deadline t.config t.env src)
 
 let explain t ~analyze src =
   explain_within t ~analyze ~deadline:(Pref_bmo.Engine.deadline_of t.config) src

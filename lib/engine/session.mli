@@ -100,7 +100,7 @@ val explain_within :
 
 val explain : t -> analyze:bool -> string -> Pref_bmo.Explain.Plan.t
 (** EXPLAIN the statement (source text or [@name]) under the session's
-    config without answering it: {!Pref_sql.Exec.explain_within}. Not
+    config without answering it: {!Pref_sql.Exec.explain_query_within}. Not
     counted in {!stats} — explanation is introspection, not load.
     [SUBSCRIBE <query>] explains the continuous form of the inner query:
     its plan under a [delta] operator priced by {!Pref_bmo.Cost}. *)

@@ -215,48 +215,281 @@ let selection_commutes resolve p conjuncts =
         conjuncts
     with _ -> false)
 
-let run_query_within ?registry ?parse_ms ~deadline
-    (cfg : Pref_bmo.Engine.config) env (q : Ast.query) : result =
-  let profile = cfg.Pref_bmo.Engine.profile in
-  Pref_obs.Span.with_span "psql.query" @@ fun () ->
-  if cfg.Pref_bmo.Engine.check then begin
+(* ------------------------------------------------------------------ *)
+(* The clause pipeline: FROM → WHERE → translate → rewrite → σ →        *)
+(* BUT ONLY → ORDER BY → TOP → projection → row cap, each stage once.   *)
+(* A run executes all of it; EXPLAIN ANALYZE executes all of it while   *)
+(* recording; a plain EXPLAIN stops after the σ decision and lists the  *)
+(* remaining stages.                                                    *)
+
+module Plan = Pref_bmo.Explain.Plan
+module Engine = Pref_bmo.Engine
+
+(* What a recorded run keeps beside its spans: the profile's clause
+   phases and, for EXPLAIN, the operator rows, most recent first. *)
+type trail = {
+  explain : bool;
+  mutable phases : Pref_obs.Profile.phase list;
+  mutable ops : Plan.op list;
+}
+
+(* The profile's clause phases (after [parse]); TOP, the projection and
+   the row cap are EXPLAIN operators only. *)
+let profile_phases =
+  [ "from"; "where"; "translate"; "rewrite"; "evaluate"; "quality"; "order" ]
+
+(* Run one stage inside its [psql.<name>] span. Only while a profile or
+   an EXPLAIN records ([trail] is set) is it also timed, into its profile
+   phase if it has one; only EXPLAIN also counts its rows and describes
+   it by [op]. An unrecorded run reads no clock and counts no row list. *)
+let stage trail name f op =
+  match trail with
+  | None -> Pref_obs.Span.with_span ("psql." ^ name) f
+  | Some t ->
+    let x, ms = Pref_obs.Span.timed_span ("psql." ^ name) f in
+    if List.mem name profile_phases then
+      t.phases <- Pref_obs.Profile.phase name ms :: t.phases;
+    if t.explain then t.ops <- { (op x) with Plan.op_ms = Some ms } :: t.ops;
+    x
+
+let count = Relation.cardinality
+
+(* A σ serve's answer: rows, flags, and — while recording — its profile. *)
+type served = Relation.t * Engine.flags * Pref_obs.Profile.t option
+
+(* The σ step's decision: the serve's name for EXPLAIN with the reason it
+   displaced the ladder ([None]: the {!Pref_bmo.Query.run_within} ladder
+   answers and {!Plan.decide} names its choice), and the thunk the run
+   executes. *)
+type decision = { named : (Plan.serve * string) option; serve : unit -> served }
+
+(* The σ step's one decision, over the serves in the order the executor
+   tries them ([ranked]: scorable TOP k without GROUPING). *)
+let sigma_serve ~deadline ~profile (cfg : Engine.config) (q : Ast.query)
+    ~resolve ~where ~grouping ~ranked schema p p_eval rel filtered =
+  (* the row cap applies to the final result, not inside the BMO set *)
+  let bmo_cfg = { cfg with Engine.max_rows = None; profile } in
+  let served ?(flags = Engine.complete) ?(attrs = []) algorithm r =
+    ( r,
+      flags,
+      if not profile then None
+      else
+        Some
+          (Pref_obs.Profile.make ~algorithm ~input_rows:(count filtered)
+             ~output_rows:(count r)
+             ~attrs:(attrs @ Engine.flags_attrs flags)
+             ()) )
+  in
+  let ladder () =
+    let r =
+      Pref_bmo.Query.run_within ~deadline bmo_cfg schema p_eval filtered
+    in
+    (r.Engine.Result.rows, r.Engine.Result.flags, r.Engine.Result.profile)
+  in
+  let semantic =
+    cfg.Engine.costmodel && cfg.Engine.algorithm = Engine.Alg_auto
+  in
+  (* Selection / winnow commute: serve σ_W(σ[P](R)) from the cached
+     unfiltered winnow when W is domination-closed. The decision probes
+     without counting; the serve's lookup counts. *)
+  let commute () =
+    match where with
+    | Some (c, pred)
+      when semantic && cfg.Engine.cache && Pref_bmo.Cache.is_enabled ()
+           && selection_commutes resolve p_eval (Ast.conjuncts c) ->
+      Pref_bmo.Cache.probe Pref_bmo.Cache.global schema p_eval rel
+      |> Option.map (fun reuse ->
+             {
+               named =
+                 Some
+                   ( Plan.Commute reuse,
+                     "WHERE keeps the better side of P's chains: the \
+                      selection commutes with the winnow of the unfiltered \
+                      input" );
+               serve =
+                 (fun () ->
+                   match
+                     Pref_bmo.Cache.lookup Pref_bmo.Cache.global schema p_eval
+                       rel
+                   with
+                   | Some (res, reuse) ->
+                     served "cache-commute"
+                       ~attrs:
+                         [ ("reuse", Pref_bmo.Cache.reuse_to_string reuse) ]
+                       (Relation.select pred res)
+                   | None -> ladder ());
+             })
+    | _ -> None
+  in
+  (* Redundant winnow: P provably relates no two input rows, so
+     σ[P](filtered) = filtered. *)
+  let identity () =
+    if not semantic then None
+    else
+      Constraints.redundant schema p_eval filtered
+      |> Option.map (fun reason ->
+             {
+               named =
+                 Some (Plan.Identity, "winnow provably redundant: " ^ reason);
+               serve =
+                 (fun () ->
+                   served "identity" ~attrs:[ ("reason", reason) ] filtered);
+             })
+  in
+  (* Join fan-out pushdown: winnow the (much smaller) distinct projection
+     onto attrs(P) and keep the rows whose projection survived — σ[P]
+     only reads attrs(P). *)
+  let pushdown () =
+    let pa = Pref.attrs p_eval in
+    if
+      (not (semantic && List.length q.Ast.from > 1))
+      || pa = []
+      || List.length pa >= Schema.arity schema
+      || not (List.for_all (Schema.mem schema) pa)
+    then None
+    else
+      let proj = Relation.project_distinct filtered pa in
+      let dn = count proj in
+      if 2 * dn > count filtered then None
+      else
+        Some
+          {
+            named =
+              Some
+                ( Plan.Pushdown dn,
+                  Printf.sprintf
+                    "sigma[P] reads only attrs(P): %d distinct projections \
+                     stand in for the join fan-out"
+                    dn );
+            serve =
+              (fun () ->
+                let winnowed, flags =
+                  Pref_bmo.Query.sigma_within ~deadline bmo_cfg
+                    (Relation.schema proj) p_eval proj
+                in
+                let keep = Hashtbl.create (max 16 (2 * dn)) in
+                List.iter
+                  (fun t -> Hashtbl.replace keep t ())
+                  (Relation.rows winnowed);
+                served "pushdown" ~flags
+                  ~attrs:[ ("distinct", string_of_int dn) ]
+                  (Relation.select
+                     (fun t -> Hashtbl.mem keep (Tuple.project schema t pa))
+                     filtered));
+          }
+  in
+  match q.Ast.top, grouping with
+  | Some k, _ when ranked ->
+    {
+      named =
+        Some
+          ( Plan.Ranked k,
+            "scorable TOP k: the ranked query model keeps the k best by score"
+          );
+      serve =
+        (fun () -> served "topk" (Pref_bmo.Topk.kbest schema p ~k filtered));
+    }
+  | _, _ :: _ ->
+    {
+      named =
+        Some
+          ( Plan.Grouped grouping,
+            "GROUPING: sigma[P] runs per group, each through this ladder" );
+      serve =
+        (fun () ->
+          let r, flags =
+            Pref_bmo.Query.sigma_groupby_within ~deadline bmo_cfg schema p_eval
+              ~by:grouping filtered
+          in
+          served ~flags
+            ("groupby:" ^ Engine.algorithm_to_string cfg.Engine.algorithm)
+            r);
+    }
+  | _ -> (
+    match List.find_map (fun serve -> serve ()) [ commute; identity; pushdown ]
+    with
+    | Some decision -> decision
+    | None -> { named = None; serve = ladder })
+
+(* The σ operator row, from the serve's profile. *)
+let sigma_op ~est_out (prof : Pref_obs.Profile.t) =
+  Plan.op "sigma" ~rows_in:prof.input_rows ~rows_out:prof.output_rows ?est_out
+    ~children:
+      (List.map
+         (fun (ph : Pref_obs.Profile.phase) ->
+           Plan.op ph.phase_name ~ms:ph.phase_ms)
+         prof.phases)
+    ~attrs:
+      ((("algorithm", prof.algorithm)
+       ::
+       (if prof.comparisons >= 0 then
+          [ ("comparisons", string_of_int prof.comparisons) ]
+        else []))
+      @ prof.attrs)
+
+(* A stage after σ: BUT ONLY, ORDER BY, TOP or the projection. *)
+type step = {
+  name : string;
+  attrs : (string * string) list;
+  apply : Relation.t -> Relation.t;
+}
+
+(* The pipeline up to the σ step, which every caller executes. The σ
+   decision is lazy so a run times it inside [evaluate]; EXPLAIN forces
+   it first. *)
+type prefix = {
+  trail : trail option;
+  rel : Relation.t;  (** FROM *)
+  filtered : Relation.t;  (** WHERE *)
+  preference : Pref.t option;
+  rewrite_steps : int;
+  sigma : (Pref.t * decision Lazy.t) option;
+      (** the rewritten term and its σ decision *)
+  tail : step list;
+}
+
+let prefix ?registry ?parse_ms ~trail ~deadline (cfg : Engine.config) env
+    (q : Ast.query) =
+  if cfg.Engine.check then begin
     let findings = static_check ?registry env q in
     if List.exists (fun f -> f.check_severity = "error") findings then
       raise (Rejected findings)
   end;
-  (* Per-clause phase runner: always a tracing span; additionally a timed
-     profile phase when the caller asked for a profile. *)
-  let phases =
-    ref
-      (match parse_ms with
-      | Some ms when profile -> [ Pref_obs.Profile.phase "parse" ms ]
-      | _ -> [])
+  Option.iter
+    (fun t ->
+      Option.iter
+        (fun ms ->
+          t.phases <- [ Pref_obs.Profile.phase "parse" ms ];
+          t.ops <- [ Plan.op "parse" ~ms ])
+        parse_ms)
+    trail;
+  let rel, where =
+    stage trail "from"
+      (fun () -> build_from env q)
+      (fun (r, _) ->
+        Plan.op "from" ~rows_out:(count r)
+          ~attrs:[ ("tables", String.concat "," q.Ast.from) ])
   in
-  let phase name f =
-    if profile then begin
-      let r, ms = Pref_obs.Span.timed_span ("psql." ^ name) f in
-      phases := Pref_obs.Profile.phase name ms :: !phases;
-      r
-    end
-    else Pref_obs.Span.with_span ("psql." ^ name) f
-  in
-  let rel, where = phase "from" (fun () -> build_from env q) in
   let schema = Relation.schema rel in
   let resolve = resolver q schema in
   (* hard constraints first: the exact-match world *)
-  let where_pred =
+  let where =
     Option.map
       (fun c ->
-        Translate.condition schema (Ast.map_condition_attrs resolve c))
+        (c, Translate.condition schema (Ast.map_condition_attrs resolve c)))
       where
   in
   let filtered =
-    match where_pred with
+    match where with
     | None -> rel
-    | Some pred -> phase "where" (fun () -> Relation.select pred rel)
+    | Some (_, pred) ->
+      stage trail "where"
+        (fun () -> Relation.select pred rel)
+        (fun r -> Plan.op "where" ~rows_in:(count rel) ~rows_out:(count r))
   in
   let preference =
-    phase "translate" (fun () ->
+    stage trail "translate"
+      (fun () ->
         full_preference ?registry
           {
             q with
@@ -264,541 +497,226 @@ let run_query_within ?registry ?parse_ms ~deadline
               Option.map (Ast.map_pref_attrs resolve) q.Ast.preferring;
             cascade = List.map (Ast.map_pref_attrs resolve) q.Ast.cascade;
           })
+      (fun _ -> Plan.op "translate")
   in
   (* algebraic optimizer step: rewrite the term to a fixpoint of the §4
      laws; every rule preserves ≡ (Definition 13), hence the BMO result
      (Proposition 7). The original term is kept for EXPLAIN and the BUT
      ONLY quality functions. *)
-  let evaluated, rewrite_steps =
-    match preference with
-    | None -> (None, 0)
-    | Some p ->
-      let p', steps = phase "rewrite" (fun () -> Rewrite.simplify_count p) in
-      (Some p', steps)
+  let rewritten =
+    Option.map
+      (fun p ->
+        stage trail "rewrite"
+          (fun () -> Rewrite.simplify_count p)
+          (fun (_, steps) ->
+            Plan.op "rewrite" ~attrs:[ ("steps", string_of_int steps) ]))
+      preference
   in
   let grouping = List.map resolve q.Ast.grouping in
-  (* soft constraints: BMO match-making.  The BMO layer draws down the
-     query deadline and reports degradation through its flags; the row cap
-     is applied to the final result below, not inside the BMO set. *)
-  let bmo_profile = ref None in
-  let bmo_flags = ref Pref_bmo.Engine.complete in
-  let bmo_cfg = { cfg with Pref_bmo.Engine.max_rows = None } in
-  let after_pref =
-    match preference, evaluated with
-    | None, _ | _, None -> filtered
-    | Some p, Some p_eval ->
-      phase "evaluate" (fun () ->
-          match q.Ast.top, grouping with
-          | Some k, [] when Pref.is_scorable p ->
-            (* the ranked query model of §6.2: k best by score *)
-            let r = Pref_bmo.Topk.kbest schema p ~k filtered in
-            if profile then
-              bmo_profile :=
-                Some
-                  (Pref_obs.Profile.make ~algorithm:"topk"
-                     ~input_rows:(Relation.cardinality filtered)
-                     ~output_rows:(Relation.cardinality r) ());
-            r
-          | _, [] ->
-            let semantic_ok =
-              cfg.Pref_bmo.Engine.costmodel
-              && cfg.Pref_bmo.Engine.algorithm = Pref_bmo.Engine.Alg_auto
-            in
-            let record algorithm attrs r =
-              if profile then
-                bmo_profile :=
-                  Some
-                    (List.fold_left
-                       (fun prof (k, v) -> Pref_obs.Profile.add_attr prof k v)
-                       (Pref_obs.Profile.make ~algorithm
-                          ~input_rows:(Relation.cardinality filtered)
-                          ~output_rows:(Relation.cardinality r) ())
-                       attrs);
-              r
-            in
-            (* Selection / winnow commute: serve σ_W(σ[P](R)) from the
-               cached unfiltered winnow when W is domination-closed. *)
-            let commute_serve () =
-              match where, where_pred with
-              | Some c, Some pred
-                when semantic_ok && cfg.Pref_bmo.Engine.cache
-                     && Pref_bmo.Cache.is_enabled ()
-                     && selection_commutes resolve p_eval (Ast.conjuncts c)
-                -> (
-                (* probe (non-counting) before lookup so a cold base
-                   winnow does not count an extra miss *)
-                match
-                  Pref_bmo.Cache.probe Pref_bmo.Cache.global schema p_eval rel
-                with
-                | None -> None
-                | Some _ -> (
-                  match
-                    Pref_bmo.Cache.lookup Pref_bmo.Cache.global schema p_eval
-                      rel
-                  with
-                  | Some (res, reuse) ->
-                    let tier =
-                      match reuse with
-                      | Pref_bmo.Cache.Exact -> "exact"
-                      | Pref_bmo.Cache.Semantic s -> "semantic:" ^ s
-                    in
-                    Some
-                      (record "cache-commute"
-                         [ ("reuse", tier) ]
-                         (Relation.select pred res))
-                  | None -> None))
-              | _ -> None
-            in
-            (* Redundant winnow: P provably relates no two input rows, so
-               σ[P](filtered) = filtered. *)
-            let identity_serve () =
-              if not semantic_ok then None
-              else
-                match Constraints.redundant schema p_eval filtered with
-                | Some reason ->
-                  Some (record "identity" [ ("reason", reason) ] filtered)
-                | None -> None
-            in
-            (* Join fan-out pushdown: winnow the (much smaller) distinct
-               projection onto attrs(P) and keep the rows whose
-               projection survived — σ[P] only reads attrs(P). *)
-            let pushdown_serve () =
-              if not (semantic_ok && List.length q.Ast.from > 1) then None
-              else
-                let pa = Pref.attrs p_eval in
-                if
-                  pa = []
-                  || List.length pa >= Schema.arity schema
-                  || not (List.for_all (Schema.mem schema) pa)
-                then None
-                else begin
-                  let proj = Relation.project_distinct filtered pa in
-                  let dn = Relation.cardinality proj in
-                  let n = Relation.cardinality filtered in
-                  if 2 * dn > n then None
-                  else begin
-                    let winnowed, f =
-                      Pref_bmo.Query.sigma_within ~deadline bmo_cfg
-                        (Relation.schema proj) p_eval proj
-                    in
-                    bmo_flags := f;
-                    let keep = Hashtbl.create (max 16 (2 * dn)) in
-                    List.iter
-                      (fun t -> Hashtbl.replace keep t ())
-                      (Relation.rows winnowed);
-                    let r =
-                      Relation.select
-                        (fun t ->
-                          Hashtbl.mem keep (Tuple.project schema t pa))
-                        filtered
-                    in
-                    Some
-                      (record "pushdown"
-                         [ ("distinct", string_of_int dn) ]
-                         r)
-                  end
-                end
-            in
-            let fallback () =
-              let r =
-                Pref_bmo.Query.run_within ~deadline bmo_cfg schema p_eval
-                  filtered
-              in
-              bmo_flags := r.Pref_bmo.Engine.Result.flags;
-              bmo_profile := r.Pref_bmo.Engine.Result.profile;
-              r.Pref_bmo.Engine.Result.rows
-            in
-            (match commute_serve () with
-            | Some r -> r
-            | None -> (
-              match identity_serve () with
-              | Some r -> r
-              | None -> (
-                match pushdown_serve () with
-                | Some r -> r
-                | None -> fallback ())))
-          | _, by ->
-            let r, f =
-              Pref_bmo.Query.sigma_groupby_within ~deadline bmo_cfg schema
-                p_eval ~by filtered
-            in
-            bmo_flags := f;
-            if profile then
-              bmo_profile :=
-                Some
-                  (Pref_obs.Profile.make
-                     ~algorithm:
-                       ("groupby:"
-                       ^ Pref_bmo.Query.algorithm_to_string
-                           cfg.Pref_bmo.Engine.algorithm)
-                     ~input_rows:(Relation.cardinality filtered)
-                     ~output_rows:(Relation.cardinality r) ());
-            r)
-  in
-  (* BUT ONLY quality supervision *)
-  let after_quality =
-    match q.Ast.but_only, preference with
-    | [], _ -> after_pref
-    | qs, Some p ->
-      phase "quality" (fun () ->
-          Relation.select
-            (Translate.quality_filter schema p
-               (List.map (Ast.map_quality_attrs resolve) qs))
-            after_pref)
-    | _ :: _, None -> raise (Error "BUT ONLY requires a PREFERRING clause")
-  in
-  (* presentation order *)
-  let ordered =
-    match q.Ast.order_by with
-    | [] -> after_quality
-    | keys ->
-      phase "order" (fun () ->
-          let idx =
-            List.map
-              (fun (a, asc) -> (Schema.index_of_exn schema (resolve a), asc))
-              keys
-          in
-          Relation.sort_by
-            (fun t u ->
-              let rec go = function
-                | [] -> 0
-                | (i, asc) :: rest ->
-                  let c = Value.compare (Tuple.get t i) (Tuple.get u i) in
-                  if c <> 0 then if asc then c else -c else go rest
-              in
-              go idx)
-            after_quality)
-  in
-  let after_quality = ordered in
-  (* TOP k truncation for non-ranked results *)
-  let truncated =
+  let ranked =
     match q.Ast.top, preference with
-    | Some _, Some p when Pref.is_scorable p && grouping = [] ->
-      after_quality (* already the k best *)
-    | Some k, _ ->
-      let rows = Relation.rows after_quality in
-      let rec take n = function
-        | [] -> []
-        | r :: rest -> if n = 0 then [] else r :: take (n - 1) rest
-      in
-      Relation.make (Relation.schema after_quality) (take k rows)
-    | None, _ -> after_quality
+    | Some _, Some p -> grouping = [] && Pref.is_scorable p
+    | _ -> false
   in
-  let projected = project_result resolve q truncated in
-  (* the engine row cap applies to the final, presentation-ordered result *)
-  let relation, capped =
-    match cfg.Pref_bmo.Engine.max_rows with
-    | None -> (projected, false)
-    | Some k ->
-      let rows = Relation.rows projected in
-      if List.length rows <= k then (projected, false)
-      else
-        ( Relation.make (Relation.schema projected)
-            (List.filteri (fun i _ -> i < k) rows),
-          true )
-  in
-  let flags =
-    Pref_bmo.Engine.union_flags !bmo_flags
-      { Pref_bmo.Engine.partial = false; truncated = capped }
-  in
-  let prof =
-    if not profile then None
-    else begin
-      (* the executor owns the clause-level phase list; the BMO profile
-         contributes algorithm, counts and attrs (its internal phases are
-         subsumed by the [evaluate] clause) *)
-      let base =
-        match !bmo_profile with
-        | Some bp -> bp
-        | None ->
-          Pref_obs.Profile.make ~algorithm:"scan"
-            ~input_rows:(Relation.cardinality rel)
-            ~output_rows:(Relation.cardinality relation) ()
-      in
-      let base =
-        { base with Pref_obs.Profile.phases = List.rev !phases }
-      in
+  let sigma =
+    match preference, rewritten with
+    | Some p, Some (p_eval, _) ->
       Some
-        (if rewrite_steps > 0 || preference <> None then
-           Pref_obs.Profile.add_attr base "rewrite_steps"
-             (string_of_int rewrite_steps)
-         else base)
-    end
+        ( p_eval,
+          lazy
+            (sigma_serve ~deadline ~profile:(trail <> None) cfg q ~resolve
+               ~where ~grouping ~ranked schema p p_eval rel filtered) )
+    | _ -> None
   in
-  { relation; preference; profile = prof; flags }
+  let tail =
+    List.filter_map Fun.id
+      [
+        (* BUT ONLY quality supervision *)
+        (match q.Ast.but_only, preference with
+        | [], _ -> None
+        | _ :: _, None -> raise (Error "BUT ONLY requires a PREFERRING clause")
+        | qs, Some p ->
+          Some
+            {
+              name = "quality";
+              attrs = [];
+              apply =
+                (fun r ->
+                  Relation.select
+                    (Translate.quality_filter schema p
+                       (List.map (Ast.map_quality_attrs resolve) qs))
+                    r);
+            });
+        (* presentation order *)
+        (match q.Ast.order_by with
+        | [] -> None
+        | keys ->
+          Some
+            {
+              name = "order";
+              attrs = [ ("by", String.concat "," (List.map fst keys)) ];
+              apply =
+                (fun r ->
+                  let idx =
+                    List.map
+                      (fun (a, asc) ->
+                        (Schema.index_of_exn schema (resolve a), asc))
+                      keys
+                  in
+                  Relation.sort_by
+                    (fun t u ->
+                      let rec go = function
+                        | [] -> 0
+                        | (i, asc) :: rest ->
+                          let c =
+                            Value.compare (Tuple.get t i) (Tuple.get u i)
+                          in
+                          if c <> 0 then if asc then c else -c else go rest
+                      in
+                      go idx)
+                    r);
+            });
+        (* TOP k of a non-ranked result *)
+        (match q.Ast.top with
+        | Some k when not ranked ->
+          Some
+            {
+              name = "top";
+              attrs = [ ("k", string_of_int k) ];
+              apply = (fun r -> fst (Pref_bmo.Query.cap_rows (Some k) r));
+            }
+        | _ -> None);
+        (match q.Ast.select with
+        | [ Ast.Star ] -> None
+        | _ ->
+          Some
+            { name = "project"; attrs = []; apply = project_result resolve q });
+      ]
+  in
+  {
+    trail;
+    rel;
+    filtered;
+    preference;
+    rewrite_steps = Option.fold ~none:0 ~some:snd rewritten;
+    sigma;
+    tail;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* EXPLAIN [ANALYZE]: the same pipeline, narrating instead of answering.
-   FROM / WHERE / translate / rewrite always execute — the plan decision
-   needs the real filtered relation (cardinality, sampling, cache
-   fingerprints).  The σ[P] step and everything after it run only under
-   ANALYZE; a plain EXPLAIN reports their structure and estimates. *)
+let cap_attrs (cfg : Engine.config) =
+  [
+    ("max_rows", Option.fold ~none:"" ~some:string_of_int cfg.Engine.max_rows);
+  ]
 
-module Plan = Pref_bmo.Explain.Plan
+(* The pipeline from the σ step on: serve σ[P], run the tail, then the
+   engine row cap on the final, presentation-ordered result. *)
+let execute ~est_out (cfg : Engine.config) (d : prefix) =
+  let after, sigma_flags, sigma_prof =
+    match d.sigma with
+    | None -> (d.filtered, Engine.complete, None)
+    | Some (_, decision) ->
+      stage d.trail "evaluate"
+        (fun () -> (Lazy.force decision).serve ())
+        (fun (_, _, prof) ->
+          Option.fold ~none:(Plan.op "sigma") ~some:(sigma_op ~est_out) prof)
+  in
+  let out =
+    List.fold_left
+      (fun r s ->
+        stage d.trail s.name
+          (fun () -> s.apply r)
+          (fun out ->
+            Plan.op s.name ~rows_in:(count r) ~rows_out:(count out)
+              ~attrs:s.attrs))
+      after d.tail
+  in
+  let relation, truncated =
+    match cfg.Engine.max_rows with
+    | None -> (out, false)
+    | Some _ ->
+      stage d.trail "cap"
+        (fun () -> Pref_bmo.Query.cap_rows cfg.Engine.max_rows out)
+        (fun (capped, truncated) ->
+          Plan.op "cap" ~rows_in:(count out) ~rows_out:(count capped)
+            ~attrs:
+              (cap_attrs cfg
+              @ Engine.flags_attrs { Engine.partial = false; truncated }))
+  in
+  ( relation,
+    Engine.union_flags sigma_flags { Engine.partial = false; truncated },
+    sigma_prof )
+
+let run_query_within ?registry ?parse_ms ~deadline (cfg : Engine.config) env
+    (q : Ast.query) : result =
+  Pref_obs.Span.with_span "psql.query" @@ fun () ->
+  let trail =
+    if cfg.Engine.profile then Some { explain = false; phases = []; ops = [] }
+    else None
+  in
+  let d = prefix ?registry ?parse_ms ~trail ~deadline cfg env q in
+  let relation, flags, sigma_prof = execute ~est_out:None cfg d in
+  let profile =
+    Option.map
+      (fun t ->
+        (* the executor owns the clause-level phase list; the σ serve's
+           profile contributes algorithm, counts and attrs (its internal
+           phases are subsumed by the [evaluate] clause) *)
+        let base =
+          match sigma_prof with
+          | Some bp -> bp
+          | None ->
+            Pref_obs.Profile.make ~algorithm:"scan" ~input_rows:(count d.rel)
+              ~output_rows:(count relation) ()
+        in
+        let base =
+          { base with Pref_obs.Profile.phases = List.rev t.phases }
+        in
+        if d.preference = None then base
+        else
+          Pref_obs.Profile.add_attr base "rewrite_steps"
+            (string_of_int d.rewrite_steps))
+      trail
+  in
+  { relation; preference = d.preference; profile; flags }
 
 let explain_query_within ?registry ?parse_ms ~analyze ~deadline
-    (cfg : Pref_bmo.Engine.config) env ~query_text (q : Ast.query) : Plan.t =
+    (cfg : Engine.config) env ~query_text (q : Ast.query) : Plan.t =
   Pref_obs.Span.with_span "psql.explain" @@ fun () ->
-  if cfg.Pref_bmo.Engine.check then begin
-    let findings = static_check ?registry env q in
-    if List.exists (fun f -> f.check_severity = "error") findings then
-      raise (Rejected findings)
-  end;
-  let ops = ref [] in
-  let push o = ops := o :: !ops in
-  (match parse_ms with
-  | Some ms -> push (Plan.op "parse" ~ms)
-  | None -> ());
-  let timed name f = Pref_obs.Span.timed_span ("psql." ^ name) f in
-  let (rel, where), from_ms = timed "from" (fun () -> build_from env q) in
-  let n0 = Relation.cardinality rel in
-  push
-    (Plan.op "from" ~rows_out:n0 ~ms:from_ms
-       ~attrs:[ ("tables", String.concat "," q.Ast.from) ]);
-  let schema = Relation.schema rel in
-  let resolve = resolver q schema in
-  let filtered =
-    match where with
-    | None -> rel
-    | Some c ->
-      let r, ms =
-        timed "where" (fun () ->
-            Relation.select
-              (Translate.condition schema (Ast.map_condition_attrs resolve c))
-              rel)
-      in
-      push
-        (Plan.op "where" ~rows_in:n0 ~rows_out:(Relation.cardinality r) ~ms);
-      r
+  let t = { explain = true; phases = []; ops = [] } in
+  let d = prefix ?registry ?parse_ms ~trail:(Some t) ~deadline cfg env q in
+  let p_eval, named =
+    match d.sigma with
+    | Some (p_eval, decision) -> (p_eval, (Lazy.force decision).named)
+    | None -> raise (Error "EXPLAIN requires a PREFERRING or CASCADE clause")
   in
-  let n1 = Relation.cardinality filtered in
-  let preference, translate_ms =
-    timed "translate" (fun () ->
-        full_preference ?registry
-          {
-            q with
-            Ast.preferring =
-              Option.map (Ast.map_pref_attrs resolve) q.Ast.preferring;
-            cascade = List.map (Ast.map_pref_attrs resolve) q.Ast.cascade;
-          })
+  let ladder, trace, forced =
+    Plan.decide cfg ~deadline (Relation.schema d.rel) p_eval d.filtered
   in
-  let p =
-    match preference with
-    | Some p -> p
-    | None ->
-      raise (Error "EXPLAIN requires a PREFERRING or CASCADE clause")
-  in
-  push (Plan.op "translate" ~ms:translate_ms);
-  let (p_eval, rewrite_steps), rewrite_ms =
-    timed "rewrite" (fun () -> Rewrite.simplify_count p)
-  in
-  push
-    (Plan.op "rewrite" ~ms:rewrite_ms
-       ~attrs:[ ("steps", string_of_int rewrite_steps) ]);
-  let grouping = List.map resolve q.Ast.grouping in
-  let bmo_cfg = { cfg with Pref_bmo.Engine.max_rows = None } in
   let plan, trace, forced =
-    Plan.decide bmo_cfg ~deadline schema p_eval filtered
+    match named with
+    | None -> (ladder, trace, forced)
+    | Some (serve, why) ->
+      ( serve,
+        {
+          trace with
+          Pref_bmo.Planner.t_rejected =
+            (Plan.serve_kind ladder, why)
+            :: trace.Pref_bmo.Planner.t_rejected;
+        },
+        None )
   in
-  (* Winnow elimination mirrors the executor: when P provably relates no
-     two rows of the input, the identity plan replaces whatever the
-     planner picked (which moves to the rejected list). *)
-  let plan, trace =
-    if
-      cfg.Pref_bmo.Engine.costmodel && forced = None && grouping = []
-      && not (q.Ast.top <> None && Pref.is_scorable p)
-    then
-      match Constraints.redundant schema p_eval filtered with
-      | Some reason ->
-        ( Pref_bmo.Planner.Plan_identity,
-          {
-            trace with
-            Pref_bmo.Planner.t_rejected =
-              ( Pref_bmo.Planner.plan_kind plan,
-                "winnow provably redundant: " ^ reason )
-              :: trace.Pref_bmo.Planner.t_rejected;
-          } )
-      | None -> (plan, trace)
-    else (plan, trace)
-  in
-  let identity =
-    match plan with Pref_bmo.Planner.Plan_identity -> true | _ -> false
-  in
-  let est = trace.Pref_bmo.Planner.t_estimate in
-  (* evaluation: real under ANALYZE, structural otherwise *)
-  let after_pref =
-    match q.Ast.top, grouping with
-    | Some k, [] when Pref.is_scorable p ->
-      if analyze then begin
-        let r, ms =
-          timed "topk" (fun () -> Pref_bmo.Topk.kbest schema p ~k filtered)
-        in
-        push
-          (Plan.op "topk" ~rows_in:n1 ~rows_out:(Relation.cardinality r) ~ms
-             ~attrs:[ ("k", string_of_int k) ]);
-        Some r
-      end
-      else begin
-        push (Plan.op "topk" ~rows_in:n1 ~attrs:[ ("k", string_of_int k) ]);
-        None
-      end
-    | _, [] ->
-      if analyze && identity then begin
-        push
-          (Plan.op "sigma" ~rows_in:n1 ~rows_out:n1 ?est_out:est
-             ~attrs:[ ("algorithm", "identity") ]);
-        Some filtered
-      end
-      else if analyze then begin
-        let res, ms =
-          timed "evaluate" (fun () ->
-              Pref_bmo.Query.run_within ~deadline
-                { bmo_cfg with Pref_bmo.Engine.profile = true }
-                schema p_eval filtered)
-        in
-        let r = res.Pref_bmo.Engine.Result.rows
-        and flags = res.Pref_bmo.Engine.Result.flags
-        and prof = Option.get res.Pref_bmo.Engine.Result.profile in
-        let children =
-          List.map
-            (fun ph ->
-              Plan.op ph.Pref_obs.Profile.phase_name
-                ~ms:ph.Pref_obs.Profile.phase_ms)
-            prof.Pref_obs.Profile.phases
-        in
-        push
-          (Plan.op "sigma" ~rows_in:n1 ~rows_out:(Relation.cardinality r)
-             ?est_out:est ~ms ~children
-             ~attrs:
-               ((("algorithm", prof.Pref_obs.Profile.algorithm)
-                ::
-                (if prof.Pref_obs.Profile.comparisons >= 0 then
-                   [
-                     ( "comparisons",
-                       string_of_int prof.Pref_obs.Profile.comparisons );
-                   ]
-                 else []))
-               @ prof.Pref_obs.Profile.attrs
-               @ Pref_bmo.Engine.flags_attrs flags));
-        Some r
-      end
-      else begin
-        push (Plan.op "sigma" ~rows_in:n1 ?est_out:est);
-        None
-      end
-    | _, by ->
-      if analyze then begin
-        let (r, flags), ms =
-          timed "evaluate" (fun () ->
-              Pref_bmo.Query.sigma_groupby_within ~deadline bmo_cfg schema
-                p_eval ~by filtered)
-        in
-        push
-          (Plan.op "sigma_groupby" ~rows_in:n1
-             ~rows_out:(Relation.cardinality r) ~ms
-             ~attrs:
-               (("by", String.concat "," by)
-               :: Pref_bmo.Engine.flags_attrs flags));
-        Some r
-      end
-      else begin
-        push
-          (Plan.op "sigma_groupby" ~rows_in:n1
-             ~attrs:[ ("by", String.concat "," by) ]);
-        None
-      end
-  in
-  (* the presentation tail: BUT ONLY / ORDER BY / TOP / projection *)
-  let structural name attrs = push (Plan.op name ~attrs) in
-  let tail r =
-    let r =
-      match q.Ast.but_only with
-      | [] -> r
-      | qs -> (
-        match r with
-        | None ->
-          structural "quality" [];
-          None
-        | Some rel_in ->
-          let rows_in = Relation.cardinality rel_in in
-          let out, ms =
-            timed "quality" (fun () ->
-                Relation.select
-                  (Translate.quality_filter schema p
-                     (List.map (Ast.map_quality_attrs resolve) qs))
-                  rel_in)
-          in
-          push
-            (Plan.op "quality" ~rows_in ~rows_out:(Relation.cardinality out)
-               ~ms);
-          Some out)
-    in
-    let r =
-      match q.Ast.order_by with
-      | [] -> r
-      | keys -> (
-        let attrs = [ ("by", String.concat "," (List.map fst keys)) ] in
-        match r with
-        | None ->
-          structural "order" attrs;
-          None
-        | Some rel_in ->
-          let idx =
-            List.map
-              (fun (a, asc) -> (Schema.index_of_exn schema (resolve a), asc))
-              keys
-          in
-          let out, ms =
-            timed "order" (fun () ->
-                Relation.sort_by
-                  (fun t u ->
-                    let rec go = function
-                      | [] -> 0
-                      | (i, asc) :: rest ->
-                        let c = Value.compare (Tuple.get t i) (Tuple.get u i) in
-                        if c <> 0 then if asc then c else -c else go rest
-                    in
-                    go idx)
-                  rel_in)
-          in
-          push
-            (Plan.op "order" ~rows_out:(Relation.cardinality out) ~ms ~attrs);
-          Some out)
-    in
-    let r =
-      match q.Ast.top with
-      | Some k when not (Pref.is_scorable p && grouping = []) -> (
-        let attrs = [ ("k", string_of_int k) ] in
-        match r with
-        | None ->
-          structural "top" attrs;
-          None
-        | Some rel_in ->
-          let rows = Relation.rows rel_in in
-          let out =
-            Relation.make (Relation.schema rel_in)
-              (List.filteri (fun i _ -> i < k) rows)
-          in
-          push
-            (Plan.op "top" ~rows_in:(List.length rows)
-               ~rows_out:(Relation.cardinality out) ~attrs);
-          Some out)
-      | _ -> r
-    in
-    match q.Ast.select with
-    | [ Ast.Star ] -> r
-    | _ -> (
-      match r with
-      | None ->
-        structural "project" [];
-        None
-      | Some rel_in ->
-        let out, ms = timed "project" (fun () -> project_result resolve q rel_in) in
-        push (Plan.op "project" ~rows_out:(Relation.cardinality out) ~ms);
-        Some out)
-  in
-  ignore (tail after_pref : Relation.t option);
-  let ops = List.rev !ops in
+  let est_out = trace.Pref_bmo.Planner.t_estimate in
+  if analyze then ignore (execute ~est_out cfg d : Relation.t * _ * _)
+  else
+    (* executes nothing past the σ decision: the rest is listed *)
+    t.ops <-
+      List.rev_append
+        (List.map (fun s -> Plan.op s.name ~attrs:s.attrs) d.tail
+        @
+        if cfg.Engine.max_rows = None then []
+        else [ Plan.op "cap" ~attrs:(cap_attrs cfg) ])
+        (Plan.op "sigma" ~rows_in:(count d.filtered) ?est_out :: t.ops);
+  let ops = List.rev t.ops in
   let total_ms =
     if analyze then
       Some

@@ -1,9 +1,15 @@
 (** Preference SQL execution against in-memory relations.
 
-    Pipeline: hard WHERE filter (exact-match world) → preference
-    construction (PREFERRING & CASCADEs) → BMO evaluation (or the ranked
-    k-best model when TOP k is given and the preference is scorable, §6.2) →
-    BUT ONLY quality supervision → projection. *)
+    One clause pipeline: FROM → hard WHERE filter (exact-match world) →
+    preference construction (PREFERRING & CASCADEs) → algebraic rewrite →
+    the σ step → BUT ONLY quality supervision → ORDER BY → TOP k →
+    projection → engine row cap. The σ step is one decision over the
+    serves the executor knows: the ranked k-best model when TOP k is given
+    and the preference is scorable (§6.2), GROUPING, and — with the cost
+    model on under [algorithm = auto] — the selection/winnow commute over
+    the cached unfiltered winnow, winnow elimination and join pushdown;
+    otherwise the {!Pref_bmo.Query.run_within} ladder. A run, EXPLAIN
+    ANALYZE and plain EXPLAIN all go through it. *)
 
 open Pref_relation
 
@@ -129,12 +135,17 @@ val explain_within :
   Pref_bmo.Explain.Plan.t
 (** Explain the query instead of answering it: parse, execute the
     FROM/WHERE/translate/rewrite prefix (the plan decision needs the
-    real filtered relation), take the σ[P] plan decision exactly as
-    execution would ({!Pref_bmo.Explain.Plan.decide} — cache probe with
-    per-tier timings, deadline ladder, algorithm knob, planner), and
-    report the plan, the rejected alternatives and the estimated BMO
-    cardinality. With [analyze:true] the σ step and the presentation
-    tail (BUT ONLY / ORDER BY / TOP / projection) also run, filling
-    per-operator actual cardinalities and timings. Raises {!Error} when
-    the query has no PREFERRING/CASCADE clause, plus everything
-    {!run_cfg} raises. *)
+    real filtered relation) and take the σ step's decision exactly as
+    {!run_query_within} does. The plan line names the serve; for the
+    ladder it is {!Pref_bmo.Explain.Plan.decide} (cache probe with
+    per-tier timings, deadline ladder, algorithm knob, planner), and a
+    serve that displaced the ladder lists the ladder's plan among the
+    rejected alternatives. The report also carries the estimated BMO
+    cardinality. With [analyze:true] the rest of the pipeline runs as
+    the query would — the σ serve, BUT ONLY / ORDER BY / TOP /
+    projection and the row cap — filling per-operator actual
+    cardinalities and timings; the [sigma] operator's [algorithm] is the
+    run profile's, and the [cap] operator carries [truncated]. Without
+    it nothing past the σ decision executes: the remaining operators are
+    listed. Raises {!Error} when the query has no PREFERRING/CASCADE
+    clause, plus everything {!run_cfg} raises. *)

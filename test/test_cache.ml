@@ -277,31 +277,32 @@ let test_planner_cache_plans () =
   with_global @@ fun () ->
   let rel = Relation.make Gen.schema sample_rows in
   let p = Pref.pareto (Pref.lowest "a") (Pref.highest "b") in
-  let cold =
-    fst
-      (Query.sigma_within ~deadline:Engine.no_deadline
-         { Engine.default with algorithm = Query.Alg_auto }
-         Gen.schema p rel)
+  let auto = { Engine.default with algorithm = Query.Alg_auto } in
+  let run p =
+    Query.run_within ~deadline:Engine.no_deadline auto Gen.schema p rel
   in
-  let plan = Planner.choose Gen.schema p rel in
-  check "exact hit plan" true (plan = Planner.Plan_cache_hit);
-  Alcotest.(check string) "plan kind" "cache_hit" (Planner.plan_kind plan);
-  check "plan executes from cache" true
-    (Relation.equal_as_sets (Planner.execute Gen.schema p rel plan) cold);
-  (* a refinement plans as semantic reuse *)
+  let cold = run p in
+  let warm = run p in
+  Alcotest.(check (option string))
+    "exact hit plan" (Some "cache:exact") warm.Engine.Result.plan;
+  check "plan serves from cache" true
+    (Relation.equal_as_sets warm.Engine.Result.rows cold.Engine.Result.rows);
+  (* a refinement is served by semantic reuse *)
   let refined = Pref.prior p (Pref.lowest "d") in
-  (match Planner.choose Gen.schema refined rel with
-  | Planner.Plan_cache_semantic "prior-prefix" -> ()
-  | other ->
-    Alcotest.failf "expected cache_semantic plan, got %s"
-      (Planner.plan_to_string other));
+  let r = run refined in
+  Alcotest.(check (option string))
+    "semantic plan" (Some "cache:semantic:prior-prefix") r.Engine.Result.plan;
   check "semantic plan result is correct" true
-    (Relation.equal_as_sets
-       (fst (Planner.run Gen.schema refined rel))
-       (batch refined sample_rows));
-  (* opting out bypasses the cache *)
-  check "cache:false never plans a cache node" true
-    (Planner.choose ~cache:false Gen.schema p rel <> Planner.Plan_cache_hit)
+    (Relation.equal_as_sets r.Engine.Result.rows (batch refined sample_rows));
+  (* the planner itself only picks evaluation plans; the probe it is
+     handed lands in the trace *)
+  let plan, trace = Planner.choose_traced ~cache:true Gen.schema p rel in
+  check "choose_traced plans an evaluation" true
+    (plan = Planner.choose Gen.schema p rel);
+  check "probe recorded" true
+    (match trace.Planner.t_probes with
+    | { Cache.tier = "exact"; hit = true; _ } :: _ -> true
+    | _ -> false)
 
 let test_query_cache_integration () =
   with_global @@ fun () ->

@@ -309,7 +309,7 @@ let test_identity_elimination () =
   in
   let sql = "SELECT * FROM items PREFERRING LOWEST(price)" in
   let plan = explain_sql ~rel sql in
-  check "identity plan" true (plan.Plan.plan = Planner.Plan_identity);
+  check "identity plan" true (plan.Plan.plan = Plan.Identity);
   check "displaced plan in rejections" true
     (List.exists
        (fun (_, why) -> contains why "redundant")

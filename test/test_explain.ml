@@ -138,7 +138,7 @@ let contains hay needle =
 let test_plan_bnl () =
   let rel = items ~anti:false 200 in
   let plan = explain_sql ~cfg:auto_cfg ~rel chain_sql in
-  check "bnl chosen" true (plan.Plan.plan = Pref_bmo.Planner.Plan_bnl);
+  check "bnl chosen" true (plan.Plan.plan = Plan.Evaluate Pref_bmo.Planner.Plan_bnl);
   check "not forced" true (plan.Plan.forced = None);
   let tr = plan.Plan.trace in
   check_int "n is the filtered cardinality" 200 tr.Pref_bmo.Planner.t_n;
@@ -180,8 +180,8 @@ let test_plan_dnc_anti () =
   let rel = items ~anti:true 200 in
   let plan = explain_sql ~cfg:auto_cfg ~rel chain_sql in
   (match plan.Plan.plan with
-  | Pref_bmo.Planner.Plan_dnc _ -> ()
-  | p -> Alcotest.failf "expected dnc, got %s" (Pref_bmo.Planner.plan_to_string p));
+  | Plan.Evaluate (Pref_bmo.Planner.Plan_dnc _) -> ()
+  | p -> Alcotest.failf "expected dnc, got %s" (Plan.serve_to_string p));
   match plan.Plan.trace.Pref_bmo.Planner.t_correlation with
   | Some r -> check "negative correlation measured" true (r < -0.3)
   | None -> Alcotest.fail "no correlation in the trace"
@@ -198,9 +198,8 @@ let test_plan_forced_parallel () =
     explain_sql ~cfg ~rel "SELECT * FROM items PREFERRING LOWEST(price)"
   in
   (match plan.Plan.plan with
-  | Pref_bmo.Planner.Plan_par_dnc _ -> ()
-  | p ->
-    Alcotest.failf "expected par_dnc, got %s" (Pref_bmo.Planner.plan_to_string p));
+  | Plan.Evaluate (Pref_bmo.Planner.Plan_par_dnc _) -> ()
+  | p -> Alcotest.failf "expected par_dnc, got %s" (Plan.serve_to_string p));
   (match plan.Plan.forced with
   | Some reason -> check "knob named as the forcing rule" true (contains reason "knob")
   | None -> Alcotest.fail "forced reason missing");
@@ -225,7 +224,8 @@ let test_plan_cache_tiers () =
   ignore (Exec.run_cfg auto_cfg [ ("items", rel) ] chain_sql);
   (* exact tier *)
   let plan = explain_sql ~cfg:auto_cfg ~rel chain_sql in
-  check "cache hit plan" true (plan.Plan.plan = Pref_bmo.Planner.Plan_cache_hit);
+  check "cache hit plan" true
+    (plan.Plan.plan = Plan.Cached Pref_bmo.Cache.Exact);
   (match plan.Plan.trace.Pref_bmo.Planner.t_probes with
   | { Pref_bmo.Cache.tier = "exact"; hit = true; ms } :: _ ->
     check "probe timing recorded" true (ms >= 0.)
@@ -239,10 +239,8 @@ let test_plan_cache_tiers () =
   let refined = chain_sql ^ " PRIOR TO HIGHEST(age)" in
   let plan = explain_sql ~cfg:auto_cfg ~rel refined in
   (match plan.Plan.plan with
-  | Pref_bmo.Planner.Plan_cache_semantic _ -> ()
-  | p ->
-    Alcotest.failf "expected cache_semantic, got %s"
-      (Pref_bmo.Planner.plan_to_string p));
+  | Plan.Cached (Pref_bmo.Cache.Semantic _) -> ()
+  | p -> Alcotest.failf "expected cache_semantic, got %s" (Plan.serve_to_string p));
   let probes = plan.Plan.trace.Pref_bmo.Planner.t_probes in
   check "exact missed first" true
     (match probes with
@@ -255,6 +253,132 @@ let test_plan_cache_tiers () =
   (* explaining must not count or store: the probe is non-destructive *)
   let s = Pref_bmo.Cache.stats Pref_bmo.Cache.global in
   check "explain did not count cache hits" true (s.Pref_bmo.Cache.hits = 0)
+
+(* EXPLAIN [ANALYZE] against the run it explains: for every σ serve and
+   every presentation stage, EXPLAIN ANALYZE reports the run profile's
+   σ algorithm, the run's final row count and its [truncated] flag, and
+   plain EXPLAIN prints the same plan line. *)
+let test_plan_matches_run () =
+  let table cols rows =
+    Relation.make (Schema.make cols) (List.map Tuple.make rows)
+  in
+  let env =
+    [
+      ("items", items ~anti:false 200);
+      ("anti", items ~anti:true 200);
+      ( "flat",
+        table
+          [ ("price", Value.TInt); ("tag", Value.TStr) ]
+          (List.init 200 (fun i -> [ Value.Int 7; Value.Str (string_of_int i) ]))
+      );
+      ( "t1",
+        table
+          [ ("id", Value.TInt); ("price", Value.TInt) ]
+          (List.init 100 (fun i -> [ Value.Int i; Value.Int (i mod 10) ])) );
+      ( "t2",
+        table
+          [ ("tag", Value.TStr) ]
+          (List.init 5 (fun i -> [ Value.Str (string_of_int i) ])) );
+    ]
+  in
+  let profiled cfg = { cfg with Pref_bmo.Engine.profile = true } in
+  let bnl = profiled Pref_bmo.Engine.default and auto = profiled auto_cfg in
+  (* label, config, statement, statement that warms the cache first *)
+  let rows =
+    [
+      ("bnl knob", bnl, chain_sql, None);
+      ("auto chain", auto, chain_sql, None);
+      ( "warm-cache commute",
+        auto,
+        "SELECT * FROM items WHERE price <= 50 PREFERRING LOWEST(price)",
+        Some "SELECT * FROM items PREFERRING LOWEST(price)" );
+      ("identity", auto, "SELECT * FROM flat PREFERRING LOWEST(price)", None);
+      ( "identity under a deadline",
+        { auto with Pref_bmo.Engine.deadline_ms = Some 60_000. },
+        "SELECT * FROM flat PREFERRING LOWEST(price)",
+        None );
+      ( "join pushdown",
+        auto,
+        "SELECT * FROM t1, t2 PREFERRING LOWEST(price)",
+        None );
+      ( "grouping",
+        bnl,
+        "SELECT * FROM items PREFERRING LOWEST(mileage) GROUPING age",
+        None );
+      ( "scorable top k",
+        auto,
+        "SELECT * FROM items PREFERRING LOWEST(price) TOP 3",
+        None );
+      ( "but only, order by, top, projection",
+        bnl,
+        "SELECT price, mileage FROM anti PREFERRING price AROUND 50 AND \
+         LOWEST(mileage) BUT ONLY DISTANCE(price) <= 20 ORDER BY mileage \
+         DESC TOP 4",
+        None );
+      ( "max_rows = 3",
+        { bnl with Pref_bmo.Engine.max_rows = Some 3 },
+        "SELECT * FROM anti PREFERRING LOWEST(price) AND LOWEST(mileage)",
+        None );
+    ]
+  in
+  let explain ~analyze cfg sql =
+    Exec.explain_within ~analyze
+      ~deadline:(Pref_bmo.Engine.deadline_of cfg)
+      cfg env sql
+  in
+  let check_row (label, cfg, sql, _) =
+    let run = Exec.run_cfg cfg env sql in
+    let analyzed = explain ~analyze:true cfg sql in
+    let plain = explain ~analyze:false cfg sql in
+    let algorithm = (Option.get run.Exec.profile).Pref_obs.Profile.algorithm in
+    let rows = Relation.cardinality run.Exec.relation in
+    let truncated = run.Exec.flags.Pref_bmo.Engine.truncated in
+    let sigma_algorithm =
+      Option.bind (find_op "sigma" analyzed.Plan.ops) (fun o ->
+          List.assoc_opt "algorithm" o.Plan.op_attrs)
+    in
+    let final_rows =
+      match List.rev analyzed.Plan.ops with
+      | last :: _ -> last.Plan.op_rows_out
+      | [] -> None
+    in
+    let flagged =
+      List.exists
+        (fun o -> List.mem ("truncated", "true") o.Plan.op_attrs)
+        analyzed.Plan.ops
+    in
+    let plan_line e = List.nth (Plan.to_text e) 1 in
+    List.filter_map
+      (fun (ok, what) -> if ok then None else Some (label ^ ": " ^ what))
+      [
+        ( sigma_algorithm = Some algorithm,
+          Printf.sprintf "sigma algorithm %s, run profile %s"
+            (Option.value sigma_algorithm ~default:"-")
+            algorithm );
+        ( final_rows = Some rows,
+          Printf.sprintf "final rows %s, run %d"
+            (Option.fold ~none:"-" ~some:string_of_int final_rows)
+            rows );
+        ( flagged = truncated,
+          Printf.sprintf "truncated %b, run %b" flagged truncated );
+        ( plan_line plain = plan_line analyzed,
+          Printf.sprintf "%S vs %S" (plan_line plain) (plan_line analyzed) );
+      ]
+  in
+  let mismatches =
+    List.concat_map
+      (fun ((_, cfg, _, warm) as row) ->
+        match warm with
+        | None -> check_row row
+        | Some sql ->
+          with_cache (fun () ->
+              ignore (Exec.run_cfg cfg env sql);
+              check_row row))
+      rows
+  in
+  if mismatches <> [] then
+    Alcotest.failf "EXPLAIN disagrees with the run:\n%s"
+      (String.concat "\n" mismatches)
 
 let test_plan_requires_preference () =
   let rel = items ~anti:false 10 in
@@ -275,4 +399,5 @@ let suite =
     Gen.quick "plan: algorithm knob forces" test_plan_forced_parallel;
     Gen.quick "plan: cache tiers in probes" test_plan_cache_tiers;
     Gen.quick "plan: preference required" test_plan_requires_preference;
+    Gen.quick "plan: EXPLAIN ANALYZE matches the run" test_plan_matches_run;
   ]

@@ -97,24 +97,28 @@ let test_all_plans_correct () =
       Planner.Plan_decompose;
     ]
 
+let auto = { Engine.default with algorithm = Engine.Alg_auto }
+
 let test_cascade_plan_correct () =
   let cars = Pref_workload.Cars.relation ~seed:4 ~n:500 () in
   let schema = Relation.schema cars in
   let p1 = Pref.lowest "price" and p2 = Pref.pos "color" [ Str "red" ] in
   let p = Pref.prior p1 p2 in
-  let result, plan = Planner.run schema p cars in
-  (match plan with
-  | Planner.Plan_cascade _ -> ()
-  | other -> Alcotest.failf "expected cascade, got %s" (Planner.plan_to_string other));
+  let r = Query.run_within ~deadline:Engine.no_deadline auto schema p cars in
+  Alcotest.(check (option string)) "cascade plan" (Some "auto:cascade")
+    r.Engine.Result.plan;
   check "cascade result equals naive" true
-    (Relation.equal_as_sets result (Naive.query schema p cars))
+    (Relation.equal_as_sets r.Engine.Result.rows (Naive.query schema p cars))
 
 let prop_planner_correct =
   QCheck.Test.make ~count:150 ~name:"chosen plans compute sigma[P](R)"
     Gen.arb_pref_rows
     (fun (p, rows) ->
       let rel = Gen.rel rows in
-      let result, _ = Planner.run Gen.schema p rel in
+      let result =
+        (Query.run_within ~deadline:Engine.no_deadline auto Gen.schema p rel)
+          .Engine.Result.rows
+      in
       Relation.equal_as_sets
         (Relation.distinct result)
         (Relation.distinct (Naive.query Gen.schema p rel)))
