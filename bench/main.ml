@@ -496,7 +496,10 @@ let b1 () =
       in
       List.iter
         (fun (name, p) ->
-          let size = Relation.cardinality (Bnl.query schema p cars) in
+          let size =
+            Relation.cardinality
+              (Planner.execute schema p cars Planner.Plan_bnl)
+          in
           if size > 100 then all_in_band := false;
           Fmt.pr "  %-8d %-36s %-6d yes@." n name size)
         shopping;
@@ -504,7 +507,10 @@ let b1 () =
          dimensionality behaviour of [BKS01], not a shopping query *)
       List.iter
         (fun (name, p) ->
-          let size = Relation.cardinality (Bnl.query schema p cars) in
+          let size =
+            Relation.cardinality
+              (Planner.execute schema p cars Planner.Plan_bnl)
+          in
           Fmt.pr "  %-8d %-36s %-6d (skyline contrast row)@." n name size)
         [
           ( "3-way numeric skyline",
@@ -663,7 +669,9 @@ let b4 () =
       let cars = Pref_workload.Cars.relation ~seed:13 ~n () in
       let schema = Relation.schema cars in
       let p = Pref.pareto (Pref.lowest "price") (Pref.lowest "mileage") in
-      let r1, t1 = wall (fun () -> Bnl.query schema p cars) in
+      let r1, t1 =
+        wall (fun () -> Planner.execute schema p cars Planner.Plan_bnl)
+      in
       let r2, t2 = wall (fun () -> Decompose.eval schema p cars) in
       let eq = Relation.equal_as_sets (Relation.distinct r1) r2 in
       if not eq then all_equal := false;
@@ -783,11 +791,12 @@ let b8 () =
         Test.make ~name:"raw-maxima"
           (Staged.stage (fun () -> ignore (Bnl.maxima dom rows)));
         Test.make ~name:"query-obs-off"
-          (Staged.stage (fun () -> ignore (Bnl.query schema p rel)));
+          (Staged.stage (fun () ->
+               ignore (Planner.execute schema p rel Planner.Plan_bnl)));
         Test.make ~name:"query-obs-on"
           (Staged.stage (fun () ->
                Pref_obs.Control.with_enabled true (fun () ->
-                   ignore (Bnl.query schema p rel))));
+                   ignore (Planner.execute schema p rel Planner.Plan_bnl))));
       ]
   in
   List.iter (fun (name, ns) -> Fmt.pr "  %-28s %a/run@." name pp_ns ns) results;
@@ -816,7 +825,7 @@ let b8 () =
   (* exercise the enabled path once more so BENCH_JSON carries a populated
      metrics registry *)
   Pref_obs.Control.with_enabled true (fun () ->
-      ignore (Bnl.query schema p rel);
+      ignore (Planner.execute schema p rel Planner.Plan_bnl);
       ignore
         (Query.sigma_within ~deadline:Engine.no_deadline
            { Engine.default with algorithm = Engine.Alg_auto }
@@ -861,7 +870,9 @@ let b6 () =
             Query.run_within ~deadline:Engine.no_deadline auto schema p rel)
       in
       let result = r.Engine.Result.rows in
-      let r_bnl, t_bnl = wall (fun () -> Bnl.query schema p rel) in
+      let r_bnl, t_bnl =
+        wall (fun () -> Planner.execute schema p rel Planner.Plan_bnl)
+      in
       let correct =
         Relation.equal_as_sets (Relation.distinct result) (Relation.distinct r_bnl)
       in
@@ -924,13 +935,17 @@ let b9 () =
       let schema = Relation.schema rel in
       let attrs = Pref_workload.Synthetic.dim_names d in
       let p = skyline_pref d in
-      let r_seq, t_seq = wall (fun () -> Bnl.query schema p rel) in
+      let r_seq, t_seq =
+        wall (fun () -> Planner.execute schema p rel Planner.Plan_bnl)
+      in
       let r_dnc, t_dnc =
-        wall (fun () -> Parallel.query ~domains schema p rel)
+        wall (fun () ->
+            Planner.execute schema p rel (Planner.Plan_par_dnc { domains }))
       in
       let r_sfs, t_sfs =
         wall (fun () ->
-            Parallel.query_sfs ~domains schema ~attrs ~maximize:true p rel)
+            Planner.execute schema p rel
+              (Planner.Plan_par_sfs { attrs; maximize = true; domains }))
       in
       let eq =
         Relation.equal_as_sets r_seq r_dnc
@@ -1107,7 +1122,10 @@ let b10 () =
     bechamel_run
       [
         Test.make ~name:"bnl-direct"
-          (Staged.stage (fun () -> ignore (Bnl.query schema_small p_small rel_small)));
+          (Staged.stage (fun () ->
+               ignore
+                 (Planner.execute schema_small p_small rel_small
+                    Planner.Plan_bnl)));
         Test.make ~name:"sigma-cache-off"
           (Staged.stage (fun () ->
                ignore (Query.sigma schema_small p_small rel_small)));
@@ -1389,12 +1407,6 @@ let b13 () =
 let () =
   Fmt.pr "Preference algebra & BMO reproduction harness%s@."
     (if smoke then " (smoke mode)" else if quick then " (quick mode)" else "");
-  (* calibrate the cost model's scan-side constants on this machine; the
-     result also lands in BENCH_JSON meta.cost_constants *)
-  let cal, cal_ms = Pref_obs.Span.timed Cost.calibrate in
-  Fmt.pr
-    "cost model calibrated in %.0f ms: c_cmp=%.0fns c_row=%.0fns c_sort=%.0fns@."
-    cal_ms cal.Cost.c_cmp_ns cal.Cost.c_row_ns cal.Cost.c_sort_ns;
   (* per-section monotonic timings, emitted machine-readably at the end so
      successive bench runs form a trajectory *)
   let sections : (string * float) list ref = ref [] in
@@ -1476,7 +1488,9 @@ let () =
         ("hostname", Json.Str hostname);
         ( "cost_constants",
           Json.Obj
-            (List.map (fun (k, v) -> (k, Json.Float v)) (Cost.to_assoc ())) );
+            (List.map
+               (fun (k, v) -> (k, Json.Float v))
+               (Cost.to_assoc Cost.defaults)) );
         ( "chosen_plans",
           Json.Obj
             (Hashtbl.fold

@@ -31,7 +31,10 @@ let () =
   in
   Fmt.pr "@.Algorithms:@.";
   let r_naive = time "naive" (fun () -> Naive.query schema skyline_pref hotels) in
-  let r_bnl = time "BNL" (fun () -> Bnl.query schema skyline_pref hotels) in
+  let r_bnl =
+    time "BNL" (fun () ->
+        Planner.execute schema skyline_pref hotels Planner.Plan_bnl)
+  in
   let r_dnc =
     time "D&C (KLP)" (fun () ->
         let dims t =

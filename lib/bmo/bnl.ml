@@ -1,5 +1,3 @@
-open Pref_relation
-
 (* Window of mutually undominated points seen so far.  A candidate dominated
    by a window point is discarded; window points dominated by the candidate
    are evicted.  With unbounded memory no temporary file is needed, so a
@@ -71,14 +69,3 @@ let select arr r = Array.fold_right (fun i acc -> arr.(i) :: acc) r.survivors []
 let maxima (dom : Dominance.t) rows =
   let arr = Array.of_list rows in
   select arr (window dom arr)
-
-let query schema p rel =
-  Pref_obs.Span.with_span "bmo.bnl" (fun () ->
-      let dom = Dominance.of_pref schema p in
-      let arr = Array.of_list (Relation.rows rel) in
-      let r, ms = Pref_obs.Span.timed (fun () -> window dom arr) in
-      let best = select arr r in
-      Obs.record_query ~algorithm:"bnl" ~n_in:(Array.length arr)
-        ~n_out:(Array.length r.survivors) ~comparisons:r.tests ~ms;
-      Obs.record_peak r.peak;
-      Relation.make (Relation.schema rel) best)

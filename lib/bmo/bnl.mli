@@ -49,8 +49,3 @@ val select : 'a array -> run -> 'a list
 
 val maxima : Dominance.t -> Tuple.t list -> Tuple.t list
 (** {!window} over tuples, without a deadline. *)
-
-val query : Schema.t -> Preferences.Pref.t -> Relation.t -> Relation.t
-(** σ[P](R) via BNL. Reports dominance-test counts, scanned/pruned tuples
-    and the window peak into the engine metrics (no-ops while
-    {!Pref_obs.Control} is off). *)

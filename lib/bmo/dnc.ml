@@ -71,17 +71,3 @@ let dims_of schema attrs ~maximize =
            | Some f -> sign *. f
            | None -> Float.neg_infinity)
          idx)
-
-let query schema ~attrs ~maximize rel =
-  Pref_obs.Span.with_span "bmo.dnc" (fun () ->
-      let dims = dims_of schema attrs ~maximize in
-      let rows = Relation.rows rel in
-      if Pref_obs.Control.is_enabled () then begin
-        let best, ms = Pref_obs.Span.timed (fun () -> maxima ~dims rows) in
-        (* vector dominance is not routed through Dominance.t, so the test
-           count is not tracked here *)
-        Obs.record_query ~algorithm:"dnc" ~n_in:(List.length rows)
-          ~n_out:(List.length best) ~comparisons:(-1) ~ms;
-        Relation.make (Relation.schema rel) best
-      end
-      else Relation.make (Relation.schema rel) (maxima ~dims rows))

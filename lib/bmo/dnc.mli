@@ -21,8 +21,3 @@ val dims_of :
   Schema.t -> string list -> maximize:bool -> Tuple.t -> float array
 (** Dimension extractor for HIGHEST ([maximize:true]) or LOWEST chains on
     the named numeric attributes. *)
-
-val query :
-  Schema.t -> attrs:string list -> maximize:bool -> Relation.t -> Relation.t
-(** Skyline of the relation: σ[HIGHEST(a1) ⊗ ... ⊗ HIGHEST(ak)](R) (or all
-    LOWEST with [maximize:false]). *)

@@ -48,9 +48,12 @@ type config = {
           [None] disables the log. *)
   costmodel : bool;
       (** price plan alternatives and semantic cache reuse with the
-          calibrated {!Cost} model (default); [false] falls back to the
-          fixed-threshold heuristics and ungated cache tiers, so a cost
-          model regression is bisectable with one knob *)
+          {!Cost} model and let the SQL executor serve its semantic
+          rewrites (default). [false] prices nothing: [Alg_auto] keeps
+          the planner's structural rules (n ≤ 64 naive, chain-headed
+          prioritisation cascade) and plans BNL otherwise, the cache
+          tiers are ungated, and the executor's rewrites are off — so a
+          cost-model regression is bisectable with one knob *)
 }
 
 val default : config

@@ -203,9 +203,8 @@ module Plan = struct
     let inputs =
       [
         "decision inputs:";
-        Printf.sprintf "  n=%d dims=%d domains=%d par_threshold=%d big=%b"
-          tr.Planner.t_n tr.Planner.t_dims tr.Planner.t_domains
-          tr.Planner.t_par_threshold tr.Planner.t_big;
+        Printf.sprintf "  n=%d dims=%d domains=%d" tr.Planner.t_n
+          tr.Planner.t_dims tr.Planner.t_domains;
       ]
       @ (match tr.Planner.t_chain with
         | Some (attrs, maximize) ->
@@ -306,8 +305,6 @@ module Plan = struct
               ("n", Int tr.Planner.t_n);
               ("dims", Int tr.Planner.t_dims);
               ("domains", Int tr.Planner.t_domains);
-              ("par_threshold", Int tr.Planner.t_par_threshold);
-              ("big", Bool tr.Planner.t_big);
               ( "chain",
                 match tr.Planner.t_chain with
                 | None -> Null

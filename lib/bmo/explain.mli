@@ -40,10 +40,10 @@ val to_string : t -> string
 
     Where {!explain} above answers "why is this {e tuple} (not) in the
     result", {!Plan} answers "why was this {e plan} chosen": the plan
-    taken, the alternatives rejected with the threshold comparisons that
-    rejected them, the cache tiers probed with per-tier timings, the
-    estimated result cardinality — and, under ANALYZE, the actual
-    per-operator cardinalities and timings. *)
+    taken, the alternatives rejected with the predicted-cost comparison
+    or rule that rejected them, the cache tiers probed with per-tier
+    timings, the estimated result cardinality — and, under ANALYZE, the
+    actual per-operator cardinalities and timings. *)
 
 module Plan : sig
   type op = {

@@ -20,12 +20,8 @@ open Pref_relation
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 
-let default_domains_ref = ref (max 1 (Domain.recommended_domain_count ()))
-let default_domains () = !default_domains_ref
-
-let set_default_domains n =
-  if n < 1 then invalid_arg "Parallel.set_default_domains: need >= 1";
-  default_domains_ref := n
+let recommended_domains = max 1 (Domain.recommended_domain_count ())
+let default_domains () = recommended_domains
 
 (* One cached pool, rebuilt when the requested size changes. Spawning
    domains costs far more than a skyline chunk, so reuse matters. *)
@@ -286,7 +282,7 @@ let maxima_sfs ~domains ~key (vec : Dominance.vec) (rows : Tuple.t array) =
       ~project:vec.Dominance.project sorted
 
 (* ------------------------------------------------------------------ *)
-(* Relation-level wrappers                                             *)
+(* Metrics                                                             *)
 
 let observe stats =
   Pref_obs.Metrics.incr Obs.par_queries;
@@ -294,38 +290,3 @@ let observe stats =
     (fun c -> Pref_obs.Metrics.observe Obs.par_chunk_rows (float_of_int c.c_rows))
     stats.s_chunks;
   Pref_obs.Metrics.observe Obs.par_merge_ms stats.s_merge_ms
-
-let record ~algorithm ~n_in ~best ~stats ~ms =
-  if Pref_obs.Control.is_enabled () then begin
-    Obs.record_query ~algorithm ~n_in ~n_out:(Array.length best)
-      ~comparisons:(total_tests stats) ~ms;
-    observe stats;
-    Pref_obs.Span.add_attrs (stats_attrs stats)
-  end
-
-let query ?domains schema p rel =
-  let domains =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  Pref_obs.Span.with_span "bmo.par_dnc" (fun () ->
-      let vec = Dominance.of_pref_vec schema p in
-      let rows = Array.of_list (Relation.rows rel) in
-      let (best, stats), ms =
-        Pref_obs.Span.timed (fun () -> maxima_dnc ~domains vec rows)
-      in
-      record ~algorithm:"par_dnc" ~n_in:(Array.length rows) ~best ~stats ~ms;
-      Relation.make (Relation.schema rel) (Array.to_list best))
-
-let query_sfs ?domains schema ~attrs ~maximize p rel =
-  let domains =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  Pref_obs.Span.with_span "bmo.par_sfs" (fun () ->
-      let vec = Dominance.of_pref_vec schema p in
-      let key = Sfs.sum_key schema attrs ~maximize in
-      let rows = Array.of_list (Relation.rows rel) in
-      let (best, stats), ms =
-        Pref_obs.Span.timed (fun () -> maxima_sfs ~domains ~key vec rows)
-      in
-      record ~algorithm:"par_sfs" ~n_in:(Array.length rows) ~best ~stats ~ms;
-      Relation.make (Relation.schema rel) (Array.to_list best))

@@ -12,18 +12,14 @@
       earlier chunks' survivors.
 
     The pool is cached and reused across queries; its size follows the
-    [domains] argument (default {!default_domains}, settable through the
-    shell's [\set domains N]). *)
+    [domains] argument, which callers take from the [domains] knob of
+    {!Engine.config} or, unset, {!default_domains}. *)
 
 open Pref_relation
 
 val default_domains : unit -> int
-(** Engine-wide default degree of parallelism; initially
+(** Engine-wide default degree of parallelism:
     [Domain.recommended_domain_count ()]. *)
-
-val set_default_domains : int -> unit
-(** Raises [Invalid_argument] when the argument is [< 1]. [1] means
-    sequential execution in the calling domain (no spawn at all). *)
 
 (** {1 Statistics} *)
 
@@ -64,23 +60,3 @@ val maxima_sfs :
   Tuple.t array * stats
 (** Requires a topological [key] (see {!Sfs}); output in descending key
     order, exactly like sequential SFS. *)
-
-(** {1 Relation-level wrappers} *)
-
-val query :
-  ?domains:int -> Schema.t -> Preferences.Pref.t -> Relation.t -> Relation.t
-(** σ[P](R) via parallel divide-and-conquer. Reports chunk sizes,
-    per-domain test counts and merge time into spans and metrics when
-    telemetry is on. *)
-
-val query_sfs :
-  ?domains:int ->
-  Schema.t ->
-  attrs:string list ->
-  maximize:bool ->
-  Preferences.Pref.t ->
-  Relation.t ->
-  Relation.t
-(** σ[P](R) via parallel SFS with the {!Sfs.sum_key} topological key over
-    [attrs] — only valid for preferences where that key is topological
-    (Pareto compositions of uniform-direction numeric chains). *)

@@ -4,7 +4,6 @@ open Preferences
 type plan =
   | Plan_naive
   | Plan_bnl
-  | Plan_sfs of { attrs : string list; maximize : bool }
   | Plan_dnc of { attrs : string list; maximize : bool }
   | Plan_par_dnc of { domains : int }
   | Plan_par_sfs of { attrs : string list; maximize : bool; domains : int }
@@ -14,7 +13,6 @@ type plan =
 let plan_kind = function
   | Plan_naive -> "naive"
   | Plan_bnl -> "bnl"
-  | Plan_sfs _ -> "sfs"
   | Plan_dnc _ -> "dnc"
   | Plan_par_dnc _ -> "par_dnc"
   | Plan_par_sfs _ -> "par_sfs"
@@ -24,9 +22,6 @@ let plan_kind = function
 let plan_to_string = function
   | Plan_naive -> "naive"
   | Plan_bnl -> "bnl"
-  | Plan_sfs { attrs; maximize } ->
-    Printf.sprintf "sfs(%s %s)" (String.concat "," attrs)
-      (if maximize then "max" else "min")
   | Plan_dnc { attrs; maximize } ->
     Printf.sprintf "dnc(%s %s)" (String.concat "," attrs)
       (if maximize then "max" else "min")
@@ -43,10 +38,10 @@ let plan_to_string = function
 (* Structural analysis                                                 *)
 
 (* Is the term a Pareto accumulation of pure numeric chains, all in the
-   same direction?  Then the [KLP75] divide & conquer and SFS apply.
-   The analysis itself lives in {!Preferences.Pref} (the vectorized
-   dominance compiler needs it too); re-exported here because it is
-   planner vocabulary. *)
+   same direction?  Then the [KLP75] divide & conquer and parallel SFS
+   apply.  The analysis itself lives in {!Preferences.Pref} (the
+   vectorized dominance compiler needs it too); re-exported here because
+   it is planner vocabulary. *)
 let chain_dims = Pref.chain_dims
 
 (* Is the head of a prioritization a chain on the data?  We accept the
@@ -60,11 +55,13 @@ let syntactic_chain = function
 (* ------------------------------------------------------------------ *)
 (* Sampling-based statistics                                           *)
 
+(* Every [ceil (n / size)]-th row: at most [size] rows, spread over the
+   whole input. *)
 let sample_rows rows ~size =
   let n = List.length rows in
   if n <= size then rows
   else begin
-    let step = n / size in
+    let step = (n + size - 1) / size in
     List.filteri (fun i _ -> i mod step = 0) rows
   end
 
@@ -101,13 +98,6 @@ let sampled_correlation schema attrs rows =
       in
       if sx = 0. || sy = 0. then 0. else cov /. (sx *. sy))
   | _ -> 0.0
-
-(* ------------------------------------------------------------------ *)
-(* Plan choice                                                         *)
-
-(* Minimum rows per domain before fanning out pays for the projection and
-   merge overhead. *)
-let par_chunk_threshold = 8192
 
 (* ------------------------------------------------------------------ *)
 (* Decision procedure                                                  *)
@@ -153,14 +143,13 @@ let decide_by_cost ~missed ~chain ~d ~n schema p rows =
         (if List.length attrs >= 2 then
            [ ("dnc", Plan_dnc { attrs; maximize }) ]
          else [])
-        @ [ ("sfs", Plan_sfs { attrs; maximize }) ]
         @
         if d > 1 then
           [ ("par_sfs", Plan_par_sfs { attrs; maximize; domains = d }) ]
         else []
       | None -> [])
     @ (if d > 1 then [ ("par_dnc", Plan_par_dnc { domains = d }) ] else [])
-    @ [ ("naive", Plan_naive); ("decompose", Plan_decompose) ]
+    @ [ ("naive", Plan_naive) ]
   in
   let priced =
     List.map (fun (k, plan) -> (k, plan, Cost.predict_ms ~kind:k w)) candidates
@@ -190,104 +179,9 @@ let decide_by_cost ~missed ~chain ~d ~n schema p rows =
           by_cost;
   }
 
-(* The pre-cost-model heuristics, kept behind [\set costmodel off] so a
-   cost-model regression in production is bisectable to this switch. *)
-let decide_by_rule ~missed ~chain ~big ~big_str ~d schema rows =
-  match chain with
-  | Some (attrs, maximize) ->
-    let r = sampled_correlation schema attrs rows in
-    let anti = r < -0.3 in
-    let not_dnc =
-      if not anti then Printf.sprintf "r=%.2f >= -0.3: skyline expected small" r
-      else "chain has a single dimension: no median split to recurse on"
-    in
-    if anti && List.length attrs >= 2 then
-      (* Large-skyline regime: the recursive median split of [KLP75]
-         beats window passes, and chunked windows would make the merge
-         itself quadratic in the (huge) result. Keep it sequential. *)
-      {
-        d_plan = Plan_dnc { attrs; maximize };
-        d_correlation = Some r;
-        d_costs = [];
-        d_rejected =
-          missed
-          @ [
-              ( "bnl",
-                Printf.sprintf
-                  "r=%.2f < -0.3 predicts a large skyline: window passes go \
-                   quadratic in the result" r );
-              ( "par_sfs",
-                "chunked windows would make the merge quadratic in the (huge) \
-                 result" );
-            ];
-      }
-    else if big then
-      {
-        d_plan = Plan_par_sfs { attrs; maximize; domains = d };
-        d_correlation = Some r;
-        d_costs = [];
-        d_rejected =
-          missed
-          @ [
-              ("dnc", not_dnc);
-              ( "bnl",
-                Printf.sprintf "n=%d >= %s rows feed every domain"
-                  (List.length rows) big_str );
-            ];
-      }
-    else
-      {
-        d_plan = Plan_bnl;
-        d_correlation = Some r;
-        d_costs = [];
-        d_rejected =
-          missed
-          @ [
-              ("dnc", not_dnc);
-              ( "par_sfs",
-                Printf.sprintf
-                  "n=%d < %s: fan-out would not pay for projection and merge"
-                  (List.length rows) big_str );
-            ];
-      }
-  | None ->
-    if big then
-      {
-        d_plan = Plan_par_dnc { domains = d };
-        d_correlation = None;
-        d_costs = [];
-        d_rejected =
-          missed
-          @ [
-              ( "bnl",
-                Printf.sprintf "n=%d >= %s rows feed every domain"
-                  (List.length rows) big_str );
-            ];
-      }
-    else
-      {
-        d_plan = Plan_bnl;
-        d_correlation = None;
-        d_costs = [];
-        d_rejected =
-          missed
-          @ [
-              ( "par_dnc",
-                Printf.sprintf
-                  "n=%d < %s: fan-out would not pay for projection and merge"
-                  (List.length rows) big_str );
-            ];
-      }
-
 (* [missed]: the cache was probed and no tier applied — recorded so
    EXPLAIN shows why evaluation was needed at all. *)
 let decide ~costmodel ~missed ~d ~n schema p rel =
-  let rows = Relation.rows rel in
-  let big = d > 1 && n >= par_chunk_threshold * d in
-  let big_str =
-    Printf.sprintf "%d (= %d domains x %d)" (par_chunk_threshold * d) d
-      par_chunk_threshold
-  in
   let missed =
     if missed then [ ("cache", "probe missed every applicable tier") ] else []
   in
@@ -327,10 +221,20 @@ let decide ~costmodel ~missed ~d ~n schema p rel =
                  prunes the input to a thin slice first (Prop. 11)" );
             ];
       }
+    | _ when costmodel ->
+      decide_by_cost ~missed ~chain:(chain_dims p) ~d ~n schema p
+        (Relation.rows rel)
     | _ ->
-      let chain = chain_dims p in
-      if costmodel then decide_by_cost ~missed ~chain ~d ~n schema p rows
-      else decide_by_rule ~missed ~chain ~big ~big_str ~d schema rows
+      {
+        d_plan = Plan_bnl;
+        d_correlation = None;
+        d_costs = [];
+        d_rejected =
+          missed
+          @ [
+              ("pricing", "costmodel off: no alternative is priced, bnl runs");
+            ];
+      }
 
 let choose ?(costmodel = true) ?domains schema p rel =
   Pref_obs.Span.with_span "bmo.plan.choose" @@ fun () ->
@@ -348,8 +252,6 @@ type trace = {
   t_n : int;
   t_dims : int;
   t_domains : int;
-  t_par_threshold : int;
-  t_big : bool;
   t_chain : (string list * bool) option;
   t_correlation : float option;
   t_probes : Cache.tier_probe list;
@@ -364,7 +266,6 @@ let choose_traced ?(cache = true) ?(costmodel = true) ?probe ?domains schema p
     match domains with Some d -> max 1 d | None -> Parallel.default_domains ()
   in
   let n = List.length (Relation.rows rel) in
-  let big = d > 1 && n >= par_chunk_threshold * d in
   let reuse, probes =
     match probe with
     | Some r -> r
@@ -385,8 +286,6 @@ let choose_traced ?(cache = true) ?(costmodel = true) ?probe ?domains schema p
       t_n = n;
       t_dims = dims;
       t_domains = d;
-      t_par_threshold = par_chunk_threshold;
-      t_big = big;
       t_chain = chain;
       t_correlation = dec.d_correlation;
       t_probes = probes;
@@ -410,16 +309,6 @@ let prepare ?(deadline = Engine.no_deadline) schema p rel plan =
   let remake rows = Relation.make (Relation.schema rel) rows in
   let plain ?(tests = -1) result =
     { result; tests; timed_out = false; attrs = []; phases = [] }
-  in
-  (* a window plan scans an array and maps its survivors back *)
-  let windowed points r =
-    {
-      result = remake (Bnl.select points r);
-      tests = r.Bnl.tests;
-      timed_out = r.Bnl.timed_out;
-      attrs = [];
-      phases = [];
-    }
   in
   let parallel (best, stats) =
     Parallel.observe stats;
@@ -448,15 +337,12 @@ let prepare ?(deadline = Engine.no_deadline) schema p rel plan =
       let r = Bnl.window ~deadline dom points in
       Obs.record_peak r.Bnl.peak;
       {
-        (windowed points r) with
+        result = remake (Bnl.select points r);
+        tests = r.Bnl.tests;
+        timed_out = r.Bnl.timed_out;
         attrs = [ ("window_peak", string_of_int r.Bnl.peak) ];
+        phases = [];
       }
-  | Plan_sfs { attrs; maximize } ->
-    let dom = Dominance.of_pref schema p in
-    let key = Sfs.sum_key schema attrs ~maximize in
-    fun () ->
-      let points = Sfs.sorted ~key (Array.of_list (Relation.rows rel)) in
-      windowed points (Sfs.window ~deadline dom points)
   | Plan_dnc { attrs; maximize } ->
     let dims = Dnc.dims_of schema attrs ~maximize in
     fun () -> plain (remake (Dnc.maxima ~dims (Relation.rows rel)))
@@ -480,25 +366,10 @@ let execute schema p rel plan =
     ~attrs:[ ("plan", plan_kind plan) ]
   @@ fun () ->
   let o, ms = Pref_obs.Span.timed (prepare schema p rel plan) in
-  Obs.record_query ~algorithm:(plan_kind plan)
-    ~n_in:(Relation.cardinality rel)
-    ~n_out:(Relation.cardinality o.result)
-    ~comparisons:o.tests ~ms;
+  (* the cardinalities are list walks, paid only when telemetry is on *)
+  if Pref_obs.Control.is_enabled () then
+    Obs.record_query ~algorithm:(plan_kind plan)
+      ~n_in:(Relation.cardinality rel)
+      ~n_out:(Relation.cardinality o.result)
+      ~comparisons:o.tests ~ms;
   o.result
-
-let observe p rel plan ~ms ~n_out =
-  if Cost.learning () then begin
-    (* fold the measured runtime back into the model (per-kind EMA) and
-       record the Prop. 13 filter effect the query exhibited *)
-    let n = List.length (Relation.rows rel) in
-    let dims = pref_dims (chain_dims p) p in
-    let domains =
-      match plan with
-      | Plan_par_dnc { domains } | Plan_par_sfs { domains; _ } -> domains
-      | _ -> 1
-    in
-    Cost.observe ~kind:(plan_kind plan)
-      { Cost.n; dims; domains; correlation = 0. }
-      ~ms;
-    Cost.observe_filter ~dims ~n_in:n ~n_out
-  end

@@ -3,23 +3,20 @@
     implementations of the Pareto operator and divide & conquer
     algorithms", §7).
 
-    By default every alternative that can evaluate the term — sequential
-    BNL/SFS, [KLP75] divide & conquer, chunked parallel evaluation,
-    decomposition — is priced by the calibrated {!Cost} model (output
-    cardinality from {!Estimate}, bent by a sampled correlation) and the
-    cheapest wins. Two structural rules short-circuit the comparison:
-    tiny inputs (n ≤ 64) run naively, and a prioritization headed by a
-    syntactic chain becomes a query cascade (Proposition 11) because its
-    first pass subsumes any alternative's scan. The planner only picks an
-    evaluation plan: whether the result cache or a semantic rewrite
-    serves σ[P] instead is decided above it ({!Query.run_within}, the SQL
-    executor), and EXPLAIN names those serves itself
-    ({!Explain.Plan.serve}).
+    One decision procedure. Two structural rules come first: tiny inputs
+    (n ≤ 64) run naively, and a prioritization headed by a syntactic
+    chain becomes a query cascade (Proposition 11) because its first pass
+    subsumes any alternative's scan. Otherwise every alternative that can
+    win for the term's shape — sequential BNL, [KLP75] divide & conquer,
+    chunked parallel evaluation, naive — is priced by the {!Cost} model
+    (output cardinality from {!Estimate}, bent by a sampled correlation)
+    and the cheapest wins. The planner only picks an evaluation plan:
+    whether the result cache or a semantic rewrite serves σ[P] instead is
+    decided above it ({!Query.run_within}, the SQL executor), and EXPLAIN
+    names those serves itself ({!Explain.Plan.serve}).
 
-    [~costmodel:false] falls back to the pre-cost-model threshold
-    heuristics (anti-correlation picks divide & conquer, ≥ 8192 rows per
-    domain picks a parallel plan, everything else BNL) — the
-    [\set costmodel off] escape hatch.
+    [~costmodel:false] (the [\set costmodel off] knob) keeps the two
+    structural rules and runs BNL otherwise, pricing nothing.
 
     All plans compute σ[P](R) exactly; the test suite checks each against
     the naive evaluation. *)
@@ -29,7 +26,6 @@ open Pref_relation
 type plan =
   | Plan_naive
   | Plan_bnl
-  | Plan_sfs of { attrs : string list; maximize : bool }
   | Plan_dnc of { attrs : string list; maximize : bool }
   | Plan_par_dnc of { domains : int }
   | Plan_par_sfs of { attrs : string list; maximize : bool; domains : int }
@@ -39,9 +35,9 @@ type plan =
 val plan_to_string : plan -> string
 
 val plan_kind : plan -> string
-(** Constructor name only ([naive], [bnl], [sfs], [dnc], [par_dnc],
-    [par_sfs], [cascade], [decompose]) — the label the
-    [bmo.plan_chosen.*] metrics use. *)
+(** Constructor name only ([naive], [bnl], [dnc], [par_dnc], [par_sfs],
+    [cascade], [decompose]) — the label the [bmo.plan_chosen.*] metrics
+    use. *)
 
 val chain_dims : Preferences.Pref.t -> (string list * bool) option
 (** [Some (attrs, maximize)] when the term is a Pareto accumulation of
@@ -50,7 +46,8 @@ val chain_dims : Preferences.Pref.t -> (string list * bool) option
 val sampled_correlation :
   Schema.t -> string list -> Tuple.t list -> float
 (** Pearson correlation of the first two numeric attributes over a sample
-    of at most 500 rows; 0 when not estimable. *)
+    of at most 500 rows (every [ceil (n / 500)]-th row); 0 when not
+    estimable. *)
 
 val choose :
   ?costmodel:bool ->
@@ -61,8 +58,8 @@ val choose :
   plan
 (** [domains] caps the parallelism considered; defaults to
     {!Parallel.default_domains}. With [domains:1] no parallel plan is ever
-    chosen. [costmodel] (default [true]) selects between cost-based
-    choice and the legacy threshold heuristics. *)
+    chosen. [costmodel] (default [true]): with [false] only the structural
+    rules apply and everything else plans BNL. *)
 
 (** {1 Traced choice (EXPLAIN)} *)
 
@@ -70,15 +67,13 @@ type trace = {
   t_n : int;  (** input cardinality *)
   t_dims : int;  (** chain dimensions, or attribute count of the term *)
   t_domains : int;  (** parallelism considered *)
-  t_par_threshold : int;  (** rows per domain before fan-out pays *)
-  t_big : bool;  (** [t_n >= t_par_threshold * t_domains] with [t_domains > 1] *)
   t_chain : (string list * bool) option;  (** {!chain_dims} of the term *)
   t_correlation : float option;
       (** sampled Pearson correlation, when the decision computed it *)
   t_probes : Cache.tier_probe list;  (** per-tier cache probe timings *)
   t_rejected : (string * string) list;
-      (** alternatives not taken, each with the predicted-cost (or
-          threshold) comparison that rejected it *)
+      (** alternatives not taken, each with the predicted-cost
+          comparison or structural rule that rejected it *)
   t_estimate : float option;
       (** {!Estimate.expected_skyline_size_fast} under independence *)
   t_costs : (string * float) list;
@@ -132,18 +127,14 @@ val prepare :
   outcome
 (** [prepare schema p rel plan] compiles what the plan evaluates with (its
     dominance test, key or projection — a profile's [compile] phase); the
-    returned thunk evaluates it (the [evaluate] phase). The window plans
-    (BNL, SFS) pass [deadline] down to their loop; the others run to
+    returned thunk evaluates it (the [evaluate] phase). The BNL plan
+    passes [deadline] down to its window loop; the others run to
     completion. Records nothing into the query metrics beyond the
     plan-specific [bmo.window_peak] and [bmo.par.*] instruments. *)
 
 val execute :
   Schema.t -> Preferences.Pref.t -> Relation.t -> plan -> Relation.t
 (** {!prepare} and evaluate without a deadline, recording the run into
-    the engine metrics under the plan's {!plan_kind}. *)
-
-val observe :
-  Preferences.Pref.t -> Relation.t -> plan -> ms:float -> n_out:int -> unit
-(** While {!Cost.set_learning} is on, fold a planner-chosen plan's
-    measured runtime and the observed Prop. 13 filter effect back into the
-    cost model. *)
+    the engine metrics under the plan's {!plan_kind}. The one way to run a
+    chosen or named plan outside the σ[P] ladder (benchmarks, examples,
+    tests). *)

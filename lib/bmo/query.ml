@@ -110,8 +110,6 @@ let run_within ~deadline (cfg : Engine.config) schema p rel =
         match forced with
         | Some _ -> ((if o.timed_out then kind ^ ":degraded" else kind), o)
         | None ->
-          Planner.observe p rel plan ~ms:eval_ms
-            ~n_out:(Relation.cardinality o.result);
           ( "auto:" ^ kind,
             { o with attrs = ("plan", Planner.plan_to_string plan) :: o.attrs }
           )

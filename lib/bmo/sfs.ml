@@ -69,20 +69,6 @@ let sum_key schema attrs ~maximize =
         | None -> acc +. (sign *. Float.neg_infinity))
       0.0 idx
 
-let query schema ~key p rel =
-  Pref_obs.Span.with_span "bmo.sfs" (fun () ->
-      let dom = Dominance.of_pref schema p in
-      let arr = Array.of_list (Relation.rows rel) in
-      let (best, r), ms =
-        Pref_obs.Span.timed (fun () ->
-            let arr = sorted ~key arr in
-            let r = window dom arr in
-            (Bnl.select arr r, r))
-      in
-      Obs.record_query ~algorithm:"sfs" ~n_in:(Array.length arr)
-        ~n_out:(List.length best) ~comparisons:r.Bnl.tests ~ms;
-      Relation.make (Relation.schema rel) best)
-
 let progressive ~key (dom : Dominance.t) rows =
   (* With a topological presort every window insertion is final, so maxima
      can be emitted as soon as they are found — the progressive behaviour

@@ -30,9 +30,6 @@ val sum_key : Schema.t -> string list -> maximize:bool -> Tuple.t -> float
 (** Topological key for Pareto preferences of HIGHEST (or, with
     [maximize:false], LOWEST) chains over the named numeric attributes. *)
 
-val query :
-  Schema.t -> key:(Tuple.t -> float) -> Preferences.Pref.t -> Relation.t -> Relation.t
-
 val progressive :
   key:(Tuple.t -> float) -> Dominance.t -> Tuple.t list -> Tuple.t Seq.t
 (** Progressive skyline delivery ([TEO01]): maxima are emitted as soon as

@@ -492,16 +492,6 @@ let execute shell line =
                  Printf.sprintf "domains: %d (engine default)"
                    (Pref_bmo.Parallel.default_domains ()));
              ])
-      | [ ".set"; "domains"; n ] when shell.remote = None -> (
-        match set_knob shell "domains" n with
-        | Ok _ as ok ->
-          (* also raise the engine default so Alg_auto planning inside
-             nested calls sees the same degree *)
-          (match int_of_string_opt n with
-          | Some d -> Pref_bmo.Parallel.set_default_domains d
-          | None -> ());
-          ok
-        | Error _ as e -> e)
       | [ ".set"; key; value ] -> set_knob shell key value
       | [ ".explain"; "on" ] ->
         shell.explain <- true;
@@ -567,7 +557,8 @@ let execute shell line =
                "          .set               show engine knobs";
                "          .set <key> <val>   algorithm | domains | cache | check";
                "                             | profile | deadline (ms) | maxrows";
-               "                             | costmodel on|off (cost-based planning)";
+               "                             | costmodel on|off (off: auto prices no";
+               "                               plan, cache tiers ungated, no rewrites)";
                "          .algorithm naive|bnl|decompose|parallel|auto | .explain on|off";
                "          \\explain [analyze] [json] <query>  plan report: choice,";
                "                             rejected alternatives, cache probes;";

@@ -209,7 +209,13 @@ let test_dnc_minimize () =
            Tuple.make [ Value.Float a; Value.Float b; Value.Float c ])
          [ (1., 1., 1.); (2., 2., 2.); (1., 3., 1.) ])
   in
-  let result = Dnc.query num_schema ~attrs:[ "x"; "y"; "z" ] ~maximize:false rel in
+  let p =
+    Pref.pareto_all [ Pref.lowest "x"; Pref.lowest "y"; Pref.lowest "z" ]
+  in
+  let result =
+    Planner.execute num_schema p rel
+      (Planner.Plan_dnc { attrs = [ "x"; "y"; "z" ]; maximize = false })
+  in
   Alcotest.(check int) "only the all-1 point survives" 1 (Relation.cardinality result)
 
 let suite =

@@ -6,10 +6,6 @@ module Synthetic = Pref_workload.Synthetic
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let with_fresh_model f =
-  Cost.reset ();
-  Fun.protect ~finally:Cost.reset f
-
 let wl ?(domains = 4) ?(correlation = 0.) n dims =
   { Cost.n; dims; domains; correlation }
 
@@ -17,7 +13,6 @@ let wl ?(domains = 4) ?(correlation = 0.) n dims =
 (* Pricing properties *)
 
 let test_monotone () =
-  with_fresh_model @@ fun () ->
   List.iter
     (fun kind ->
       check (kind ^ " monotone in n") true
@@ -27,7 +22,7 @@ let test_monotone () =
       check (kind ^ " monotone in dims") true
         (Cost.predict_ms ~kind (wl 5_000 2) <= Cost.predict_ms ~kind (wl 5_000 4));
       check (kind ^ " positive") true (Cost.predict_ms ~kind (wl 100 2) > 0.))
-    [ "naive"; "bnl"; "sfs"; "dnc"; "par_dnc"; "par_sfs"; "cascade" ];
+    [ "naive"; "bnl"; "dnc"; "par_dnc"; "par_sfs"; "cascade" ];
   (* the quadratic scan always loses to the windowed one *)
   check "bnl beats naive" true
     (Cost.predict_ms ~kind:"bnl" (wl 2_000 2)
@@ -37,7 +32,6 @@ let test_monotone () =
       ignore (Cost.predict_ms ~kind:"nope" (wl 100 2)))
 
 let test_parallel_overhead () =
-  with_fresh_model @@ fun () ->
   (* the B9 regression: at n = 5000, d = 2 the fixed spawn + merge
      overhead must dominate, so every parallel plan prices above BNL *)
   let small = wl 5_000 2 in
@@ -56,7 +50,6 @@ let test_parallel_overhead () =
     < bnl_big)
 
 let test_effective_output () =
-  with_fresh_model @@ fun () ->
   let at correlation = Cost.effective_output ~n:2_000 ~dims:2 ~correlation in
   check "anti-correlation inflates" true (at (-1.) > at 0.);
   check "correlation deflates" true (at 0.9 < at 0.);
@@ -68,7 +61,6 @@ let test_effective_output () =
     (at 0.)
 
 let test_predicted_matches_measured () =
-  with_fresh_model @@ fun () ->
   (* the model's naive-vs-bnl ordering must match reality on an
      independent mid-size input (robust: the gap is an order of
      magnitude, not a few percent) *)
@@ -93,71 +85,22 @@ let test_predicted_matches_measured () =
     < Cost.predict_ms ~kind:"naive" (wl 2_000 2))
 
 (* ------------------------------------------------------------------ *)
-(* Calibration and online refinement *)
-
-let test_observe_clamped () =
-  with_fresh_model @@ fun () ->
-  let w = wl 5_000 2 in
-  Alcotest.(check (float 1e-9)) "unlearned factor" 1. (Cost.factor "bnl");
-  (* a wildly slow observation can at most 8x the prediction *)
-  for _ = 1 to 100 do
-    Cost.observe ~kind:"bnl" w ~ms:(1_000_000. *. Cost.predict_ms ~kind:"bnl" w)
-  done;
-  check "factor clamped above" true (Cost.factor "bnl" <= 8. +. 1e-9);
-  check "factor moved" true (Cost.factor "bnl" > 1.);
-  for _ = 1 to 100 do
-    Cost.observe ~kind:"bnl" w ~ms:0.
-  done;
-  check "factor clamped below" true (Cost.factor "bnl" >= 0.125 -. 1e-9)
-
-let test_calibration_roundtrip () =
-  with_fresh_model @@ fun () ->
-  Cost.observe ~kind:"dnc" (wl 10_000 3)
-    ~ms:(4. *. Cost.predict_ms ~kind:"dnc" (wl 10_000 3));
-  let learned = Cost.factor "dnc" in
-  check "learned something" true (learned > 1.);
-  let path = Filename.temp_file "pref_cost" ".calib" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  (match Cost.save path with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
-  Cost.reset ();
-  Alcotest.(check (float 1e-9)) "reset clears factors" 1. (Cost.factor "dnc");
-  (match Cost.load path with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "load failed: %s" e);
-  Alcotest.(check (float 1e-6)) "factor restored" learned (Cost.factor "dnc");
-  let assoc = Cost.to_assoc () in
-  check "constants exported" true (List.mem_assoc "c_cmp_ns" assoc);
-  check "factors exported" true (List.mem_assoc "factor.dnc" assoc);
-  (* malformed files are rejected without touching the installed model *)
-  let bad = Filename.temp_file "pref_cost" ".bad" in
-  Fun.protect ~finally:(fun () -> Sys.remove bad) @@ fun () ->
-  let oc = open_out bad in
-  output_string oc "c_cmp_ns=-3\nnot a line\n";
-  close_out oc;
-  let before = Cost.current () in
-  ignore (Cost.load bad);
-  check "negative constants ignored" true (Cost.current () = before)
+(* Cache gate *)
 
 let test_gate_thresholds () =
-  with_fresh_model @@ fun () ->
   check "tiny pareto derivation under the slack" true
     (Cost.derive_pareto_overhead_ms ~n:100 < Cost.semantic_gate_slack_ms);
   check "big pareto derivation over the slack" true
-    (Cost.derive_pareto_overhead_ms ~n:100_000 > Cost.semantic_gate_slack_ms);
-  check "prior derivation scales with cached rows" true
-    (Cost.derive_prior_ms ~rows:10 ~dims:2 < Cost.derive_prior_ms ~rows:10_000 ~dims:2)
+    (Cost.derive_pareto_overhead_ms ~n:100_000 > Cost.semantic_gate_slack_ms)
 
 (* ------------------------------------------------------------------ *)
 (* Planner integration: every alternative priced, cheapest chosen *)
 
 let test_choose_prices_alternatives () =
-  with_fresh_model @@ fun () ->
   let rel = Synthetic.relation ~seed:3 ~n:3_000 ~dims:3 Synthetic.Independent in
   let schema = Relation.schema rel in
   let p = Pref.pareto_all (List.map Pref.highest (Synthetic.dim_names 3)) in
-  let plan, tr = Planner.choose_traced ~cache:false schema p rel in
+  let plan, tr = Planner.choose_traced ~cache:false ~domains:4 schema p rel in
   check "costs recorded" true (List.length tr.Planner.t_costs >= 4);
   (* cheapest first, and the head is the chosen plan *)
   let rec ascending = function
@@ -183,6 +126,52 @@ let test_choose_prices_alternatives () =
   (* legacy mode prices nothing *)
   let _, tr' = Planner.choose_traced ~cache:false ~costmodel:false schema p rel in
   check "no costs under costmodel off" true (tr'.Planner.t_costs = [])
+
+(* Every candidate the planner prices must be the cheapest for some
+   workload: a kind priced as another kind plus a positive term can never
+   be chosen, so pricing it only lengthens the planner and EXPLAIN. *)
+let test_every_candidate_wins () =
+  let rel = Synthetic.relation ~seed:3 ~n:3_000 ~dims:3 Synthetic.Independent in
+  let schema = Relation.schema rel in
+  let chain = Pref.pareto_all (List.map Pref.highest (Synthetic.dim_names 3)) in
+  let non_chain = Pref.pareto (Pref.highest "d0") (Pref.around "d1" 0.5) in
+  let kinds =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun (p, domains) ->
+           let _, tr =
+             Planner.choose_traced ~cache:false ~domains schema p rel
+           in
+           List.map fst tr.Planner.t_costs)
+         [ (chain, 1); (chain, 4); (non_chain, 1); (non_chain, 4) ])
+  in
+  check "kinds collected" true (List.length kinds >= 4);
+  let grid =
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun dims ->
+            List.concat_map
+              (fun domains ->
+                List.map
+                  (fun correlation -> { Cost.n; dims; domains; correlation })
+                  [ -0.99; -0.75; -0.3; 0.; 0.5; 0.9 ])
+              [ 1; 4; 16 ])
+          [ 2; 3; 5; 8 ])
+      [ 65; 200; 1_000; 10_000; 100_000; 1_000_000 ]
+  in
+  let cheapest w =
+    fst
+      (List.fold_left
+         (fun (bk, bc) k ->
+           let c = Cost.predict_ms ~kind:k w in
+           if c < bc then (k, c) else (bk, bc))
+         ("", Float.infinity) kinds)
+  in
+  let winners = List.map cheapest grid in
+  Alcotest.(check (list string))
+    "priced kinds that are never the cheapest" []
+    (List.filter (fun k -> not (List.mem k winners)) kinds)
 
 (* ------------------------------------------------------------------ *)
 (* Winnow-redundancy proofs (Constraints) *)
@@ -284,7 +273,6 @@ let contains hay needle =
 let chain_sql = "SELECT * FROM items PREFERRING LOWEST(price) AND LOWEST(mileage)"
 
 let test_explain_costs () =
-  with_fresh_model @@ fun () ->
   let plan = explain_sql ~rel:(items 300) chain_sql in
   check "trace carries costs" true (plan.Plan.trace.Planner.t_costs <> []);
   let text = String.concat "\n" (Plan.to_text plan) in
@@ -300,7 +288,6 @@ let test_explain_costs () =
     (not (contains (String.concat "\n" (Plan.to_text plan_off)) "predicted costs"))
 
 let test_identity_elimination () =
-  with_fresh_model @@ fun () ->
   let schema = Schema.make [ ("price", Value.TInt); ("tag", Value.TStr) ] in
   let rel =
     Relation.make schema
@@ -344,7 +331,6 @@ let with_cache f =
     f
 
 let test_selection_commute_serve () =
-  with_fresh_model @@ fun () ->
   with_cache @@ fun () ->
   let rel = items 500 in
   let cfg = { auto_cfg with Pref_bmo.Engine.profile = true } in
@@ -375,7 +361,6 @@ let test_selection_commute_serve () =
   | None -> Alcotest.fail "no profile"
 
 let test_join_pushdown () =
-  with_fresh_model @@ fun () ->
   let t1 =
     Relation.make
       (Schema.make [ ("id", Value.TInt); ("price", Value.TInt) ])
@@ -407,13 +392,12 @@ let suite =
       test_effective_output;
     Alcotest.test_case "cost: predicted ordering matches measured." `Slow
       test_predicted_matches_measured;
-    Alcotest.test_case "cost: EMA factors clamped." `Quick test_observe_clamped;
-    Alcotest.test_case "cost: calibration file round-trip." `Quick
-      test_calibration_roundtrip;
     Alcotest.test_case "cost: semantic-cache gate thresholds." `Quick
       test_gate_thresholds;
     Alcotest.test_case "cost: planner prices all alternatives." `Quick
       test_choose_prices_alternatives;
+    Alcotest.test_case "cost: every priced candidate wins a workload." `Quick
+      test_every_candidate_wins;
     Alcotest.test_case "constraints: winnow-redundancy proofs." `Quick
       test_constraints;
     Alcotest.test_case "cost: EXPLAIN renders predictions." `Quick

@@ -40,7 +40,9 @@ let test_against_measured () =
           Pref.pareto_all
             (List.map Pref.highest (Pref_workload.Synthetic.dim_names dims))
         in
-        float_of_int (Relation.cardinality (Bnl.query schema p rel)))
+        float_of_int
+          (Relation.cardinality
+             (Planner.execute schema p rel Planner.Plan_bnl)))
       trials
   in
   let avg = List.fold_left ( +. ) 0. measured /. 5. in

@@ -256,7 +256,8 @@ let test_profile_bnl_exact () =
   check_int "exact comparison count" expected_comparisons
     prof.Pref_obs.Profile.comparisons;
   check "same result as the plain query" true
-    (Relation.equal_as_sets out (Bnl.query schema skyline rel));
+    (Relation.equal_as_sets out
+       (Planner.execute schema skyline rel Planner.Plan_bnl));
   check "window peak recorded" true
     (List.mem_assoc "window_peak" prof.Pref_obs.Profile.attrs);
   check "has an evaluate phase" true
@@ -324,7 +325,7 @@ let test_window_peak_agrees () =
 let test_query_feeds_metrics () =
   Pref_obs.Control.with_enabled true (fun () ->
       Pref_obs.Metrics.reset ();
-      ignore (Bnl.query schema skyline rel);
+      ignore (Planner.execute schema skyline rel Planner.Plan_bnl);
       let get name =
         match Pref_obs.Metrics.counter_value name with
         | Some n -> n

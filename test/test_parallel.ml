@@ -10,6 +10,13 @@ let sigma_alg algorithm schema p rel =
 
 let check = Alcotest.(check bool)
 
+let par_dnc ~domains schema p rel =
+  Planner.execute schema p rel (Planner.Plan_par_dnc { domains })
+
+let par_sfs ~domains schema ~attrs ~maximize p rel =
+  Planner.execute schema p rel
+    (Planner.Plan_par_sfs { attrs; maximize; domains })
+
 (* ------------------------------------------------------------------ *)
 (* Pool *)
 
@@ -72,8 +79,7 @@ let par_dnc_equiv =
       let naive = sigma_alg Query.Alg_naive Gen.schema p rel in
       List.for_all
         (fun d ->
-          Relation.equal_as_sets naive
-            (Parallel.query ~domains:d Gen.schema p rel))
+          Relation.equal_as_sets naive (par_dnc ~domains:d Gen.schema p rel))
         [ 1; 2; 4 ])
 
 let par_sfs_equiv =
@@ -90,8 +96,7 @@ let par_sfs_equiv =
           List.for_all
             (fun d ->
               Relation.equal_as_sets naive
-                (Parallel.query_sfs ~domains:d Gen.schema ~attrs ~maximize p
-                   rel))
+                (par_sfs ~domains:d Gen.schema ~attrs ~maximize p rel))
             [ 1; 2; 4 ])
         [ ([ "a"; "b" ], true); ([ "a"; "d" ], false); ([ "b"; "d"; "a" ], true) ])
 
@@ -106,19 +111,18 @@ let test_par_on_synthetic () =
       let p = Pref.pareto_all (List.map Pref.highest attrs) in
       let naive = sigma_alg Query.Alg_naive schema p rel in
       let seq_sfs =
-        Sfs.query schema ~key:(Sfs.sum_key schema attrs ~maximize:true) p rel
+        Sfs.maxima
+          ~key:(Sfs.sum_key schema attrs ~maximize:true)
+          (Dominance.of_pref schema p) (Relation.rows rel)
       in
       List.iter
         (fun d ->
-          let dnc = Parallel.query ~domains:d schema p rel in
+          let dnc = par_dnc ~domains:d schema p rel in
           check "par dnc = naive" true (Relation.equal_as_sets naive dnc);
-          let sfs =
-            Parallel.query_sfs ~domains:d schema ~attrs ~maximize:true p rel
-          in
+          let sfs = par_sfs ~domains:d schema ~attrs ~maximize:true p rel in
           (* same rows in the same (descending key) order as sequential *)
           check "par sfs keeps sequential order" true
-            (List.equal Tuple.equal (Relation.rows seq_sfs)
-               (Relation.rows sfs)))
+            (List.equal Tuple.equal seq_sfs (Relation.rows sfs)))
         [ 1; 2; 3; 4 ])
     [
       (500, 3, Synthetic.Independent);
@@ -192,21 +196,20 @@ let test_planner_parallel_choice () =
   let rel = Synthetic.relation ~seed:5 ~n ~dims:3 Synthetic.Independent in
   let schema = Relation.schema rel in
   let skyline = Pref.pareto_all (List.map Pref.highest (Synthetic.dim_names 3)) in
-  (* Legacy threshold heuristics (the [\set costmodel off] path): chain
-     skyline, big input, 2 domains -> parallel SFS *)
-  (match Planner.choose ~costmodel:false ~domains:2 schema skyline rel with
-  | Planner.Plan_par_sfs { domains = 2; maximize = true; attrs } ->
-    Alcotest.(check (list string)) "sfs dims" [ "d0"; "d1"; "d2" ] attrs
-  | other ->
-    Alcotest.failf "expected par_sfs, got %s" (Planner.plan_to_string other));
-  (* non-chain preference, big input -> parallel DnC *)
   let non_chain =
     Pref.pareto (Pref.highest "d0") (Pref.around "d1" 0.5)
   in
-  (match Planner.choose ~costmodel:false ~domains:2 schema non_chain rel with
-  | Planner.Plan_par_dnc { domains = 2 } -> ()
+  (* cost model: a big 3-d skyline over 4 domains pays for the fan-out,
+     and the parallel plan computes the BNL answer *)
+  (match Planner.choose ~domains:4 schema skyline rel with
+  | (Planner.Plan_par_dnc _ | Planner.Plan_par_sfs _) as plan ->
+    check "fanned-out skyline executes exactly" true
+      (Relation.equal_as_sets
+         (sigma_alg Query.Alg_bnl schema skyline rel)
+         (Planner.execute schema skyline rel plan))
   | other ->
-    Alcotest.failf "expected par_dnc, got %s" (Planner.plan_to_string other));
+    Alcotest.failf "expected a parallel plan, got %s"
+      (Planner.plan_to_string other));
   (* cost model: small flat inputs must never pay the parallel fixed cost
      (the B9 n=5000, d=2 regression) *)
   let small = Synthetic.relation ~seed:5 ~n:5000 ~dims:2 Synthetic.Independent in
@@ -226,6 +229,54 @@ let test_planner_parallel_choice () =
   let plan = Planner.choose ~domains:2 schema non_chain rel in
   check "par plan executes exactly" true
     (Relation.equal_as_sets naive (Planner.execute schema non_chain rel plan))
+
+(* [\set costmodel off] is no second planner: the structural rules still
+   apply (n <= 64 runs naive, a chain-headed prioritisation cascades),
+   and everything else runs BNL without pricing an alternative. *)
+let test_costmodel_off () =
+  let off =
+    { Engine.default with algorithm = Engine.Alg_auto; costmodel = false }
+  in
+  let plan_of schema p rel =
+    (Query.run_within ~deadline:Engine.no_deadline off schema p rel)
+      .Engine.Result.plan
+  in
+  let rel =
+    Synthetic.relation ~seed:5 ~n:17_000 ~dims:3 Synthetic.Independent
+  in
+  let schema = Relation.schema rel in
+  let skyline =
+    Pref.pareto_all (List.map Pref.highest (Synthetic.dim_names 3))
+  in
+  Alcotest.(check (option string))
+    "big skyline runs bnl" (Some "auto:bnl") (plan_of schema skyline rel);
+  let plan, tr =
+    Planner.choose_traced ~cache:false ~costmodel:false ~domains:2 schema
+      skyline rel
+  in
+  check "traced plan is bnl" true (plan = Planner.Plan_bnl);
+  check "nothing priced" true (tr.Planner.t_costs = []);
+  let names_knob (_, why) =
+    let k = "costmodel" in
+    let n = String.length k in
+    let rec go i =
+      i + n <= String.length why && (String.sub why i n = k || go (i + 1))
+    in
+    go 0
+  in
+  check "rejected list names the knob" true
+    (List.exists names_knob tr.Planner.t_rejected);
+  let tiny = Synthetic.relation ~seed:5 ~n:64 ~dims:3 Synthetic.Independent in
+  Alcotest.(check (option string))
+    "64 rows run naive" (Some "auto:naive")
+    (plan_of (Relation.schema tiny) skyline tiny);
+  let cars = Pref_workload.Cars.relation ~seed:4 ~n:500 () in
+  let prior =
+    Pref.prior (Pref.lowest "price") (Pref.pos "color" [ Str "red" ])
+  in
+  Alcotest.(check (option string))
+    "chain-headed prioritisation cascades" (Some "auto:cascade")
+    (plan_of (Relation.schema cars) prior cars)
 
 (* ------------------------------------------------------------------ *)
 (* Float fast path: NULL-as-nan semantics *)
@@ -258,7 +309,7 @@ let test_float_path_nulls () =
   List.iter
     (fun d ->
       check "parallel matches naive on NULLs" true
-        (Relation.equal_as_sets naive (Parallel.query ~domains:d schema p rel)))
+        (Relation.equal_as_sets naive (par_dnc ~domains:d schema p rel)))
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -351,6 +402,8 @@ let suite =
     Gen.quick "kernel stats" test_kernel_stats;
     Gen.quick "sigma parallel profiled" test_sigma_parallel_profiled;
     Gen.quick "planner picks parallel plans" test_planner_parallel_choice;
+    Gen.quick "costmodel off keeps only the structural rules"
+      test_costmodel_off;
     Gen.quick "float path NULL semantics" test_float_path_nulls;
     Gen.quick "anti-chain window regression" test_antichain_window;
     Gen.quick "tuple hash" test_tuple_hash;

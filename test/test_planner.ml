@@ -48,6 +48,21 @@ let test_correlation_estimate () =
   check "anti-correlation detected" true (r_anti < -0.3);
   check "correlation detected" true (r_corr > 0.3)
 
+(* The sample is every ceil(n / 500)-th row. At n = 999 that is every
+   second row: the 500 even rows lie on y = x (r = 1), while the whole
+   input alternates y = x and y = -x (r ~ 0). *)
+let test_correlation_sample_size () =
+  let schema = Schema.make [ ("x", Value.TFloat); ("y", Value.TFloat) ] in
+  let rows =
+    List.init 999 (fun i ->
+        let x = float_of_int i in
+        Tuple.make
+          [ Value.Float x; Value.Float (if i mod 2 = 0 then x else -.x) ])
+  in
+  Alcotest.(check (float 1e-9))
+    "the sample is the 500 even rows" 1.
+    (Planner.sampled_correlation schema [ "x"; "y" ] rows)
+
 let test_plan_choice () =
   let small =
     Pref_workload.Synthetic.relation ~seed:1 ~n:30 ~dims:3
@@ -92,8 +107,10 @@ let test_all_plans_correct () =
     [
       Planner.Plan_naive;
       Planner.Plan_bnl;
-      Planner.Plan_sfs { attrs = [ "d0"; "d1"; "d2" ]; maximize = true };
       Planner.Plan_dnc { attrs = [ "d0"; "d1"; "d2" ]; maximize = true };
+      Planner.Plan_par_dnc { domains = 2 };
+      Planner.Plan_par_sfs
+        { attrs = [ "d0"; "d1"; "d2" ]; maximize = true; domains = 2 };
       Planner.Plan_decompose;
     ]
 
@@ -168,6 +185,8 @@ let suite =
   [
     Gen.quick "chain dimension analysis" test_chain_dims;
     Gen.quick "correlation estimation" test_correlation_estimate;
+    Gen.quick "correlation sample reads at most 500 rows"
+      test_correlation_sample_size;
     Gen.quick "plan choice heuristics" test_plan_choice;
     Gen.quick "choose_traced pins choose" test_choose_traced_consistent;
     Gen.quick "all plans compute the same result" test_all_plans_correct;
