@@ -292,17 +292,13 @@ let spine_keys ?registry (q : Ast.query) =
   | None -> None
   | Some p -> Some (List.map Canon.key (Canon.prior_spine p))
 
-(* The reuse tier REFINE would pick for this revision, as measured by
-   the revision classifier itself — the same code path a session runs. *)
-let revise_tier ~old_p ~new_p =
-  match Pref_engine.Revise.classify ~old_p ~new_p with
-  | Pref_engine.Revise.Prior_suffix ->
-    Some ("refine:seed", "re-winnows the cached BMO seed alone, Prop. 10")
-  | Pref_engine.Revise.Pareto_extend ->
-    Some ("refine:hot", "seed-first scan keeps the BNL window hot")
-  | Pref_engine.Revise.Same | Pref_engine.Revise.Contraction
-  | Pref_engine.Revise.Disjoint ->
-    None
+(* Whether the result cache's prior-prefix tier derives the new term's
+   BMO set from the old one's cached result — decided by the revision
+   classifier a session's REFINE labels with.  A Pareto extension gets no
+   hint: its reuse is unsound in general and, where the pareto-restrict
+   tier applies, usually refused by its cost gate. *)
+let prior_prefix_reuse ~old_p ~new_p =
+  Pref_engine.Revise.classify ~old_p ~new_p = Pref_engine.Revise.Prior_suffix
 
 let check_statements ?registry ~env labeled =
   let entries =
@@ -386,11 +382,8 @@ let check_statements ?registry ~env labeled =
               if not (plain && plain' && base' = base) then None
               else
                 match pref' with
-                | None -> None
-                | Some old_p ->
-                  Option.map
-                    (fun tier -> (label', tier))
-                    (revise_tier ~old_p ~new_p))
+                | Some old_p when prior_prefix_reuse ~old_p ~new_p -> Some label'
+                | _ -> None)
             !seen
       in
       (match repeat with
@@ -404,13 +397,14 @@ let check_statements ?registry ~env labeled =
           :: arr.(i).found
       | None -> (
         match refines with
-        | Some (label', (tier, how)) ->
+        | Some label' ->
           arr.(i).found <-
             Diagnostic.make ~path:[ "preferring" ] "H210"
               (Printf.sprintf
-                 "refines the preference of %s: REFINE serves this \
-                  revision at tier %s (%s)"
-                 label' tier how)
+                 "refines the preference of %s: the result cache's \
+                  prior-prefix tier derives this BMO set from that \
+                  statement's cached result alone (Prop. 10)"
+                 label')
             :: arr.(i).found
         | None -> ()));
       seen := (arr.(i).label, base, spine, pref, plain) :: !seen

@@ -389,7 +389,99 @@ let cache_section rels =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Section 4: the router merge                                         *)
+(* Section 4: the maintenance rule                                     *)
+
+(* {!Pref_bmo.Incremental}'s rule, which the result cache patches its
+   entries with, against recomputation: inserting any universe tuple, and
+   deleting any maximal tuple d while screening only d's cone (the cone
+   lemma: in a finite SPO every other non-maximal tuple keeps a maximal
+   dominator besides d). Each half must change a result at least once. *)
+let maintain_catalog =
+  [
+    Pref.lowest "a";
+    Pref.pareto (Pref.lowest "a") (Pref.highest "b");
+    Pref.prior (Pref.pos "a" [ a1 ]) (Pref.lowest "b");
+    Pref.pareto (Pref.around "a" 1.) (Pref.around "b" 1.);
+  ]
+
+let remove_first t rows =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | x :: rest -> if Tuple.equal x t then List.rev_append acc rest else go (x :: acc) rest
+  in
+  go [] rows
+
+let maintain_section rels =
+  let failures = ref [] and cases = ref 0 in
+  let fired = Hashtbl.create 2 in
+  let check rule p rel ~expect (got, changed) =
+    incr cases;
+    if changed then Hashtbl.replace fired rule ();
+    if not (Relation.equal_as_sets (Relation.make schema got) expect) then
+      failures :=
+        {
+          f_section = "maintain";
+          f_rule = rule;
+          f_term = p;
+          f_rewritten = None;
+          f_relation = rel;
+          f_detail =
+            Fmt.str "patched |σ| = %d, recomputed |σ| = %d" (List.length got)
+              (Relation.cardinality expect);
+        }
+        :: !failures
+  in
+  List.iter
+    (fun p ->
+      let dominates = Pref_bmo.Dominance.of_pref schema p in
+      List.iter
+        (fun rel ->
+          let rows = Relation.rows rel in
+          let result = Relation.rows (bmo p rel) in
+          List.iter
+            (fun t ->
+              let got, d = Pref_bmo.Incremental.insert_rule dominates ~result t in
+              check "insert" p rel
+                ~expect:(bmo p (Relation.make schema (rows @ [ t ])))
+                (got, d.Pref_bmo.Incremental.removed <> []))
+            universe;
+          List.iter
+            (fun d ->
+              let rest = remove_first d rows in
+              match
+                Pref_bmo.Incremental.delete_rule dominates ~result ~domain:rest d
+              with
+              | Some (got, delta) ->
+                check "delete-cone" p rel
+                  ~expect:(bmo p (Relation.make schema rest))
+                  (got, delta.Pref_bmo.Incremental.added <> [])
+              | None -> ())
+            result)
+        rels)
+    maintain_catalog;
+  List.iter
+    (fun rule ->
+      if not (Hashtbl.mem fired rule) then
+        failures :=
+          {
+            f_section = "maintain";
+            f_rule = rule;
+            f_term = List.hd maintain_catalog;
+            f_rewritten = None;
+            f_relation = Relation.empty schema;
+            f_detail = "the rule never changed a result at this scope";
+          }
+          :: !failures)
+    [ "insert"; "delete-cone" ];
+  {
+    s_name = "maintain";
+    s_rules = 2;
+    s_cases = !cases;
+    s_failures = List.rev !failures;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Section 5: the router merge                                         *)
 
 let merge_queries =
   [
@@ -496,7 +588,7 @@ let merge_section rels =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Section 5: seeded-random large scope                                *)
+(* Section 6: seeded-random large scope                                *)
 
 let random_base st =
   let attr = if Random.State.bool st then "a" else "b" in
@@ -599,6 +691,7 @@ let run ?(max_rows = 3) ?(seed = 42) ?(random_cases = 150) ?(budget_s = 30.)
       rewrite_section rels;
       constraints_section rels;
       cache_section rels;
+      maintain_section rels;
       merge_section rels;
       random_section ~seed ~cases:random_cases ~budget_s;
     ]

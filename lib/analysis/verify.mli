@@ -18,6 +18,11 @@
       dunion-inter/Prop. 8, pareto-restrict/Prop. 12) of
       {!Pref_bmo.Cache} must reconstruct exactly σ[P](R) from cached
       operand results, and each tier must match at least once;
+    - {b maintain}: {!Pref_bmo.Incremental}'s maintenance rule, which the
+      result cache patches its entries with, must equal recomputation for
+      every inserted universe tuple and every deleted maximal tuple — the
+      delete screening only the deleted tuple's cone — and each half must
+      change a result at least once;
     - {b merge}: for a catalog of sharded queries,
       {!Pref_router.Merge.gather} + [finish] over per-shard executions
       must equal the single-node answer, for hash and range schemes;

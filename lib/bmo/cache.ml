@@ -29,7 +29,7 @@ type stats = {
 type t = {
   (* One lock per cache around the public operations: the server's worker
      domains share [global] across sessions, and Hashtbl plus the mutable
-     counters race without it.  Internal helpers ([store_entry],
+     counters race without it.  Internal helpers ([add_entry],
      [find_*], [derive]) assume the lock is held and never re-take it
      (the mutex is not reentrant). *)
   m : Mutex.t;
@@ -64,10 +64,7 @@ let create ?(max_entries = 128) ?(budget_bytes = 64 * 1024 * 1024) () =
     cost_skipped = 0;
   }
 
-let global =
-  let t = create () in
-  t.enabled <- false;
-  t
+let global = create ()
 
 let is_enabled () = global.enabled
 let set_enabled b = global.enabled <- b
@@ -169,13 +166,14 @@ let touch t e =
   t.tick <- t.tick + 1;
   e.e_tick <- t.tick
 
-let store_entry t ~fp ~pref_key schema cpref result =
-  let key = entry_key ~fp ~pref_key in
-  (match Hashtbl.find_opt t.table key with
+let remove_entry t key =
+  match Hashtbl.find_opt t.table key with
   | Some old ->
     Hashtbl.remove t.table key;
     t.bytes <- t.bytes - old.e_bytes
-  | None -> ());
+  | None -> ()
+
+let make_entry ~fp ~pref_key schema cpref result =
   let e =
     {
       e_schema = schema;
@@ -190,18 +188,26 @@ let store_entry t ~fp ~pref_key schema cpref result =
   (* approximate: stored sets share tuples with their base relation, and
      [reachable_words] counts the shared structure in full, so this bounds
      the cache's worst-case ownership from above *)
-  let e = { e with e_bytes = Obj.reachable_words (Obj.repr e) * (Sys.word_size / 8) } in
-  touch t e;
+  { e with e_bytes = Obj.reachable_words (Obj.repr e) * (Sys.word_size / 8) }
+
+(* Add (or replace) the entry under its key; the caller sets its LRU tick
+   and evicts. *)
+let add_entry t e =
+  let key = entry_key ~fp:e.e_fp ~pref_key:e.e_pref_key in
+  remove_entry t key;
   Hashtbl.replace t.table key e;
-  t.bytes <- t.bytes + e.e_bytes;
-  evict_until_fits t
+  t.bytes <- t.bytes + e.e_bytes
 
 let store t schema p rel result =
   if t.enabled then begin
     let fp = fingerprint rel in
     let pref_key = Canon.key p in
     let cpref = Canon.canonical p in
-    locked t @@ fun () -> store_entry t ~fp ~pref_key schema cpref result
+    let e = make_entry ~fp ~pref_key schema cpref result in
+    locked t @@ fun () ->
+    touch t e;
+    add_entry t e;
+    evict_until_fits t
   end
 
 let find_exact t ~fp pref_key = Hashtbl.find_opt t.table (entry_key ~fp ~pref_key)
@@ -294,6 +300,10 @@ let find_semantic t ~fp cpref =
       (fun d -> ("pareto-restrict", d))
       (find_pareto t ~fp (Canon.pareto_operands cpref))
   | _ -> None
+
+let sources = function
+  | D_prior (e, _, _) | D_pareto (e, _, _) -> [ e ]
+  | D_dunion entries -> entries
 
 let derive schema cpref rel = function
   | D_prior (e, rest, by) -> Groupby.query schema rest ~by e.e_result
@@ -427,9 +437,10 @@ let lookup t ?(gate = true) schema p rel =
       Pref_obs.Metrics.incr Obs.cache_hits;
       Some (e.e_result, Exact)
     | Derive (desc, d) ->
+      (* derived afresh on every lookup and never stored: the cache holds
+         cold evaluations only, so derivations cannot crowd them out *)
+      List.iter (touch t) (sources d);
       let result = derive schema k.cpref rel d in
-      (* repeat queries become exact hits *)
-      store_entry t ~fp:k.fp ~pref_key:k.pref_key schema k.cpref result;
       t.semantic <- t.semantic + 1;
       Pref_obs.Metrics.incr Obs.cache_semantic;
       Some (result, Semantic desc)
@@ -459,8 +470,12 @@ let entries_for t fp =
   Hashtbl.fold (fun _ e acc -> if String.equal e.e_fp fp then e :: acc else acc)
     t.table []
 
-let patch t ~old_rel ~new_rel update =
-  if not t.enabled then 0
+(* Apply the maintenance rule to every entry of [old_rel]'s version and
+   move it to [new_rel]'s key. A write is not a use: each entry keeps its
+   LRU tick. An empty cache returns before fingerprinting either
+   version. *)
+let patch t ~old_rel ~new_rel rule =
+  if not (t.enabled && locked t (fun () -> Hashtbl.length t.table > 0)) then 0
   else begin
     let old_fp = fingerprint old_rel in
     let new_fp = fingerprint new_rel in
@@ -468,32 +483,39 @@ let patch t ~old_rel ~new_rel update =
     let affected = entries_for t old_fp in
     List.iter
       (fun e ->
-        let result_rows = Relation.rows e.e_result in
-        (* every value-duplicate of a maximal tuple is itself maximal, so
-           membership screening splits the base exactly into result/shadow *)
-        let shadow =
-          List.filter
-            (fun r -> not (List.exists (Tuple.equal r) result_rows))
-            (Relation.rows old_rel)
+        remove_entry t (entry_key ~fp:old_fp ~pref_key:e.e_pref_key);
+        let rows =
+          rule
+            (Dominance.of_pref e.e_schema e.e_pref)
+            (Relation.rows e.e_result)
         in
-        let inc =
-          Incremental.of_parts e.e_schema e.e_pref
-            ~result:(List.rev result_rows) ~shadow
+        (* an unchanged answer (the rule returns the very same list)
+           moves as it is *)
+        let e' =
+          if rows == Relation.rows e.e_result then { e with e_fp = new_fp }
+          else
+            make_entry ~fp:new_fp ~pref_key:e.e_pref_key e.e_schema e.e_pref
+              (Relation.make (Relation.schema e.e_result) rows)
         in
-        update inc;
-        store_entry t ~fp:new_fp ~pref_key:e.e_pref_key e.e_schema e.e_pref
-          (Incremental.result inc);
+        e'.e_tick <- e.e_tick;
+        add_entry t e';
         t.patched <- t.patched + 1;
         Pref_obs.Metrics.incr Obs.cache_patched)
       affected;
+    evict_until_fits t;
     List.length affected
   end
 
 let on_insert t ~old_rel ~new_rel row =
-  patch t ~old_rel ~new_rel (fun inc -> Incremental.insert inc row)
+  patch t ~old_rel ~new_rel (fun dominates result ->
+      fst (Incremental.insert_rule dominates ~result row))
 
 let on_delete t ~old_rel ~new_rel row =
-  patch t ~old_rel ~new_rel (fun inc -> ignore (Incremental.delete inc row))
+  let domain = Relation.rows new_rel in
+  patch t ~old_rel ~new_rel (fun dominates result ->
+      match Incremental.delete_rule dominates ~result ~domain row with
+      | Some (result', _) -> result'
+      | None -> result)
 
 (* {1 Introspection} *)
 

@@ -25,13 +25,16 @@
           restriction σ[P2 groupby attrs(P1)](R), seeding the scan with the
           pre-confirmed tuples of the cached σ[P1](R) that survive the
           restriction (Proposition 12's first term).}}
-      Derived results are stored, so repeating the query is an exact hit.
+      Derived results are not stored: a semantic hit is derived afresh
+      from its source entries on every lookup (which counts as a use of
+      them), so the cache holds cold evaluations only and revisions
+      cannot crowd their base statements out.
     - {b miss}: the caller evaluates and should {!store} the result.
 
-    Inserts and deletes on a base relation route through
-    {!Incremental.of_parts} to {e patch} affected entries: each cached BMO
-    set for the old relation version is rehydrated, updated, and re-stored
-    under the new version's fingerprint (the stale entries age out by LRU).
+    Inserts and deletes on a base relation {e patch} the affected entries
+    with {!Incremental}'s maintenance rule: each BMO set cached for the
+    old relation version is updated in place of recomputation and moved
+    to the new version's key; the old key is removed.
 
     Capacity is bounded twice — by entry count and by an approximate byte
     budget ({!Stdlib.Obj.reachable_words} of the stored sets) — with LRU
@@ -46,12 +49,16 @@ val create : ?max_entries:int -> ?budget_bytes:int -> unit -> t
 (** Defaults: 128 entries, 64 MiB. *)
 
 val global : t
-(** The process-wide instance the query layer uses. Starts {e disabled}:
-    until {!set_enabled}[ true], [lookup]/[store]/[probe] on it are
-    no-ops, so the cache-off path costs one flag load. *)
+(** The process-wide instance the query layer uses; every session whose
+    [cache] knob is on shares it. Starts enabled. *)
 
 val is_enabled : unit -> bool
 val set_enabled : bool -> unit
+(** The process-wide switch of {!global}. While it is off,
+    [lookup]/[store]/[probe] on [global] are no-ops and a patch returns
+    0, so the cache-off path costs one flag load. Servers never flip it
+    (the session [cache] knob decides per session); tests and benchmarks
+    do, to time cold runs. *)
 
 val clear : t -> unit
 (** Drop all entries (statistics survive). *)
@@ -145,13 +152,17 @@ val store :
 val on_insert :
   t -> old_rel:Relation.t -> new_rel:Relation.t -> Tuple.t -> int
 (** The base relation changed from [old_rel] to [new_rel] by inserting the
-    tuple. Every entry cached under [old_rel]'s fingerprint is patched via
-    {!Incremental} and re-stored under [new_rel]'s fingerprint. Returns the
-    number of entries patched. *)
+    tuple. Every entry cached under [old_rel]'s fingerprint is patched by
+    {!Incremental.insert_rule} and moved to [new_rel]'s fingerprint,
+    keeping its LRU position (a write is not a use). Returns the number of
+    entries patched; an empty cache returns 0 before fingerprinting
+    either version. *)
 
 val on_delete :
   t -> old_rel:Relation.t -> new_rel:Relation.t -> Tuple.t -> int
-(** Dual of {!on_insert} for a single-tuple delete. *)
+(** Dual of {!on_insert} for a single-tuple delete, by
+    {!Incremental.delete_rule} with [new_rel]'s rows as the cone's
+    domain. *)
 
 (** {1 Introspection} *)
 

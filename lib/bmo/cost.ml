@@ -138,10 +138,6 @@ let predict_ms ~kind w =
   | "cascade" ->
     (* one chain pass prunes to a thin slice; the rest is negligible *)
     ns_to_ms ((c.c_cmp_ns +. c.c_row_ns) *. n)
-  | "refine" ->
-    (* re-winnow of a cached BMO seed under the refined preference:
-       a BNL pass where w.n is the seed size, not the base relation *)
-    scan_ms w +. ns_to_ms (c.c_row_ns *. n)
   | "delta" ->
     (* one subscription patch: a linear screen of the maintained
        result + shadow rows (w.n) against the updated tuple *)

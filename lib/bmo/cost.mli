@@ -49,8 +49,7 @@ val effective_output : n:int -> dims:int -> correlation:float -> float
 
 val predict_ms : kind:string -> workload -> float
 (** Predicted wall time of one plan kind ([naive], [bnl], [dnc],
-    [par_dnc], [par_sfs], [cascade], [refine] — a re-winnow of a cached
-    BMO seed, [n] = seed size — or [delta] — one continuous-query patch,
+    [par_dnc], [par_sfs], [cascade] or [delta] — one continuous-query patch,
     [n] = maintained result + shadow rows). Raises [Invalid_argument] on
     unknown kinds. *)
 

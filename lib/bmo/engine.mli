@@ -33,8 +33,8 @@ type config = {
       (** degree of parallelism for [Alg_parallel]/[Alg_auto];
           [None] = engine default ({!Parallel.default_domains}) *)
   cache : bool;
-      (** consult/fill the global BMO result cache (only acts when
-          {!Cache.global} is enabled) *)
+      (** consult/fill the process-wide BMO result cache ({!Cache.global},
+          on unless its switch is turned off) *)
   check : bool;  (** static-check Preference SQL before executing *)
   profile : bool;  (** build a per-query profile *)
   deadline_ms : float option;
@@ -57,9 +57,9 @@ type config = {
 }
 
 val default : config
-(** [Alg_bnl], engine-default domains, cache on (inert until the global
-    cache is enabled), no checking, no profile, no deadline, no cap — the
-    configuration of the knob-less [Query.sigma] and [Exec.run]. *)
+(** [Alg_bnl], engine-default domains, cache on, no checking, no profile,
+    no deadline, no cap — the configuration of the knob-less
+    [Query.sigma] and [Exec.run]. *)
 
 (** {1 Result flags} *)
 
@@ -87,8 +87,8 @@ module Result : sig
         (** present when the run was profiled ([config.profile]) *)
     plan : string option;
         (** the executed plan/algorithm in one word-ish string, e.g.
-            ["bnl"], ["auto:dnc(4)"], ["cache:semantic:prior-prefix"] or
-            ["refine:seed"] — the same identifier EXPLAIN reports *)
+            ["bnl"], ["auto:dnc(4)"] or ["cache:semantic:prior-prefix"] —
+            the same identifier EXPLAIN reports *)
   }
 
   val make :

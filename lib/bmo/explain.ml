@@ -129,7 +129,7 @@ module Plan = struct
      computed so a cache hit or a forced plan can show what it bypassed. *)
   let decide (cfg : Engine.config) ~deadline schema p rel =
     let probe =
-      if cfg.Engine.cache && Cache.is_enabled () then
+      if cfg.Engine.cache then
         Cache.probe_traced ~gate:cfg.Engine.costmodel Cache.global schema p rel
       else (None, [])
     in

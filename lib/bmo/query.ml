@@ -67,9 +67,8 @@ let decide (cfg : Engine.config) ~deadline ~cached ~choose =
 
 let run_within ~deadline (cfg : Engine.config) schema p rel =
   Pref_obs.Span.with_span "bmo.sigma" @@ fun () ->
-  let use_cache = cfg.cache && Cache.is_enabled () in
   let cached, lookup_ms =
-    if use_cache then
+    if cfg.cache then
       Pref_obs.Span.timed (fun () ->
           Cache.lookup ~gate:cfg.costmodel Cache.global schema p rel)
     else (None, 0.)
@@ -115,7 +114,7 @@ let run_within ~deadline (cfg : Engine.config) schema p rel =
           )
       in
       (* partial results never reach the cache *)
-      if use_cache && not o.timed_out then
+      if cfg.cache && not o.timed_out then
         Cache.store Cache.global schema p rel o.result;
       ( algorithm,
         o,

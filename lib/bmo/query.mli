@@ -1,7 +1,8 @@
 (** Front door for BMO preference queries σ[P](R) (Definition 15).
 
     Every σ[P] evaluation takes one ladder, {!run_within}: the result cache
-    first (when [cfg.cache] and the global cache is enabled), then the
+    first (when [cfg.cache]; {!Cache.global} is on unless switched off),
+    then the
     deadline's degradation rule, then the algorithm knob, then the
     cost-based {!Planner}; the chosen plan runs through
     {!Planner.prepare}, with the deadline passed down to the window loop.
@@ -84,8 +85,7 @@ val sigma_within :
 
 val sigma : Schema.t -> Preferences.Pref.t -> Relation.t -> Relation.t
 (** σ[P](R): all best-matching tuples, and only those, under
-    {!Engine.default} (BNL; the result cache when {!Cache.global} is
-    enabled) and no deadline. *)
+    {!Engine.default} (BNL behind the result cache) and no deadline. *)
 
 val sigma_groupby_within :
   deadline:Engine.deadline ->

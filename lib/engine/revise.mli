@@ -1,26 +1,25 @@
-(** Preference-term revision: classify a session's new term against its
-    previous one and evaluate the revised query from the cheapest sound
-    seed (Chomicki, {e Database Querying under Changing Preferences};
-    composition Propositions 8–12).
+(** Preference-term revision: how a session's new term relates to its
+    previous one (Chomicki, {e Database Querying under Changing
+    Preferences}; composition Propositions 8–12).
 
     The classifier works on {!Preferences.Canon} canonical forms, so
-    pure reorderings of the algebra never mask a refinement. The
-    executor turns the class into an evaluation strategy:
+    pure reorderings of the algebra never mask a refinement. The class is
+    a label — for EXPLAIN's [refine] row, the H210 lint and the shell's
+    refine line — and does not pick the evaluation: {!Session.refine}
+    runs the revised statement through the ordinary pipeline, where the
+    result cache's tiers serve each class:
 
-    - [Prior_suffix] ([P' = P & S]): σ\[P'\](R) ⊆ σ\[P\](R), so the old
-      BMO set alone is re-winnowed — exact by the same substitutability
-      argument as the cache's prior-prefix tier (Prop. 10).
+    - [Same]: an exact hit on the previous statement's cached BMO set.
+    - [Prior_suffix] ([P' = P & S]): σ\[P'\](R) ⊆ σ\[P\](R), so the
+      prior-prefix tier re-winnows the cached σ\[P\](R) alone (Prop. 10).
     - [Pareto_extend] ([P' = P ⊗ Q]): the new BMO set may grow outside
-      the seed, but evaluating the base relation with the seed rows
-      first gives the window algorithm a hot window of already-maximal
-      tuples — exact for every algorithm, fast for the window family.
-    - [Contraction] / [Disjoint]: no sound seed; a cold run (which the
-      semantic cache tiers may still serve when the cache is on).
+      the old one, so no reuse is sound in general; the pareto-restrict
+      tier serves it when a cached operand has attributes disjoint from
+      the rest and its cost gate allows (Prop. 12), and it runs cold
+      otherwise.
+    - [Contraction] / [Disjoint]: whatever the cache holds for the new
+      term; otherwise a cold run. *)
 
-    {!Session.refine} drives this from the shell's [\refine], the wire
-    REFINE verb and the router. *)
-
-open Pref_relation
 open Pref_sql
 
 type kind =
@@ -40,38 +39,6 @@ type outcome = {
   o_result : Exec.result;
   o_kind : kind;
   o_plan : string;
-      (** the evaluation route: [refine:same], [refine:seed] (winnow of
-          the seed only), [refine:hot] (seed-first base scan) or [cold] *)
-  o_seed_rows : int;  (** size of the seed BMO set; 0 without one *)
+      (** the σ serve that answered ({!Exec.result.plan}), e.g.
+          [cache:exact], [cache:semantic:prior-prefix] or [bnl] *)
 }
-
-val execute :
-  ?registry:Translate.registry ->
-  deadline:Pref_bmo.Engine.deadline ->
-  Pref_bmo.Engine.config ->
-  Exec.env ->
-  table:string ->
-  seed:Relation.t option ->
-  old_q:Ast.query ->
-  Ast.query ->
-  outcome
-(** Evaluate the revised query [new_q] against [env], seeding from
-    [seed] = σ\[P\](table) of the previous statement [old_q] when the
-    classification allows it; without a seed the run is [cold]. Exact
-    for every class — the class only changes the cost. Raises whatever
-    {!Exec.run_query_within} raises. *)
-
-val explain :
-  ?registry:Translate.registry ->
-  deadline:Pref_bmo.Engine.deadline ->
-  Pref_bmo.Engine.config ->
-  Exec.env ->
-  table:string ->
-  seed:Relation.t option ->
-  old_q:Ast.query ->
-  query_text:string ->
-  Ast.query ->
-  Pref_bmo.Explain.Plan.t
-(** The plan the revised query would run, with a [refine] operator on
-    top recording the revision class, the chosen route and the
-    {!Pref_bmo.Cost} prediction for the seed re-winnow. *)

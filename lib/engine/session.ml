@@ -8,28 +8,15 @@ type stats = {
   errors : int;
 }
 
-(* The last successful preference statement, when its shape makes its
-   result a sound revision seed: SELECT * over one table, no WHERE, no
-   TOP / BUT ONLY / GROUP BY, complete flags.  [l_seed] is kept equal to
-   sigma[P](table) across single-row DML (inserts are patched in place)
-   or dropped — by a delete that touches a seed row (promotions would
-   need the shadow set) or by another connection's DML ([set_env]).
-   Without a seed the statement stays armed and the next refine runs
-   cold. *)
-type last = {
-  l_table : string;
-  l_query : Ast.query;
-  l_dom : Pref_bmo.Dominance.t;
-  mutable l_seed : Relation.t option;
-}
-
 type t = {
   s_id : int;
   mutable env : Exec.env;
   reg : Translate.registry;
   mutable config : Pref_bmo.Engine.config;
   mutable statements : (string * Ast.query) list;
-  mutable last : last option;
+  mutable last : Ast.query option;
+      (** the last successful statement with a preference: what REFINE
+          revises *)
   mutable queries : int;
   mutable degraded : int;
   mutable truncated : int;
@@ -59,23 +46,9 @@ let id t = t.s_id
 
 let env t = t.env
 
-let drop_seed t = Option.iter (fun l -> l.l_seed <- None) t.last
-
-let set_env t env =
-  (* the revision seed was computed against the old tables *)
-  if env != t.env then drop_seed t;
-  t.env <- env
-
-(* swap a table without touching the revision seed — single-row DML
-   below patches the seed itself *)
+let set_env t env = t.env <- env
 let set_table t name rel = t.env <- (name, rel) :: List.remove_assoc name t.env
-
-let add_table t name rel =
-  let name = String.lowercase_ascii name in
-  (match t.last with
-  | Some l when String.equal l.l_table name -> t.last <- None
-  | _ -> ());
-  set_table t name rel
+let add_table t name rel = set_table t (String.lowercase_ascii name) rel
 
 let find_table t name = Exec.find_table t.env name
 let config t = t.config
@@ -130,37 +103,15 @@ let resolve t src =
     in
     (src, q, Some ms)
 
-(* Seed tracking: remember the statement iff its result is literally
-   sigma[P](table) — the shape every revision strategy is proved
-   against. Everything else clears the seed (the "last term" changed
-   to something we cannot revise from). *)
-let seedable (q : Ast.query) =
-  (match q.Ast.select with [ Ast.Star ] -> true | _ -> false)
-  && q.Ast.where = None && q.Ast.top = None && q.Ast.but_only = []
-  && q.Ast.grouping = []
-  && match q.Ast.from with [ _ ] -> true | _ -> false
-
-let track t (q : Ast.query) (r : Exec.result) =
-  match r.Exec.preference with
-  | Some p when r.Exec.flags = Pref_bmo.Engine.complete && seedable q ->
-    t.last <-
-      Some
-        {
-          l_table = String.lowercase_ascii (List.hd q.Ast.from);
-          l_query = q;
-          l_dom = Pref_bmo.Dominance.of_pref (Relation.schema r.relation) p;
-          l_seed = Some r.relation;
-        }
-  | _ -> t.last <- None
-
-let execute t ~deadline src =
-  let _, q, parse_ms = resolve t src in
+(* REFINE revises the last successful statement with a preference; a
+   statement without one disarms it. *)
+let execute t ~deadline ?parse_ms q =
   let r =
     count_result t
       (Exec.run_query_within ~registry:t.reg ?parse_ms ~deadline t.config t.env
          q)
   in
-  track t q r;
+  t.last <- (if r.Exec.preference = None then None else Some q);
   r
 
 let plan_summary (r : Exec.result) =
@@ -168,11 +119,13 @@ let plan_summary (r : Exec.result) =
   | Some p -> Some p.Pref_obs.Profile.algorithm
   | None -> None
 
-let run_within t ~deadline src =
+(* One statement: counted in the stats (errors re-raise after counting)
+   and, with the [slowlog] knob set, timed for the slow-query log. *)
+let counted t ~text f =
   t.queries <- t.queries + 1;
   try
     match t.config.Pref_bmo.Engine.slowlog_ms with
-    | None -> execute t ~deadline src
+    | None -> f ()
     | Some threshold_ms ->
       (* Time the whole statement and collect its span tree (present only
          while telemetry is on); at or above the threshold the query goes
@@ -182,16 +135,21 @@ let run_within t ~deadline src =
       let r, span =
         Pref_obs.Span.collect "session.query"
           ~attrs:[ ("session", string_of_int t.s_id) ]
-          (fun () -> execute t ~deadline src)
+          f
       in
       let ms = Pref_obs.Clock.elapsed_ms ~since in
       if ms >= threshold_ms then
-        Slowlog.record ~ms ~threshold_ms ~query:(String.trim src)
-          ~session:t.s_id ~plan:(plan_summary r) ?span ();
+        Slowlog.record ~ms ~threshold_ms ~query:text ~session:t.s_id
+          ~plan:(plan_summary r) ?span ();
       r
   with e ->
     t.errors <- t.errors + 1;
     raise e
+
+let run_within t ~deadline src =
+  counted t ~text:(String.trim src) (fun () ->
+      let _, q, parse_ms = resolve t src in
+      execute t ~deadline ?parse_ms q)
 
 let run t src =
   run_within t ~deadline:(Pref_bmo.Engine.deadline_of t.config) src
@@ -199,71 +157,66 @@ let run t src =
 (* ------------------------------------------------------------------ *)
 (* Preference revision (\refine / the REFINE wire verb)                *)
 
-let no_seed_message =
-  "no preceding preference query to refine (run SELECT * FROM <table> \
-   PREFERRING ... first)"
+let no_statement_message =
+  "no preceding preference query to refine (run SELECT ... PREFERRING ... \
+   first)"
 
+(* The last preference statement with the new term in place of its
+   PREFERRING clause (CASCADEs fold into the new term). *)
 let revised_query t term_src =
   match t.last with
-  | None -> raise (Exec.Error no_seed_message)
-  | Some l ->
+  | None -> raise (Exec.Error no_statement_message)
+  | Some q ->
     let term = Parser.parse_pref term_src in
-    (l, { l.l_query with Ast.preferring = Some term; Ast.cascade = [] })
+    (q, { q with Ast.preferring = Some term; Ast.cascade = [] })
+
+let revision_kind t old_q new_q =
+  match
+    ( Exec.full_preference ~registry:t.reg old_q,
+      Exec.full_preference ~registry:t.reg new_q )
+  with
+  | Some old_p, Some new_p -> Revise.classify ~old_p ~new_p
+  | _ -> Revise.Disjoint
 
 let refine_within t ~deadline term_src =
-  let l, q' = revised_query t term_src in
-  t.queries <- t.queries + 1;
-  try
-    let o =
-      Revise.execute ~registry:t.reg ~deadline t.config t.env ~table:l.l_table
-        ~seed:l.l_seed ~old_q:l.l_query q'
-    in
-    let r = count_result t o.Revise.o_result in
-    track t q' r;
-    { o with Revise.o_result = r }
-  with e ->
-    t.errors <- t.errors + 1;
-    raise e
+  let old_q, q = revised_query t term_src in
+  let r =
+    counted t ~text:("REFINE " ^ String.trim term_src) (fun () ->
+        execute t ~deadline q)
+  in
+  {
+    Revise.o_result = r;
+    o_kind = revision_kind t old_q q;
+    o_plan = Option.value r.Exec.plan ~default:"";
+  }
 
 let refine t term_src =
   refine_within t ~deadline:(Pref_bmo.Engine.deadline_of t.config) term_src
 
 let refine_explain t term_src =
-  let l, q' = revised_query t term_src in
-  Revise.explain ~registry:t.reg
-    ~deadline:(Pref_bmo.Engine.deadline_of t.config)
-    t.config t.env ~table:l.l_table ~seed:l.l_seed ~old_q:l.l_query
-    ~query_text:("REFINE " ^ String.trim term_src)
-    q'
+  let old_q, q = revised_query t term_src in
+  let plan =
+    Exec.explain_query_within ~registry:t.reg ~analyze:false
+      ~deadline:(Pref_bmo.Engine.deadline_of t.config)
+      t.config t.env
+      ~query_text:("REFINE " ^ String.trim term_src)
+      q
+  in
+  let refine_op =
+    Pref_bmo.Explain.Plan.op "refine"
+      ~attrs:[ ("revision", Revise.kind_to_string (revision_kind t old_q q)) ]
+  in
+  { plan with Pref_bmo.Explain.Plan.ops = refine_op :: plan.Pref_bmo.Explain.Plan.ops }
 
 (* ------------------------------------------------------------------ *)
 (* Single-row DML, shared by the shell's .insert/.delete and the wire
-   DML verb: update the table, patch the global result cache, keep the
-   revision seed in sync. *)
+   DML verb: update the table and patch the global result cache. *)
 
 let require_table t name =
   match find_table t name with
   | Some rel -> rel
   | None ->
     raise (Exec.Unknown_table { name = String.lowercase_ascii name; hint = None })
-
-let seed_note_insert t name row =
-  match t.last with
-  | Some ({ l_seed = Some seed; _ } as l) when String.equal l.l_table name ->
-    let rows = Relation.rows seed in
-    if not (List.exists (fun r -> l.l_dom r row) rows) then begin
-      let kept = List.filter (fun r -> not (l.l_dom row r)) rows in
-      l.l_seed <- Some (Relation.make (Relation.schema seed) (kept @ [ row ]))
-    end
-  | _ -> ()
-
-let seed_note_delete t name row =
-  match t.last with
-  | Some { l_table; l_seed = Some seed; _ } when String.equal l_table name ->
-    (* a deleted best match may promote shadow tuples we do not keep;
-       drop the seed and let the next refine run cold *)
-    if List.exists (Tuple.equal row) (Relation.rows seed) then drop_seed t
-  | _ -> ()
 
 let insert t name row =
   let name = String.lowercase_ascii name in
@@ -273,7 +226,6 @@ let insert t name row =
     Pref_bmo.Cache.on_insert Pref_bmo.Cache.global ~old_rel:rel ~new_rel row
   in
   set_table t name new_rel;
-  seed_note_insert t name row;
   patched
 
 let delete t name row =
@@ -297,7 +249,6 @@ let delete t name row =
       Pref_bmo.Cache.on_delete Pref_bmo.Cache.global ~old_rel:rel ~new_rel row
     in
     set_table t name new_rel;
-    seed_note_delete t name row;
     Some patched
   end
 

@@ -39,15 +39,12 @@ val id : t -> int
 val env : t -> Exec.env
 
 val set_env : t -> Exec.env -> unit
-(** Replace the whole table environment. Drops the revision seed (the
-    last statement's result was computed against the old tables) but
-    keeps the statement armed, so the next {!refine} runs cold; the
-    server uses this to propagate another connection's DML. *)
+(** Replace the whole table environment; the server uses this to
+    propagate another connection's DML. *)
 
 val add_table : t -> string -> Relation.t -> unit
 (** Register (or replace) a table; names are stored lowercase, matching
-    the shell's behaviour. Replacing the revision-seed table invalidates
-    the seed — only {!insert}/{!delete} patch it in place. *)
+    the shell's behaviour. *)
 
 val find_table : t -> string -> Relation.t option
 
@@ -107,37 +104,40 @@ val explain : t -> analyze:bool -> string -> Pref_bmo.Explain.Plan.t
 
 (** {1 Preference revision}
 
-    The session remembers its last statement whenever the result is
-    literally σ\[P\](table) — [SELECT *] over one table, no WHERE / TOP /
-    BUT ONLY / GROUP BY, complete flags — and [refine] revises that
-    statement's preference in place: the new term is classified against
-    the old one ({!Revise.classify}) and evaluated from the cached BMO
-    seed when the class allows ({!Revise.execute}). Single-row DML
-    through {!insert}/{!delete} keeps the seed in sync; a delete of a
-    seed row drops it, and the next refine runs cold. *)
+    The session remembers its last successful statement with a
+    PREFERRING/CASCADE clause (a statement without one forgets it), and
+    [refine] substitutes a new term into that statement and runs it
+    exactly as {!run_within} runs a statement. The result cache is the
+    only reuse: under the session's [cache] knob its tiers serve each
+    revision class ({!Revise}) — a repeat is an exact hit, a
+    prioritisation suffix is derived from the cached earlier BMO set by
+    the prior-prefix tier (Prop. 10) — and single-row DML patches the
+    cached sets, so a revision after a write still reuses them. *)
 
 val refine_within :
   t -> deadline:Pref_bmo.Engine.deadline -> string -> Revise.outcome
 (** Revise the last statement's preference to the given term (bare
     Preference SQL preference syntax, e.g. ["LOWEST(price) AND
-    HIGHEST(power)"]). Counts as a query in {!stats}; the revised
-    statement becomes the new last statement. Raises {!Pref_sql.Exec.Error}
-    when there is no seedable previous statement, and whatever parsing
-    or execution raises. *)
+    HIGHEST(power)"]); CASCADE clauses fold into the new term. Counts as a
+    query in {!stats} and in the slow-query log (as [REFINE <term>]); the
+    revised statement becomes the new last statement. [o_kind] classifies
+    the revision, [o_plan] names the σ serve that answered. Raises
+    {!Pref_sql.Exec.Error} when there is no previous preference statement,
+    and whatever parsing or execution raises. *)
 
 val refine : t -> string -> Revise.outcome
 (** {!refine_within} with the deadline started now. *)
 
 val refine_explain : t -> string -> Pref_bmo.Explain.Plan.t
-(** The plan {!refine} would execute — the revised query's plan under a
-    [refine] operator recording the revision class and chosen route. *)
+(** The plan {!refine} would execute — the revised query's plan (its
+    plan line names the cache tier when one serves) under a [refine]
+    operator recording the revision class. *)
 
 (** {1 Single-row DML}
 
     Shared by the shell's [.insert]/[.delete] and the server's DML wire
-    verb: update the table in the session environment, patch the global
-    result cache ({!Pref_bmo.Cache.on_insert}/[on_delete]) and keep the
-    revision seed consistent. *)
+    verb: update the table in the session environment and patch the
+    global result cache ({!Pref_bmo.Cache.on_insert}/[on_delete]). *)
 
 val insert : t -> string -> Pref_relation.Tuple.t -> int
 (** Append one row; returns the number of cached results patched.

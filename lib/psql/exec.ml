@@ -38,6 +38,7 @@ type result = {
       (** per-clause timings and evaluation counts, when requested *)
   flags : Pref_bmo.Engine.flags;
       (** deadline degradation / row-cap truncation markers *)
+  plan : string option;  (** the σ serve that answered *)
 }
 
 let full_preference ?registry (q : Ast.query) =
@@ -254,8 +255,9 @@ let stage trail name f op =
 
 let count = Relation.cardinality
 
-(* A σ serve's answer: rows, flags, and — while recording — its profile. *)
-type served = Relation.t * Engine.flags * Pref_obs.Profile.t option
+(* A σ serve's answer: rows, flags, the serve's plan label (the run
+   profile's algorithm) and — while recording — its profile. *)
+type served = Relation.t * Engine.flags * string * Pref_obs.Profile.t option
 
 (* The σ step's decision: the serve's name for EXPLAIN with the reason it
    displaced the ladder ([None]: the {!Pref_bmo.Query.run_within} ladder
@@ -272,6 +274,7 @@ let sigma_serve ~deadline ~profile (cfg : Engine.config) (q : Ast.query)
   let served ?(flags = Engine.complete) ?(attrs = []) algorithm r =
     ( r,
       flags,
+      algorithm,
       if not profile then None
       else
         Some
@@ -284,7 +287,10 @@ let sigma_serve ~deadline ~profile (cfg : Engine.config) (q : Ast.query)
     let r =
       Pref_bmo.Query.run_within ~deadline bmo_cfg schema p_eval filtered
     in
-    (r.Engine.Result.rows, r.Engine.Result.flags, r.Engine.Result.profile)
+    ( r.Engine.Result.rows,
+      r.Engine.Result.flags,
+      Option.value r.Engine.Result.plan ~default:"",
+      r.Engine.Result.profile )
   in
   let semantic =
     cfg.Engine.costmodel && cfg.Engine.algorithm = Engine.Alg_auto
@@ -295,7 +301,7 @@ let sigma_serve ~deadline ~profile (cfg : Engine.config) (q : Ast.query)
   let commute () =
     match where with
     | Some (c, pred)
-      when semantic && cfg.Engine.cache && Pref_bmo.Cache.is_enabled ()
+      when semantic && cfg.Engine.cache
            && selection_commutes resolve p_eval (Ast.conjuncts c) ->
       Pref_bmo.Cache.probe Pref_bmo.Cache.global schema p_eval rel
       |> Option.map (fun reuse ->
@@ -611,14 +617,17 @@ let cap_attrs (cfg : Engine.config) =
 (* The pipeline from the σ step on: serve σ[P], run the tail, then the
    engine row cap on the final, presentation-ordered result. *)
 let execute ~est_out (cfg : Engine.config) (d : prefix) =
-  let after, sigma_flags, sigma_prof =
+  let after, sigma_flags, sigma_plan, sigma_prof =
     match d.sigma with
-    | None -> (d.filtered, Engine.complete, None)
+    | None -> (d.filtered, Engine.complete, None, None)
     | Some (_, decision) ->
-      stage d.trail "evaluate"
-        (fun () -> (Lazy.force decision).serve ())
-        (fun (_, _, prof) ->
-          Option.fold ~none:(Plan.op "sigma") ~some:(sigma_op ~est_out) prof)
+      let rows, flags, plan, prof =
+        stage d.trail "evaluate"
+          (fun () -> (Lazy.force decision).serve ())
+          (fun (_, _, _, prof) ->
+            Option.fold ~none:(Plan.op "sigma") ~some:(sigma_op ~est_out) prof)
+      in
+      (rows, flags, Some plan, prof)
   in
   let out =
     List.fold_left
@@ -644,6 +653,7 @@ let execute ~est_out (cfg : Engine.config) (d : prefix) =
   in
   ( relation,
     Engine.union_flags sigma_flags { Engine.partial = false; truncated },
+    sigma_plan,
     sigma_prof )
 
 let run_query_within ?registry ?parse_ms ~deadline (cfg : Engine.config) env
@@ -654,7 +664,7 @@ let run_query_within ?registry ?parse_ms ~deadline (cfg : Engine.config) env
     else None
   in
   let d = prefix ?registry ?parse_ms ~trail ~deadline cfg env q in
-  let relation, flags, sigma_prof = execute ~est_out:None cfg d in
+  let relation, flags, plan, sigma_prof = execute ~est_out:None cfg d in
   let profile =
     Option.map
       (fun t ->
@@ -677,7 +687,7 @@ let run_query_within ?registry ?parse_ms ~deadline (cfg : Engine.config) env
             (string_of_int d.rewrite_steps))
       trail
   in
-  { relation; preference = d.preference; profile; flags }
+  { relation; preference = d.preference; profile; flags; plan }
 
 let explain_query_within ?registry ?parse_ms ~analyze ~deadline
     (cfg : Engine.config) env ~query_text (q : Ast.query) : Plan.t =
@@ -706,7 +716,7 @@ let explain_query_within ?registry ?parse_ms ~analyze ~deadline
         None )
   in
   let est_out = trace.Pref_bmo.Planner.t_estimate in
-  if analyze then ignore (execute ~est_out cfg d : Relation.t * _ * _)
+  if analyze then ignore (execute ~est_out cfg d : Relation.t * _ * _ * _)
   else
     (* executes nothing past the σ decision: the rest is listed *)
     t.ops <-

@@ -40,6 +40,11 @@ type result = {
   flags : Pref_bmo.Engine.flags;
       (** [partial] when a deadline expired and the BMO set is a sound
           prefix; [truncated] when [max_rows] dropped result rows *)
+  plan : string option;
+      (** the σ serve that answered, named as the profile's algorithm
+          ([bnl], [cache:exact], [cache:semantic:prior-prefix], [pushdown],
+          …) whether or not the run was profiled; [None] without a
+          PREFERRING/CASCADE clause *)
 }
 
 val full_preference :

@@ -101,7 +101,9 @@ type conn = {
   fd : Unix.file_descr;
   mutable config : Pref_bmo.Engine.config;  (* final-pass knobs *)
   mutable prepared : (string * Ast.query) list;
-  mutable set_log : (string * string) list;  (* newest first; replayed *)
+  mutable set_log : (string * string) list;
+      (* replayed on redial: one entry per lowercased key with its latest
+         value, in first-set order *)
   mutable last_q : Ast.query option;  (* last answered statement, for REFINE *)
   clients : Client.t option array;  (* one lazy channel per backend *)
 }
@@ -131,7 +133,7 @@ let get_client conn i =
          one it replaces *)
       List.iter
         (fun (k, v) -> try ignore (Client.set c ~key:k ~value:v) with _ -> ())
-        (List.rev conn.set_log);
+        conn.set_log;
       conn.clients.(i) <- Some c;
       Ok c)
 
@@ -553,10 +555,10 @@ let answer_query conn ?trace sql =
     | Ok q -> answer_parsed conn ?trace q)
 
 (* ------------------------------------------------------------------ *)
-(* REFINE: revise the connection's last statement and re-route it. The
-   router keeps no BMO seed of its own — each backend session does, and
-   the re-issued statement reaches them over the same channels, so the
-   shard-local evaluations still profit from their caches. *)
+(* REFINE: revise the connection's last statement and re-route it, the
+   way a backend session revises its own: the re-issued statement reaches
+   the shards over the same channels, so their result caches serve the
+   shard-local evaluations. *)
 
 let answer_refine conn ?trace term =
   match conn.last_q with
@@ -828,7 +830,11 @@ let answer_set conn ~key ~value =
   | Ok cfg ->
     conn.config <- cfg;
     if forwarded_key key then begin
-      conn.set_log <- (key, value) :: conn.set_log;
+      let k = String.lowercase_ascii key in
+      conn.set_log <-
+        (if List.mem_assoc k conn.set_log then
+           List.map (fun (k', v) -> (k', if k' = k then value else v)) conn.set_log
+         else conn.set_log @ [ (k, value) ]);
       (* best effort: down shards get the full replay on reconnect *)
       Array.iteri
         (fun i -> function

@@ -119,8 +119,8 @@ val refine :
   string ->
   (Relation.t * Pref_bmo.Engine.flags, string) result
 (** REFINE: revise the connection's last preference statement to the
-    given bare preference term and return the revised BMO set (served
-    from the cached seed when the revision class allows). *)
+    given bare preference term and return the revised BMO set (served by
+    the server's result cache when one of its tiers applies). *)
 
 val insert :
   ?trace:Protocol.trace -> t -> table:string -> string -> (string, string) result

@@ -191,8 +191,9 @@ let count_answer t (flags : Pref_bmo.Engine.flags) =
 (* Shared tables: sessions are per-connection, the environment is not.
    [t.env] is authoritative; DML rewrites it under [env_m] and bumps
    [env_v], and every connection re-snapshots its session environment
-   when it notices the version moved ([refresh_env] — which also drops
-   the session's revision seed, computed against the old tables). *)
+   when it notices the version moved ([refresh_env]). The result cache
+   followed the write already: the DML's patch moved its entries to the
+   new table version. *)
 
 let refresh_env_locked t session last_v =
   let v = Atomic.get t.env_v in
@@ -288,7 +289,7 @@ let run_subscribe t session fd last_v ?trace sql =
 
 (* Apply one insert/delete: refresh the session from the authoritative
    environment, run {!Pref_engine.Session.insert}/[delete] (table update
-   + cache patch + revision-seed patch), write the environment back, and
+   + cache patch), write the environment back, and
    publish the event to every subscription — all under [env_m], so
    concurrent DML serializes and every subscriber sees events in the
    same order. *)

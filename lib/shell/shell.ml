@@ -223,28 +223,6 @@ let mine_command shell path =
       (report_lines
       @ [ Fmt.str "mined preference (stored as $mined): %a" Show.pp p ])
 
-let cache_command args =
-  let cache = Pref_bmo.Cache.global in
-  match args with
-  | [] | [ "stats" ] -> Ok (plain (Pref_bmo.Cache.stats_lines cache))
-  | [ "on" ] ->
-    Pref_bmo.Cache.set_enabled true;
-    Ok (plain [ "cache: on" ])
-  | [ "off" ] ->
-    Pref_bmo.Cache.set_enabled false;
-    Ok (plain [ "cache: off" ])
-  | [ "clear" ] ->
-    Pref_bmo.Cache.clear cache;
-    Ok (plain [ "cache cleared" ])
-  | [ "budget"; n ] -> (
-    match int_of_string_opt n with
-    | Some mib when mib >= 1 ->
-      Pref_bmo.Cache.set_budget cache ~budget_bytes:(mib * 1024 * 1024) ();
-      Ok (plain [ Printf.sprintf "cache budget: %d MiB" mib ])
-    | Some _ | None ->
-      Error (Printf.sprintf "budget must be a positive MiB count, got %s" n))
-  | _ -> Error "usage: \\cache [on|off|stats|clear|budget <MiB>]"
-
 let parse_row schema spec =
   let fields = String.split_on_char ',' spec |> List.map String.trim in
   let want = List.length schema and got = List.length fields in
@@ -268,8 +246,7 @@ let no_table shell name =
 
 (* Single-tuple DML, delegated to {!Session.insert}/[delete] (or the DML
    wire verb when connected): cached BMO results are patched
-   incrementally instead of recomputed, and the session's revision seed
-   stays consistent for \refine. *)
+   incrementally instead of recomputed. *)
 let dml_command shell op name spec =
   match shell.remote with
   | Some r -> (
@@ -306,8 +283,8 @@ let dml_command shell op name spec =
         | None -> Error (Printf.sprintf "no row in %s matches" name))))
 
 (* \refine [explain] <term> — revise the last preference statement in
-   place ({!Session.refine}); connected shells use the REFINE wire verb
-   so the revision works from the server session's seed. *)
+   place ({!Session.refine}); connected shells use the REFINE wire verb,
+   so the server session's statement is revised and its cache serves. *)
 let refine_command shell args =
   let explain, args =
     match args with
@@ -334,9 +311,9 @@ let refine_command shell args =
         Ok
           (table
              ~text:
-               (Fmt.str "-- refine: %s (%s; seed %d row(s))"
+               (Fmt.str "-- refine: %s (%s)"
                   (Revise.kind_to_string o.Revise.o_kind)
-                  o.Revise.o_plan o.Revise.o_seed_rows
+                  o.Revise.o_plan
                :: flags_text r.Exec.flags)
              r.Exec.relation)
 
@@ -353,6 +330,23 @@ let set_knob shell key value =
     match Session.set shell.session ~key ~value with
     | Ok line -> Ok (plain [ line ])
     | Error msg -> Error msg)
+
+let cache_command shell args =
+  let cache = Pref_bmo.Cache.global in
+  match args with
+  | [] | [ "stats" ] -> Ok (plain (Pref_bmo.Cache.stats_lines cache))
+  | [ ("on" | "off") as v ] -> set_knob shell "cache" v
+  | [ "clear" ] ->
+    Pref_bmo.Cache.clear cache;
+    Ok (plain [ "cache cleared" ])
+  | [ "budget"; n ] -> (
+    match int_of_string_opt n with
+    | Some mib when mib >= 1 ->
+      Pref_bmo.Cache.set_budget cache ~budget_bytes:(mib * 1024 * 1024) ();
+      Ok (plain [ Printf.sprintf "cache budget: %d MiB" mib ])
+    | Some _ | None ->
+      Error (Printf.sprintf "budget must be a positive MiB count, got %s" n))
+  | _ -> Error "usage: \\cache [on|off|stats|clear|budget <MiB>]"
 
 let set_profile shell on =
   (* [\profile] also flips the engine-wide telemetry switch so spans and
@@ -515,7 +509,7 @@ let execute shell line =
                [ "(no trace recorded - turn \\profile on and run a query)" ])
         | root :: _ ->
           Ok (plain (String.split_on_char '\n' (Pref_obs.Span.to_text root))))
-      | ".cache" :: rest -> cache_command rest
+      | ".cache" :: rest -> cache_command shell rest
       | ".insert" :: t :: rest when rest <> [] ->
         dml_command shell `Insert t (String.concat " " rest)
       | ".delete" :: t :: rest when rest <> [] ->
@@ -572,10 +566,11 @@ let execute shell line =
                "                             algorithm, dominance-test counts)";
                "          \\stats [reset|json]  engine metrics | \\trace  last span tree";
                "          \\cache [on|off|stats|clear|budget <MiB>]  BMO result cache";
+               "                                (on|off = .set cache on|off)";
                "          .insert <t> v1,v2,..  .delete <t> v1,v2,..  single-row DML";
                "                                (patches cached results incrementally)";
                "          \\refine [explain] <pref>  revise the last preference query";
-               "                                in place, reusing its BMO set as seed";
+               "                                in place; the result cache serves it";
                "          \\check <query>  static analysis without executing";
                "          \\lint [on|off]  analyze every query; errors reject it";
                "          .help | .quit";

@@ -14,9 +14,10 @@ Fails (exit 1) if any gated cell regresses:
   than cold evaluation).
 - b12_router: aggregate QPS at 4 shards >= 2.0x 1 shard, skipped below
   4 cores for the same reason.
-- b13_refine: every cell served from the cached seed (plan refine:seed)
-  must be >= 2.0x its cold evaluation; hot-window and cold routes are
-  reported but not gated.
+- b13_refine: every cell the result cache's prior-prefix tier served
+  (plan cache:semantic:prior-prefix) must be >= 2.0x its cold
+  evaluation, and the prior_suffix cell must be served that way; other
+  cells are reported but not gated.
 
 Every failure prints the gate formula it tripped AND the failing cell's
 full BENCH_JSON record, so a red CI run is diagnosable from the log
@@ -98,12 +99,22 @@ def main():
             )
 
     for label, cell in data.get("b13_refine", {}).items():
-        if cell.get("plan") != "refine:seed":
+        plan = cell.get("plan")
+        if plan != "cache:semantic:prior-prefix":
+            # the prior-suffix revision must reach the gated tier: a
+            # renamed or lost serve would otherwise skip the gate
+            if label == "prior_suffix":
+                failures.append(
+                    f"b13 {label}: gate expects plan "
+                    f"cache:semantic:prior-prefix, got {plan}\n"
+                    + cell_record("b13_refine", label, cell)
+                )
             continue
         s = cell.get("speedup", 0.0)
         if s < 2.0:
             failures.append(
-                f"b13 {label}: gate is speedup >= 2.0 for refine:seed, "
+                f"b13 {label}: gate is speedup >= 2.0 for "
+                f"cache:semantic:prior-prefix, "
                 f"got {s:.2f}x (speedup = cold_ms / refine_ms)\n"
                 + cell_record("b13_refine", label, cell)
             )

@@ -21,12 +21,15 @@ let sample_rows =
     t4 0 0 "y" 0.0;
   ]
 
-let with_global f =
+(* Run [f] with the global cache switched [on] (default) and empty,
+   then restore the switch. *)
+let with_global ?(on = true) f =
+  let was = Cache.is_enabled () in
   Cache.clear Cache.global;
-  Cache.set_enabled true;
+  Cache.set_enabled on;
   Fun.protect
     ~finally:(fun () ->
-      Cache.set_enabled false;
+      Cache.set_enabled was;
       Cache.clear Cache.global)
     f
 
@@ -108,10 +111,13 @@ let test_semantic_prior () =
     check "prior refinement derived from cached prefix" true
       (Relation.equal_as_sets r (batch (Pref.prior p1 p2) sample_rows))
   | _ -> Alcotest.fail "expected semantic prior-prefix reuse");
-  (* derived results are stored: the repeat is an exact hit *)
+  (* derived results are not stored: the repeat is derived again from
+     the one cached entry *)
   (match Cache.lookup cache Gen.schema (Pref.prior p1 p2) rel with
-  | Some (_, Cache.Exact) -> ()
-  | _ -> Alcotest.fail "derived entry should now hit exactly")
+  | Some (_, Cache.Semantic "prior-prefix") -> ()
+  | _ -> Alcotest.fail "the repeat should be derived again");
+  check_int "only the cold evaluation is stored" 1
+    (Cache.stats cache).Cache.entries
 
 let test_semantic_pareto () =
   let cache = Cache.create () in
@@ -239,6 +245,35 @@ let test_patch_counts () =
   | _ -> Alcotest.fail "expected the patched entry to hit");
   check_int "patched counter" 1 (Cache.stats cache).Cache.patched_entries
 
+(* A patch moves each entry to the new version's key (the old key is
+   gone) and keeps its LRU position: a write is not a use. *)
+let test_patch_rekeys () =
+  let cache = Cache.create ~max_entries:2 () in
+  let rel = Relation.make Gen.schema sample_rows in
+  let p1 = Pref.lowest "a" and p2 = Pref.highest "b" in
+  Cache.store cache Gen.schema p1 rel (batch p1 sample_rows);
+  Cache.store cache Gen.schema p2 rel (batch p2 sample_rows);
+  (* use p1 last: p2 is now the least recently used *)
+  ignore (Cache.lookup cache Gen.schema p1 rel);
+  let row = t4 2 2 "w" 0.5 in
+  let new_rel = Relation.add_row rel row in
+  check_int "both entries patched" 2
+    (Cache.on_insert cache ~old_rel:rel ~new_rel row);
+  check_int "old keys removed" 2 (Cache.stats cache).Cache.entries;
+  check "the old version misses" true
+    (Cache.lookup cache Gen.schema p1 rel = None);
+  (* a third entry evicts the least recently used: p2, as before the
+     write *)
+  let p3 = Pref.lowest "b" in
+  Cache.store cache Gen.schema p3 new_rel (batch p3 (Relation.rows new_rel));
+  check "LRU order survived the patch" true
+    (Cache.probe cache Gen.schema p2 new_rel = None
+    && Cache.probe cache Gen.schema p1 new_rel = Some Cache.Exact);
+  (* an empty cache patches nothing *)
+  Cache.clear cache;
+  check_int "empty cache" 0
+    (Cache.on_delete cache ~old_rel:new_rel ~new_rel:rel row)
+
 (* --- eviction under budget --------------------------------------------- *)
 
 let test_eviction_max_entries () =
@@ -337,8 +372,9 @@ let test_query_cache_integration () =
     (Cache.stats Cache.global).Cache.hits
 
 let test_disabled_is_noop () =
-  (* the global cache is disabled outside [with_global]: lookups return
-     None and count nothing, stores do not allocate entries *)
+  (* with the switch off, lookups on the global cache return None and
+     count nothing, stores do not allocate entries *)
+  with_global ~on:false @@ fun () ->
   let rel = Relation.make Gen.schema sample_rows in
   let p = Pref.lowest "a" in
   let before = Cache.stats Cache.global in
@@ -357,6 +393,7 @@ let suite =
     Gen.quick "semantic pareto" test_semantic_pareto;
     Gen.quick "semantic dunion" test_semantic_dunion;
     Gen.quick "patch counts" test_patch_counts;
+    Gen.quick "patch re-keys entries in LRU order" test_patch_rekeys;
     Gen.quick "eviction by entry count" test_eviction_max_entries;
     Gen.quick "eviction by byte budget" test_eviction_byte_budget;
     Gen.quick "planner cache plans" test_planner_cache_plans;

@@ -322,11 +322,12 @@ let test_identity_elimination () =
   | None -> Alcotest.fail "no profile"
 
 let with_cache f =
+  let was = Pref_bmo.Cache.is_enabled () in
   Pref_bmo.Cache.set_enabled true;
   Pref_bmo.Cache.clear Pref_bmo.Cache.global;
   Fun.protect
     ~finally:(fun () ->
-      Pref_bmo.Cache.set_enabled false;
+      Pref_bmo.Cache.set_enabled was;
       Pref_bmo.Cache.clear Pref_bmo.Cache.global)
     f
 

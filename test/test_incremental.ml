@@ -159,6 +159,149 @@ let prop_delta_replay =
             (Incremental.result inc))
         ops)
 
+(* --- The maintenance rule, through both of its users ------------------- *)
+
+(* An edit of the current multiset: a fresh row, a value-duplicate of a
+   present row, a delete of a best match, of any present row, or of a
+   row that may be absent. Indices are taken modulo the current sizes. *)
+type edit =
+  | Ins of Tuple.t
+  | Dup of int
+  | Del_best of int
+  | Del_any of int
+  | Del of Tuple.t
+
+let edit_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun t -> Ins t) Gen.tuple);
+        (2, map (fun i -> Dup i) nat);
+        (3, map (fun i -> Del_best i) nat);
+        (2, map (fun i -> Del_any i) nat);
+        (1, map (fun t -> Del t) Gen.tuple);
+      ])
+
+let pp_edit ppf = function
+  | Ins t -> Fmt.pf ppf "insert %a" Tuple.pp t
+  | Dup i -> Fmt.pf ppf "duplicate #%d" i
+  | Del_best i -> Fmt.pf ppf "delete best #%d" i
+  | Del_any i -> Fmt.pf ppf "delete #%d" i
+  | Del t -> Fmt.pf ppf "delete %a" Tuple.pp t
+
+let same_multiset a b =
+  List.equal Tuple.equal (List.sort Tuple.compare a) (List.sort Tuple.compare b)
+
+(* Cached entries patched by Cache.on_insert/on_delete and Incremental
+   structures updated by insert_delta/delete_delta both follow the one
+   rule: after every edit each answer is Naive.maxima of the current
+   multiset (multiplicities included), the subscriber replica built from
+   the deltas agrees, and every entry sits under the current version's key
+   alone. *)
+let prop_rule_matches_naive =
+  QCheck.Test.make ~count:300
+    ~name:"maintenance rule = naive for the cache and Incremental"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (pair Gen.pref Gen.pref)
+           (list_size (int_range 0 12) Gen.tuple)
+           (list_size (int_range 1 30) edit_gen))
+       ~print:(fun ((p, q), rows, edits) ->
+         Fmt.str "%a / %a over %d rows: [%a]" Preferences.Show.pp p
+           Preferences.Show.pp q (List.length rows)
+           (Fmt.list ~sep:Fmt.semi pp_edit)
+           edits))
+    (fun ((p, q), rows0, edits) ->
+      let prefs = [ p; q ] in
+      let naive p rows = Naive.maxima (Dominance.of_pref Gen.schema p) rows in
+      let cache = Cache.create () in
+      let rel = ref (Relation.make Gen.schema rows0) in
+      List.iter
+        (fun p -> Cache.store cache Gen.schema p !rel (batch Gen.schema p rows0))
+        prefs;
+      let incs = List.map (fun p -> Incremental.create Gen.schema p rows0) prefs in
+      let replicas = List.map (fun p -> ref (naive p rows0)) prefs in
+      let apply replica (d : Incremental.delta) =
+        replica :=
+          List.fold_left
+            (fun l r ->
+              let rec drop acc = function
+                | [] -> List.rev acc
+                | x :: rest ->
+                  if Tuple.equal x r then List.rev_append acc rest
+                  else drop (x :: acc) rest
+              in
+              drop [] l)
+            !replica d.Incremental.removed
+          @ d.Incremental.added
+      in
+      let nth l i = List.nth l (i mod List.length l) in
+      let step edit =
+        let rows = Relation.rows !rel in
+        let insert t =
+          let new_rel = Relation.add_row !rel t in
+          ignore (Cache.on_insert cache ~old_rel:!rel ~new_rel t);
+          List.iter2
+            (fun inc r -> apply r (Incremental.insert_delta inc t))
+            incs replicas;
+          rel := new_rel
+        in
+        let delete t =
+          let removed = ref false in
+          let new_rel =
+            Relation.make Gen.schema
+              (List.filter
+                 (fun u ->
+                   if (not !removed) && Tuple.equal u t then begin
+                     removed := true;
+                     false
+                   end
+                   else true)
+                 rows)
+          in
+          let present = !removed in
+          if present then ignore (Cache.on_delete cache ~old_rel:!rel ~new_rel t);
+          let ok =
+            List.for_all2
+              (fun inc r ->
+                match Incremental.delete_delta inc t with
+                | Some d ->
+                  apply r d;
+                  present
+                | None -> not present)
+              incs replicas
+          in
+          rel := new_rel;
+          ok
+        in
+        match edit with
+        | Ins t -> insert t; true
+        | Dup i -> if rows = [] then true else (insert (nth rows i); true)
+        | Del_best i -> (
+          match naive p rows with [] -> true | best -> delete (nth best i))
+        | Del_any i -> if rows = [] then true else delete (nth rows i)
+        | Del t -> delete t
+      in
+      List.for_all
+        (fun edit ->
+          step edit
+          &&
+          let rows = Relation.rows !rel in
+          (Cache.stats cache).Cache.entries
+          = List.length (List.sort_uniq String.compare (List.map Canon.key prefs))
+          && List.for_all2
+               (fun p (inc, replica) ->
+                 let expected = naive p rows in
+                 (match Cache.lookup cache Gen.schema p !rel with
+                 | Some (r, Cache.Exact) -> same_multiset (Relation.rows r) expected
+                 | _ -> false)
+                 && same_multiset (Relation.rows (Incremental.result inc)) expected
+                 && same_multiset !replica expected
+                 && Incremental.cardinality inc = List.length rows)
+               prefs
+               (List.combine incs replicas))
+        edits)
+
 (* --- sigma_levels ------------------------------------------------------ *)
 
 let test_sigma_levels () =
@@ -218,4 +361,9 @@ let suite =
     Gen.quick "exhaustive domain equivalence" test_agree_on_domains;
   ]
   @ Gen.qsuite
-      [ prop_matches_batch; prop_delta_replay; prop_sigma_levels_nested ]
+      [
+        prop_matches_batch;
+        prop_delta_replay;
+        prop_rule_matches_naive;
+        prop_sigma_levels_nested;
+      ]

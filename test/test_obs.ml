@@ -230,10 +230,12 @@ let test_json () =
 
 (* --- profiles ----------------------------------------------------------- *)
 
+(* cache off: a repeat of the statement would be a cache hit, and these
+   profiles describe the kernel *)
 let profiled algorithm schema p rel =
   let r =
     Query.run_within ~deadline:Engine.no_deadline
-      { Engine.default with algorithm; profile = true }
+      { Engine.default with algorithm; profile = true; cache = false }
       schema p rel
   in
   (r.Engine.Result.rows, Option.get r.Engine.Result.profile)
@@ -358,7 +360,12 @@ let test_exec_profile () =
   let sql = "SELECT * FROM r WHERE c = 'x' PREFERRING LOWEST(a) AND LOWEST(b)" in
   let plain = Pref_sql.Exec.run exec_env sql in
   check "no profile unless asked" true (plain.Pref_sql.Exec.profile = None);
-  let r = Pref_sql.Exec.run_cfg { Engine.default with profile = true } exec_env sql in
+  (* cache off: the plain run above stored the answer *)
+  let r =
+    Pref_sql.Exec.run_cfg
+      { Engine.default with profile = true; cache = false }
+      exec_env sql
+  in
   match r.Pref_sql.Exec.profile with
   | None -> Alcotest.fail "expected a profile"
   | Some prof ->
@@ -414,6 +421,10 @@ let test_shell_profile () =
   let r = ok shell "\\profile on" in
   check "ack" true (r.Pref_shell.Shell.text = [ "profile: on" ]);
   check "flips the engine switch" true (Pref_obs.Control.is_enabled ());
+  (* the session evaluates rather than reading the shared cache *)
+  let c = ok shell "\\cache off" in
+  check "\\cache off sets the session knob" true
+    (c.Pref_shell.Shell.text = [ "cache: off" ]);
   let q = ok shell "SELECT * FROM r PREFERRING LOWEST(a) AND LOWEST(b)" in
   check "profile comment lines" true
     (List.exists (has_prefix ~prefix:"-- profile:") q.Pref_shell.Shell.text);

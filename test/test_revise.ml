@@ -1,8 +1,8 @@
 (* Preference revision: the classifier on canonical forms, the session's
-   REFINE evaluation routes (seed re-winnow / hot window / cold), seed
-   survival across single-row DML, and a QCheck property checking that
+   REFINE served by the result cache's tiers (exact / prior-prefix / cold),
+   REFINE after single-row DML, and a QCheck property checking that
    arbitrary revision sequences interleaved with DML always agree with a
-   from-scratch evaluation of the revised statement. *)
+   cache-off evaluation of the revised statement. *)
 
 open Pref_relation
 open Preferences
@@ -10,6 +10,7 @@ open Pref_engine
 
 let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
+let check_int = Alcotest.(check int)
 
 (* ------------------------------------------------------------------ *)
 (* Classifier                                                          *)
@@ -68,84 +69,107 @@ let cars =
 let fresh_session () =
   Session.create ~env:[ ("cars", cars) ] ()
 
-let cold session sql = (Pref_sql.Exec.run (Session.env session) sql).Pref_sql.Exec.relation
+(* The result cache on and empty, restored to its prior state after. *)
+let with_cache f =
+  let was = Pref_bmo.Cache.is_enabled () in
+  Pref_bmo.Cache.set_enabled true;
+  Pref_bmo.Cache.clear Pref_bmo.Cache.global;
+  Fun.protect
+    ~finally:(fun () ->
+      Pref_bmo.Cache.set_enabled was;
+      Pref_bmo.Cache.clear Pref_bmo.Cache.global)
+    f
 
-let seed_sql = "SELECT * FROM cars PREFERRING LOWEST(price)"
+let cache_off = { Pref_bmo.Engine.default with cache = false }
+
+let cold session sql =
+  (Pref_sql.Exec.run_cfg cache_off (Session.env session) sql).Pref_sql.Exec.relation
+
+let base_sql = "SELECT * FROM cars PREFERRING LOWEST(price)"
 
 let test_refine_routes () =
+  with_cache @@ fun () ->
   let session = fresh_session () in
-  ignore (Session.run session seed_sql);
-  (* prior-suffix: served by re-winnowing the cached seed alone *)
-  let o = Session.refine session "LOWEST(price) PRIOR TO HIGHEST(power)" in
-  check_str "route" "refine:seed" o.Revise.o_plan;
-  check "kind" true (o.Revise.o_kind = Revise.Prior_suffix);
-  check "seed was non-empty" true (o.Revise.o_seed_rows > 0);
-  check "seed re-winnow is exact" true
-    (Relation.equal_as_sets o.Revise.o_result.Pref_sql.Exec.relation
-       (cold session
-          "SELECT * FROM cars PREFERRING LOWEST(price) PRIOR TO HIGHEST(power)"));
-  (* the revised statement became the session's last statement: extending
-     the Pareto now goes through the hot-window route *)
-  let o =
-    Session.refine session
-      "(LOWEST(price) PRIOR TO HIGHEST(power)) AND LOWEST(mileage)"
+  ignore (Session.run session base_sql);
+  let refine term kind plan =
+    let o = Session.refine session term in
+    check_str (term ^ ": kind") (Revise.kind_to_string kind)
+      (Revise.kind_to_string o.Revise.o_kind);
+    check_str (term ^ ": served by") plan o.Revise.o_plan;
+    check (term ^ ": exact") true
+      (Relation.equal_as_sets o.Revise.o_result.Pref_sql.Exec.relation
+         (cold session ("SELECT * FROM cars PREFERRING " ^ term)))
   in
-  check_str "pareto route" "refine:hot" o.Revise.o_plan;
-  check "pareto extension is exact" true
-    (Relation.equal_as_sets o.Revise.o_result.Pref_sql.Exec.relation
-       (cold session
-          "SELECT * FROM cars PREFERRING (LOWEST(price) PRIOR TO \
-           HIGHEST(power)) AND LOWEST(mileage)"));
-  (* an unrelated term has no sound seed: cold *)
-  let o = Session.refine session "HIGHEST(mileage)" in
-  check_str "cold route" "cold" o.Revise.o_plan;
-  check "cold is exact" true
-    (Relation.equal_as_sets o.Revise.o_result.Pref_sql.Exec.relation
-       (cold session "SELECT * FROM cars PREFERRING HIGHEST(mileage)"))
+  (* the same term: the base statement's cached answer *)
+  refine "LOWEST(price)" Revise.Same "cache:exact";
+  (* prior-suffix: the prior-prefix tier re-winnows the cached answer *)
+  refine "LOWEST(price) PRIOR TO HIGHEST(power)" Revise.Prior_suffix
+    "cache:semantic:prior-prefix";
+  (* the revised statement became the session's last statement; its
+     derived answer was not stored, so extending its Pareto finds no
+     cached operand and runs cold *)
+  refine "(LOWEST(price) PRIOR TO HIGHEST(power)) AND LOWEST(mileage)"
+    Revise.Pareto_extend "bnl";
+  (* an unrelated term: cold *)
+  refine "HIGHEST(mileage)" Revise.Disjoint "bnl"
 
-let test_refine_requires_seed () =
+let test_refine_requires_statement () =
   let session = fresh_session () in
-  check "no previous statement raises" true
-    (try
-       ignore (Session.refine session "LOWEST(price)");
-       false
-     with Pref_sql.Exec.Error _ -> true);
-  (* a non-seedable statement (WHERE) does not arm REFINE either *)
+  let refuses what =
+    check what true
+      (try
+         ignore (Session.refine session "LOWEST(price)");
+         false
+       with Pref_sql.Exec.Error _ -> true)
+  in
+  refuses "no previous statement raises";
+  (* any statement with a preference arms REFINE, WHERE included *)
   ignore
     (Session.run session
-       "SELECT * FROM cars WHERE price <= 15000 PREFERRING LOWEST(price)");
-  check "filtered statement is not a seed" true
-    (try
-       ignore (Session.refine session "LOWEST(price)");
-       false
-     with Pref_sql.Exec.Error _ -> true)
+       "SELECT * FROM cars WHERE price <= 15000 PREFERRING HIGHEST(power)");
+  let o = Session.refine session "LOWEST(price)" in
+  check "the WHERE clause is kept" true
+    (Relation.equal_as_sets o.Revise.o_result.Pref_sql.Exec.relation
+       (cold session "SELECT * FROM cars WHERE price <= 15000 PREFERRING LOWEST(price)"));
+  (* a statement without a preference disarms it *)
+  ignore (Session.run session "SELECT * FROM cars");
+  refuses "a preference-free statement disarms refine"
 
-let test_refine_survives_dml () =
+let test_refine_after_dml () =
+  with_cache @@ fun () ->
   let session = fresh_session () in
-  ignore (Session.run session seed_sql);
-  (* DML through the session patches the seed instead of dropping it *)
-  ignore (Session.insert session "cars" (car (8_000, 80, 120_000)));
+  ignore (Session.run session base_sql);
+  (* DML through the session patches the cached answer and moves it to
+     the new table version *)
+  check_int "insert patches the cached answer" 1
+    (Session.insert session "cars" (car (8_000, 80, 120_000)));
+  (* deleting the new best match promotes the rows it alone dominated *)
+  (match Session.delete session "cars" (car (8_000, 80, 120_000)) with
+  | Some patched -> check_int "delete patches the cached answer" 1 patched
+  | None -> Alcotest.fail "delete missed a present row");
   (match Session.delete session "cars" (car (9_000, 90, 90_000)) with
   | Some _ -> ()
   | None -> Alcotest.fail "delete missed a present row");
   let o = Session.refine session "LOWEST(price) PRIOR TO HIGHEST(power)" in
-  check_str "still the seed route" "refine:seed" o.Revise.o_plan;
-  check "seed stayed consistent across DML" true
+  check_str "served from the patched answer" "cache:semantic:prior-prefix"
+    o.Revise.o_plan;
+  check "patched answer stayed exact across DML" true
     (Relation.equal_as_sets o.Revise.o_result.Pref_sql.Exec.relation
        (cold session
           "SELECT * FROM cars PREFERRING LOWEST(price) PRIOR TO \
            HIGHEST(power)"));
-  (* replacing the table wholesale invalidates the seed: refine runs cold *)
+  (* replacing the table wholesale keeps the statement: refine runs cold
+     against the new table *)
   Session.add_table session "cars" cars;
-  check "replaced table disarms refine" true
-    (try
-       ignore (Session.refine session "LOWEST(price)");
-       false
-     with Pref_sql.Exec.Error _ -> true)
+  let o = Session.refine session "LOWEST(price)" in
+  check "refine over the replaced table" true
+    (Relation.equal_as_sets o.Revise.o_result.Pref_sql.Exec.relation
+       (cold session base_sql))
 
 let test_refine_explain () =
+  with_cache @@ fun () ->
   let session = fresh_session () in
-  ignore (Session.run session seed_sql);
+  ignore (Session.run session base_sql);
   let text =
     String.concat "\n"
       (Pref_bmo.Explain.Plan.to_text
@@ -161,7 +185,8 @@ let test_refine_explain () =
   in
   check "plan has a refine operator" true (contains text "refine");
   check "plan names the class" true (contains text "prior-suffix");
-  check "plan names the route" true (contains text "refine:seed")
+  check "plan names the cache tier" true
+    (contains text "cache(semantic:prior-prefix)")
 
 (* ------------------------------------------------------------------ *)
 (* Property: revision sequences interleaved with DML ≡ from scratch    *)
@@ -230,9 +255,7 @@ let prop_refine_matches_cold =
             term := new_term;
             let o = Session.refine session new_term in
             let expected =
-              (Pref_sql.Exec.run (Session.env session)
-                 ("SELECT * FROM t PREFERRING " ^ new_term))
-                .Pref_sql.Exec.relation
+              cold session ("SELECT * FROM t PREFERRING " ^ new_term)
             in
             Relation.equal_as_sets o.Revise.o_result.Pref_sql.Exec.relation
               expected)
@@ -242,8 +265,10 @@ let suite =
   [
     Gen.quick "revise: classifier" test_classify;
     Gen.quick "revise: session routes" test_refine_routes;
-    Gen.quick "revise: refine requires a seed" test_refine_requires_seed;
-    Gen.quick "revise: seed survives DML" test_refine_survives_dml;
+    Gen.quick "revise: refine requires a preference statement"
+      test_refine_requires_statement;
+    Gen.quick "revise: refine after DML reuses the patched cache"
+      test_refine_after_dml;
     Gen.quick "revise: EXPLAIN shows the refine node" test_refine_explain;
   ]
   @ Gen.qsuite [ prop_refine_matches_cold ]

@@ -421,6 +421,89 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
+(* A stand-in backend: answers each SET with DONE and records it, and
+   every other request with an error. *)
+let with_recording_backend f =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 4;
+  let port =
+    match Unix.getsockname sock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let m = Mutex.create () and sets = ref [] in
+  let serve fd =
+    let rec loop () =
+      match Pref_server.Protocol.read_frame fd with
+      | None -> ()
+      | Some payload ->
+        let resp =
+          match Pref_server.Protocol.parse_request payload with
+          | Ok (Pref_server.Protocol.Set (k, v)) ->
+            Mutex.protect m (fun () -> sets := (k, v) :: !sets);
+            Pref_server.Protocol.Done (k ^ ": " ^ v)
+          | _ ->
+            Pref_server.Protocol.Err
+              { kind = "exec"; retriable = false; message = "stand-in"; trace = None }
+        in
+        Pref_server.Protocol.write_frame fd (Pref_server.Protocol.encode_response resp);
+        loop ()
+    in
+    (try loop () with _ -> ());
+    try Unix.close fd with _ -> ()
+  in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        try
+          while true do
+            let fd, _ = Unix.accept sock in
+            ignore (Thread.create serve fd)
+          done
+        with _ -> ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.shutdown sock Unix.SHUTDOWN_ALL with _ -> ());
+      Thread.join acceptor;
+      Unix.close sock)
+    (fun () -> f port (fun () -> Mutex.protect m (fun () -> List.rev !sets)))
+
+let test_router_set_replay () =
+  with_recording_backend (fun bport replayed ->
+      let config =
+        {
+          Router.default_config with
+          host;
+          port = 0;
+          backends = [ { Router.bhost = host; bport } ];
+          shard_timeout_s = 5.;
+        }
+      in
+      let router = Router.start ~config () in
+      Fun.protect ~finally:(fun () -> Router.stop router) @@ fun () ->
+      with_client router (fun c ->
+          let set key value =
+            match Client.set c ~key ~value with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e
+          in
+          (* no shard channel is open yet: the SETs are only logged *)
+          for i = 1 to 1000 do
+            set "deadline" (string_of_int i)
+          done;
+          set "profile" "on";
+          set "DEADLINE" "5000";
+          (* the first shard request dials the backend and replays the log *)
+          ignore (Client.query c "SELECT * FROM cars");
+          Alcotest.(check (list (pair string string)))
+            "one SET per key, latest value, first-set order"
+            [ ("deadline", "5000"); ("profile", "on") ]
+            (replayed ())))
+
 let test_router_refine () =
   with_cluster (fun router _servers ->
       with_client router (fun c ->
@@ -626,6 +709,8 @@ let suite =
       test_router_trace_and_stats;
     Alcotest.test_case "router: EXPLAIN prices the scatter" `Quick
       test_router_explain;
+    Alcotest.test_case "router: redial replays one SET per key" `Quick
+      test_router_set_replay;
     Alcotest.test_case "router: REFINE re-runs over the shards" `Quick
       test_router_refine;
     Alcotest.test_case "router: DML placement and broadcast" `Quick

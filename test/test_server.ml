@@ -126,6 +126,11 @@ let test_session_isolation () =
 let test_deadline_degradation () =
   with_server (fun server ->
       with_client server (fun c ->
+          (* an answer the shared result cache holds is complete whatever
+             the deadline; this session evaluates every query *)
+          (match Client.set c ~key:"cache" ~value:"off" with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail e);
           (match Client.set c ~key:"deadline" ~value:"0" with
           | Ok _ -> ()
           | Error e -> Alcotest.fail e);
@@ -379,11 +384,12 @@ let normalize_plan_text body =
 let test_explain_wire_parity () =
   (* the in-process server and the local comparison session share
      [Cache.global]; start from a known state and leave none behind *)
+  let was = Pref_bmo.Cache.is_enabled () in
   Pref_bmo.Cache.set_enabled false;
   Pref_bmo.Cache.clear Pref_bmo.Cache.global;
   Fun.protect
     ~finally:(fun () ->
-      Pref_bmo.Cache.set_enabled false;
+      Pref_bmo.Cache.set_enabled was;
       Pref_bmo.Cache.clear Pref_bmo.Cache.global)
   @@ fun () ->
   with_server (fun server ->
@@ -582,6 +588,73 @@ let test_refine_wire () =
                      LOWEST(d1)) AND HIGHEST(d2)"))
           | Error e -> Alcotest.fail e))
 
+(* The result cache serves a server's sessions by default and the
+   session knob decides: a repeated QUERY is an exact hit, a prior-suffix
+   REFINE derives from the cached answer, a write patches it, and after
+   [SET cache off] the kernel answers. The serve is read from the
+   slow-query log's [plan] (the profile's algorithm). *)
+let test_cache_serves_sessions () =
+  Pref_engine.Slowlog.clear ();
+  Pref_bmo.Cache.clear Pref_bmo.Cache.global;
+  with_server (fun server ->
+      with_client server (fun c ->
+          let set key value =
+            match Client.set c ~key ~value with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e
+          in
+          let last_plan () =
+            match Pref_engine.Slowlog.recent () with
+            | Pref_obs.Json.Obj fields :: _ -> (
+              match List.assoc_opt "plan" fields with
+              | Some (Pref_obs.Json.Str p) -> p
+              | _ -> "(none)")
+            | _ -> Alcotest.fail "slow-query log is empty"
+          in
+          let query sql =
+            match Client.query c sql with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e
+          in
+          set "slowlog" "0";
+          set "profile" "on";
+          let base = "SELECT * FROM sky PREFERRING LOWEST(d0) AND LOWEST(d1)" in
+          query base;
+          query base;
+          Alcotest.(check string) "repeat is an exact hit" "cache:exact" (last_plan ());
+          let term = "(LOWEST(d0) AND LOWEST(d1)) PRIOR TO HIGHEST(d2)" in
+          (match Client.refine c term with
+          | Ok (rel, _) ->
+            check "refine answer = cache-off run" true
+              (Relation.equal_as_sets rel
+                 (Pref_sql.Exec.run_cfg
+                    { Engine.default with cache = false }
+                    env
+                    ("SELECT * FROM sky PREFERRING " ^ term))
+                   .Pref_sql.Exec.relation)
+          | Error e -> Alcotest.fail e);
+          Alcotest.(check string)
+            "prior-suffix REFINE derives from the cached answer"
+            "cache:semantic:prior-prefix" (last_plan ());
+          let row =
+            String.concat ","
+              (List.map Protocol.value_wire
+                 (Tuple.to_list (List.hd (Relation.rows sky))))
+          in
+          (match Client.insert c ~table:"sky" row with
+          | Ok line ->
+            check "the write patched cached answers" true
+              (not (contains line "(0 cached results patched)"))
+          | Error e -> Alcotest.fail e);
+          query base;
+          Alcotest.(check string)
+            "the patched answer serves the new version" "cache:exact"
+            (last_plan ());
+          set "cache" "off";
+          query base;
+          Alcotest.(check string) "cache off: the kernel answers" "bnl"
+            (last_plan ())))
+
 let feed_schema = Schema.make [ ("k", Value.TInt); ("pad", Value.TStr) ]
 let feed_row k pad = Tuple.make [ Value.Int k; Value.Str pad ]
 
@@ -761,6 +834,8 @@ let suite =
     Alcotest.test_case "server: slow-query log" `Quick test_slowlog;
     Alcotest.test_case "server: metrics HTTP listener" `Quick test_metrics_http;
     Alcotest.test_case "server: REFINE over the wire" `Quick test_refine_wire;
+    Alcotest.test_case "server: sessions use the result cache" `Quick
+      test_cache_serves_sessions;
     Alcotest.test_case "server: DML over the wire" `Quick test_dml_wire;
     Alcotest.test_case "server: SUBSCRIBE delta stream" `Quick
       test_subscribe_stream;
