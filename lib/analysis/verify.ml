@@ -404,13 +404,6 @@ let maintain_catalog =
     Pref.pareto (Pref.around "a" 1.) (Pref.around "b" 1.);
   ]
 
-let remove_first t rows =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | x :: rest -> if Tuple.equal x t then List.rev_append acc rest else go (x :: acc) rest
-  in
-  go [] rows
-
 let maintain_section rels =
   let failures = ref [] and cases = ref 0 in
   let fired = Hashtbl.create 2 in
@@ -447,7 +440,7 @@ let maintain_section rels =
             universe;
           List.iter
             (fun d ->
-              let rest = remove_first d rows in
+              let rest = Pref_bmo.Incremental.remove_first (Tuple.equal d) rows in
               match
                 Pref_bmo.Incremental.delete_rule dominates ~result ~domain:rest d
               with

@@ -532,12 +532,12 @@ let stats t =
     cost_skipped = t.cost_skipped;
   }
 
-let stats_lines t =
+let stats_lines ~enabled t =
   let s = stats t in
   let mib b = float_of_int b /. (1024. *. 1024.) in
   [
     Printf.sprintf "cache: %s — %d entries, ~%.2f MiB (budget %.0f MiB, max %d entries)"
-      (if t.enabled then "enabled" else "disabled")
+      (if enabled then "enabled" else "disabled")
       s.entries (mib s.bytes) (mib t.budget_bytes) t.max_entries;
     Printf.sprintf
       "hits %d  misses %d  semantic %d  cost-skipped %d  patched %d  evictions %d"

@@ -180,5 +180,7 @@ type stats = {
 }
 
 val stats : t -> stats
-val stats_lines : t -> string list
-(** Human-readable dump for the shell's [\cache stats]. *)
+val stats_lines : enabled:bool -> t -> string list
+(** Human-readable dump for the shell's [\cache stats]; [enabled] is
+    reported as the cache's state: whether the caller's statements use
+    it (its session's [cache] knob and the process-wide switch). *)

@@ -31,6 +31,10 @@ val no_delta : delta
 
 (** {1 The maintenance rule} *)
 
+val remove_first : (Tuple.t -> bool) -> Tuple.t list -> Tuple.t list
+(** [remove_first same rows]: [rows] without the first row [same]
+    matches — one multiset delete. *)
+
 val insert_rule :
   Dominance.t -> result:Tuple.t list -> Tuple.t -> Tuple.t list * delta
 (** [insert_rule dominates ~result r]: the new σ[P] after inserting [r]

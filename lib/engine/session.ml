@@ -114,11 +114,6 @@ let execute t ~deadline ?parse_ms q =
   t.last <- (if r.Exec.preference = None then None else Some q);
   r
 
-let plan_summary (r : Exec.result) =
-  match r.Exec.profile with
-  | Some p -> Some p.Pref_obs.Profile.algorithm
-  | None -> None
-
 (* One statement: counted in the stats (errors re-raise after counting)
    and, with the [slowlog] knob set, timed for the slow-query log. *)
 let counted t ~text f =
@@ -129,8 +124,8 @@ let counted t ~text f =
     | Some threshold_ms ->
       (* Time the whole statement and collect its span tree (present only
          while telemetry is on); at or above the threshold the query goes
-         to the slow-query log.  The profile knob decides whether a plan
-         summary is available — slowlog itself does not force profiling. *)
+         to the slow-query log with the σ serve that answered as its plan
+         — slowlog itself does not force profiling. *)
       let since = Pref_obs.Clock.now_ns () in
       let r, span =
         Pref_obs.Span.collect "session.query"
@@ -140,7 +135,7 @@ let counted t ~text f =
       let ms = Pref_obs.Clock.elapsed_ms ~since in
       if ms >= threshold_ms then
         Slowlog.record ~ms ~threshold_ms ~query:text ~session:t.s_id
-          ~plan:(plan_summary r) ?span ();
+          ~plan:r.Exec.plan ?span ();
       r
   with e ->
     t.errors <- t.errors + 1;

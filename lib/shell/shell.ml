@@ -334,7 +334,9 @@ let set_knob shell key value =
 let cache_command shell args =
   let cache = Pref_bmo.Cache.global in
   match args with
-  | [] | [ "stats" ] -> Ok (plain (Pref_bmo.Cache.stats_lines cache))
+  | [] | [ "stats" ] ->
+    let enabled = (config shell).Pref_bmo.Engine.cache && Pref_bmo.Cache.is_enabled () in
+    Ok (plain (Pref_bmo.Cache.stats_lines ~enabled cache))
   | [ ("on" | "off") as v ] -> set_knob shell "cache" v
   | [ "clear" ] ->
     Pref_bmo.Cache.clear cache;

@@ -245,3 +245,19 @@ let rel rows = Relation.make schema rows
 
 let quick name f = Alcotest.test_case name `Quick f
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
+
+(* The test binary switches the process-wide result cache off before any
+   suite runs (see main.ml), so every oracle evaluates; this module is
+   initialised earlier and records the state the library starts in.
+   [with_cache f] runs [f] with the cache on and empty, then switches it
+   off and empties it again. *)
+let cache_enabled_at_start = Pref_bmo.Cache.is_enabled ()
+
+let with_cache f =
+  Pref_bmo.Cache.clear Pref_bmo.Cache.global;
+  Pref_bmo.Cache.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Pref_bmo.Cache.set_enabled false;
+      Pref_bmo.Cache.clear Pref_bmo.Cache.global)
+    f

@@ -1,4 +1,9 @@
 let () =
+  (* The process-wide result cache starts on, as servers need it. Every
+     suite shares this process, so an oracle that compares two evaluations
+     of one query would read the first one's stored answer: the suites run
+     with it off, and the cache tests switch it on ({!Gen.with_cache}). *)
+  Pref_bmo.Cache.set_enabled false;
   Alcotest.run "preferences"
     [
       ("order", Test_order.suite);

@@ -21,18 +21,6 @@ let sample_rows =
     t4 0 0 "y" 0.0;
   ]
 
-(* Run [f] with the global cache switched [on] (default) and empty,
-   then restore the switch. *)
-let with_global ?(on = true) f =
-  let was = Cache.is_enabled () in
-  Cache.clear Cache.global;
-  Cache.set_enabled on;
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.set_enabled was;
-      Cache.clear Cache.global)
-    f
-
 (* --- canonical keys ---------------------------------------------------- *)
 
 let test_canonical_keys () =
@@ -309,7 +297,7 @@ let test_eviction_byte_budget () =
 (* --- planner & query integration --------------------------------------- *)
 
 let test_planner_cache_plans () =
-  with_global @@ fun () ->
+  Gen.with_cache @@ fun () ->
   let rel = Relation.make Gen.schema sample_rows in
   let p = Pref.pareto (Pref.lowest "a") (Pref.highest "b") in
   let auto = { Engine.default with algorithm = Query.Alg_auto } in
@@ -340,7 +328,7 @@ let test_planner_cache_plans () =
     | _ -> false)
 
 let test_query_cache_integration () =
-  with_global @@ fun () ->
+  Gen.with_cache @@ fun () ->
   let rel = Relation.make Gen.schema sample_rows in
   let p = Pref.pareto (Pref.lowest "a") (Pref.highest "d") in
   let hits0 = (Cache.stats Cache.global).Cache.hits in
@@ -371,10 +359,13 @@ let test_query_cache_integration () =
   check_int "opt-out did not touch the cache" before
     (Cache.stats Cache.global).Cache.hits
 
+(* servers rely on it: the library's process-wide cache starts on *)
+let test_starts_enabled () =
+  check "Cache.global starts enabled" true Gen.cache_enabled_at_start
+
 let test_disabled_is_noop () =
-  (* with the switch off, lookups on the global cache return None and
-     count nothing, stores do not allocate entries *)
-  with_global ~on:false @@ fun () ->
+  (* the global cache is disabled outside [Gen.with_cache]: lookups
+     return None and count nothing, stores do not allocate entries *)
   let rel = Relation.make Gen.schema sample_rows in
   let p = Pref.lowest "a" in
   let before = Cache.stats Cache.global in
@@ -398,6 +389,7 @@ let suite =
     Gen.quick "eviction by byte budget" test_eviction_byte_budget;
     Gen.quick "planner cache plans" test_planner_cache_plans;
     Gen.quick "query integration" test_query_cache_integration;
+    Gen.quick "global cache starts enabled" test_starts_enabled;
     Gen.quick "disabled cache is a no-op" test_disabled_is_noop;
   ]
   @ Gen.qsuite

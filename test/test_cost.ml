@@ -321,18 +321,8 @@ let test_identity_elimination () =
       (prof.Pref_obs.Profile.algorithm <> "identity")
   | None -> Alcotest.fail "no profile"
 
-let with_cache f =
-  let was = Pref_bmo.Cache.is_enabled () in
-  Pref_bmo.Cache.set_enabled true;
-  Pref_bmo.Cache.clear Pref_bmo.Cache.global;
-  Fun.protect
-    ~finally:(fun () ->
-      Pref_bmo.Cache.set_enabled was;
-      Pref_bmo.Cache.clear Pref_bmo.Cache.global)
-    f
-
 let test_selection_commute_serve () =
-  with_cache @@ fun () ->
+  Gen.with_cache @@ fun () ->
   let rel = items 500 in
   let cfg = { auto_cfg with Pref_bmo.Engine.profile = true } in
   let env = [ ("items", rel) ] in

@@ -152,14 +152,7 @@ let test_deadline_degradation () =
     (best = Bnl.maxima dom rows && not timed_out)
 
 let test_partial_never_cached () =
-  let was = Cache.is_enabled () in
-  Cache.set_enabled true;
-  Cache.clear Cache.global;
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.clear Cache.global;
-      Cache.set_enabled was)
-    (fun () ->
+  Gen.with_cache (fun () ->
       let degraded, flags =
         sigma_with
           { Engine.default with deadline_ms = Some 0. }
@@ -229,14 +222,7 @@ let test_deadline_cut_oracle () =
     (List.equal Tuple.equal (Bnl.select arr r) (prefix_bmo p));
   (* through the query ladder, with the cache on: the degraded answer is
      the same prefix BMO set and never reaches the cache *)
-  let was = Cache.is_enabled () in
-  Cache.set_enabled true;
-  Cache.clear Cache.global;
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.clear Cache.global;
-      Cache.set_enabled was)
-    (fun () ->
+  Gen.with_cache (fun () ->
       let deadline = budget () in
       let p = slow_pref deadline in
       let out, flags =
@@ -294,14 +280,7 @@ let test_same_answer_whatever_the_flags () =
       check (Printf.sprintf "run %d: same metric moves" i) true (m = m0))
     runs;
   (* warm cache: the structured result names the tier whatever [profile] *)
-  let was = Cache.is_enabled () in
-  Cache.set_enabled true;
-  Cache.clear Cache.global;
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.clear Cache.global;
-      Cache.set_enabled was)
-    (fun () ->
+  Gen.with_cache (fun () ->
       ignore (Query.sigma schema pareto_pref rel);
       List.iter
         (fun profile ->

@@ -224,14 +224,7 @@ let prop_rule_matches_naive =
       let apply replica (d : Incremental.delta) =
         replica :=
           List.fold_left
-            (fun l r ->
-              let rec drop acc = function
-                | [] -> List.rev acc
-                | x :: rest ->
-                  if Tuple.equal x r then List.rev_append acc rest
-                  else drop (x :: acc) rest
-              in
-              drop [] l)
+            (fun l r -> Incremental.remove_first (Tuple.equal r) l)
             !replica d.Incremental.removed
           @ d.Incremental.added
       in
@@ -247,19 +240,10 @@ let prop_rule_matches_naive =
           rel := new_rel
         in
         let delete t =
-          let removed = ref false in
+          let present = List.exists (Tuple.equal t) rows in
           let new_rel =
-            Relation.make Gen.schema
-              (List.filter
-                 (fun u ->
-                   if (not !removed) && Tuple.equal u t then begin
-                     removed := true;
-                     false
-                   end
-                   else true)
-                 rows)
+            Relation.make Gen.schema (Incremental.remove_first (Tuple.equal t) rows)
           in
-          let present = !removed in
           if present then ignore (Cache.on_delete cache ~old_rel:!rel ~new_rel t);
           let ok =
             List.for_all2

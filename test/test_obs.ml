@@ -230,12 +230,10 @@ let test_json () =
 
 (* --- profiles ----------------------------------------------------------- *)
 
-(* cache off: a repeat of the statement would be a cache hit, and these
-   profiles describe the kernel *)
 let profiled algorithm schema p rel =
   let r =
     Query.run_within ~deadline:Engine.no_deadline
-      { Engine.default with algorithm; profile = true; cache = false }
+      { Engine.default with algorithm; profile = true }
       schema p rel
   in
   (r.Engine.Result.rows, Option.get r.Engine.Result.profile)
@@ -360,12 +358,7 @@ let test_exec_profile () =
   let sql = "SELECT * FROM r WHERE c = 'x' PREFERRING LOWEST(a) AND LOWEST(b)" in
   let plain = Pref_sql.Exec.run exec_env sql in
   check "no profile unless asked" true (plain.Pref_sql.Exec.profile = None);
-  (* cache off: the plain run above stored the answer *)
-  let r =
-    Pref_sql.Exec.run_cfg
-      { Engine.default with profile = true; cache = false }
-      exec_env sql
-  in
+  let r = Pref_sql.Exec.run_cfg { Engine.default with profile = true } exec_env sql in
   match r.Pref_sql.Exec.profile with
   | None -> Alcotest.fail "expected a profile"
   | Some prof ->
@@ -421,10 +414,6 @@ let test_shell_profile () =
   let r = ok shell "\\profile on" in
   check "ack" true (r.Pref_shell.Shell.text = [ "profile: on" ]);
   check "flips the engine switch" true (Pref_obs.Control.is_enabled ());
-  (* the session evaluates rather than reading the shared cache *)
-  let c = ok shell "\\cache off" in
-  check "\\cache off sets the session knob" true
-    (c.Pref_shell.Shell.text = [ "cache: off" ]);
   let q = ok shell "SELECT * FROM r PREFERRING LOWEST(a) AND LOWEST(b)" in
   check "profile comment lines" true
     (List.exists (has_prefix ~prefix:"-- profile:") q.Pref_shell.Shell.text);
@@ -448,6 +437,16 @@ let test_shell_profile () =
   check "no profile lines when off" true
     (not
        (List.exists (has_prefix ~prefix:"-- profile:") q2.Pref_shell.Shell.text));
+  (* \cache on|off sets the session knob, and \cache stats reports the
+     knob that decides *)
+  Gen.with_cache (fun () ->
+      let first cmd = List.hd (ok shell cmd).Pref_shell.Shell.text in
+      check "\\cache off acks" true (first "\\cache off" = "cache: off");
+      check "stats after \\cache off" true
+        (has_prefix ~prefix:"cache: disabled" (first "\\cache stats"));
+      ignore (ok shell "\\cache on");
+      check "stats after \\cache on" true
+        (has_prefix ~prefix:"cache: enabled" (first "\\cache stats")));
   Pref_obs.Span.clear ();
   Pref_obs.Metrics.reset ()
 

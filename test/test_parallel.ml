@@ -3,12 +3,10 @@ open Preferences
 open Pref_bmo
 module Synthetic = Pref_workload.Synthetic
 
-(* cache off: the algorithms under test must evaluate, not read an
-   answer an earlier run stored *)
 let sigma_alg algorithm schema p rel =
   fst
     (Query.sigma_within ~deadline:Engine.no_deadline
-       { Engine.default with algorithm; cache = false } schema p rel)
+       { Engine.default with algorithm } schema p rel)
 
 let check = Alcotest.(check bool)
 
@@ -172,7 +170,6 @@ let test_sigma_parallel_profiled () =
         algorithm = Query.Alg_parallel;
         domains = Some 4;
         profile = true;
-        cache = false;
       }
       schema p rel
   in
@@ -238,12 +235,7 @@ let test_planner_parallel_choice () =
    and everything else runs BNL without pricing an alternative. *)
 let test_costmodel_off () =
   let off =
-    {
-      Engine.default with
-      algorithm = Engine.Alg_auto;
-      costmodel = false;
-      cache = false;
-    }
+    { Engine.default with algorithm = Engine.Alg_auto; costmodel = false }
   in
   let plan_of schema p rel =
     (Query.run_within ~deadline:Engine.no_deadline off schema p rel)

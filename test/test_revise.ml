@@ -69,17 +69,6 @@ let cars =
 let fresh_session () =
   Session.create ~env:[ ("cars", cars) ] ()
 
-(* The result cache on and empty, restored to its prior state after. *)
-let with_cache f =
-  let was = Pref_bmo.Cache.is_enabled () in
-  Pref_bmo.Cache.set_enabled true;
-  Pref_bmo.Cache.clear Pref_bmo.Cache.global;
-  Fun.protect
-    ~finally:(fun () ->
-      Pref_bmo.Cache.set_enabled was;
-      Pref_bmo.Cache.clear Pref_bmo.Cache.global)
-    f
-
 let cache_off = { Pref_bmo.Engine.default with cache = false }
 
 let cold session sql =
@@ -88,7 +77,7 @@ let cold session sql =
 let base_sql = "SELECT * FROM cars PREFERRING LOWEST(price)"
 
 let test_refine_routes () =
-  with_cache @@ fun () ->
+  Gen.with_cache @@ fun () ->
   let session = fresh_session () in
   ignore (Session.run session base_sql);
   let refine term kind plan =
@@ -136,7 +125,7 @@ let test_refine_requires_statement () =
   refuses "a preference-free statement disarms refine"
 
 let test_refine_after_dml () =
-  with_cache @@ fun () ->
+  Gen.with_cache @@ fun () ->
   let session = fresh_session () in
   ignore (Session.run session base_sql);
   (* DML through the session patches the cached answer and moves it to
@@ -167,7 +156,7 @@ let test_refine_after_dml () =
        (cold session base_sql))
 
 let test_refine_explain () =
-  with_cache @@ fun () ->
+  Gen.with_cache @@ fun () ->
   let session = fresh_session () in
   ignore (Session.run session base_sql);
   let text =
@@ -231,6 +220,7 @@ let prop_refine_matches_cold =
            (Fmt.list ~sep:Fmt.semi pp_step)
            steps))
     (fun (t0, rows, steps) ->
+      Gen.with_cache @@ fun () ->
       let session =
         Session.create ~env:[ ("t", Relation.make Gen.schema rows) ] ()
       in

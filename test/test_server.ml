@@ -126,11 +126,6 @@ let test_session_isolation () =
 let test_deadline_degradation () =
   with_server (fun server ->
       with_client server (fun c ->
-          (* an answer the shared result cache holds is complete whatever
-             the deadline; this session evaluates every query *)
-          (match Client.set c ~key:"cache" ~value:"off" with
-          | Ok _ -> ()
-          | Error e -> Alcotest.fail e);
           (match Client.set c ~key:"deadline" ~value:"0" with
           | Ok _ -> ()
           | Error e -> Alcotest.fail e);
@@ -383,15 +378,7 @@ let normalize_plan_text body =
 
 let test_explain_wire_parity () =
   (* the in-process server and the local comparison session share
-     [Cache.global]; start from a known state and leave none behind *)
-  let was = Pref_bmo.Cache.is_enabled () in
-  Pref_bmo.Cache.set_enabled false;
-  Pref_bmo.Cache.clear Pref_bmo.Cache.global;
-  Fun.protect
-    ~finally:(fun () ->
-      Pref_bmo.Cache.set_enabled was;
-      Pref_bmo.Cache.clear Pref_bmo.Cache.global)
-  @@ fun () ->
+     [Cache.global], off until the last phase turns it on *)
   with_server (fun server ->
       with_client server (fun c ->
           (* a local session configured exactly like the server's *)
@@ -433,8 +420,7 @@ let test_explain_wire_parity () =
           parity "auto" sky_query;
           (* populate the shared cache through the wire, then both sides
              must explain the same reuse *)
-          Pref_bmo.Cache.set_enabled true;
-          Pref_bmo.Cache.clear Pref_bmo.Cache.global;
+          Gen.with_cache @@ fun () ->
           (match Client.query c sky_query with
           | Ok _ -> ()
           | Error e -> Alcotest.fail e);
@@ -588,14 +574,14 @@ let test_refine_wire () =
                      LOWEST(d1)) AND HIGHEST(d2)"))
           | Error e -> Alcotest.fail e))
 
-(* The result cache serves a server's sessions by default and the
-   session knob decides: a repeated QUERY is an exact hit, a prior-suffix
-   REFINE derives from the cached answer, a write patches it, and after
-   [SET cache off] the kernel answers. The serve is read from the
-   slow-query log's [plan] (the profile's algorithm). *)
+(* With the process-wide cache on, as it starts in prefserve, the result
+   cache serves a server's sessions and the session knob decides: a
+   repeated QUERY is an exact hit, a prior-suffix REFINE derives from the
+   cached answer, a write patches it, and after [SET cache off] the
+   kernel answers. The serve is read from the slow-query log's [plan]. *)
 let test_cache_serves_sessions () =
   Pref_engine.Slowlog.clear ();
-  Pref_bmo.Cache.clear Pref_bmo.Cache.global;
+  Gen.with_cache @@ fun () ->
   with_server (fun server ->
       with_client server (fun c ->
           let set key value =
@@ -617,7 +603,6 @@ let test_cache_serves_sessions () =
             | Error e -> Alcotest.fail e
           in
           set "slowlog" "0";
-          set "profile" "on";
           let base = "SELECT * FROM sky PREFERRING LOWEST(d0) AND LOWEST(d1)" in
           query base;
           query base;
