@@ -3,7 +3,7 @@
     Sessions whose [slowlog] knob is set record every query at or above
     the threshold here: one JSON object carrying the wall time, the
     query text, the session id, the σ serve that answered as its plan
-    ([null] without a PREFERRING clause), and — for a configurable
+    ([null] without a PREFERRING/CASCADE clause), and — for a configurable
     1-in-n sample — the full {!Pref_obs.Span} tree of the execution
     (spans exist only while telemetry is enabled; unsampled or untraced
     entries simply omit the tree).
