@@ -474,7 +474,111 @@ let maintain_section rels =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Section 5: the router merge                                         *)
+(* Section 5: keyed dominance                                           *)
+
+(* {!Pref_bmo.Dominance.keyed} against Definition 15 read literally: over
+   a universe that adds NULL to each attribute's domain, the keyed test
+   must equal [Pref.lt] (lt_via) on every ordered pair, and the keyed
+   BNL window must return exactly {t ∈ R | no t' ∈ R has t <_P t'} on
+   every relation. The catalog has one term per leaf rule and per
+   combinator; all but rank(F) must compile without a closure leaf. *)
+let keys_universe =
+  let dom = Value.Null :: List.map (fun i -> Value.Int i) domain in
+  List.concat_map (fun a -> List.map (fun b -> Tuple.make [ a; b ]) dom) dom
+
+let keys_catalog =
+  let lo = Pref.lowest "a" and hi = Pref.highest "b" in
+  [
+    ("lowest", lo);
+    ("highest", hi);
+    ("around", Pref.around "a" 1.);
+    ("between", Pref.between "b" ~low:1. ~up:2.);
+    ("pos", Pref.pos "a" [ a1 ]);
+    ("neg", Pref.neg "b" [ a0 ]);
+    ("pos/neg", Pref.pos_neg "a" ~pos:[ a2 ] ~neg:[ a0 ]);
+    ("pos/pos", Pref.pos_pos "b" ~pos1:[ a1 ] ~pos2:[ a0; a2 ]);
+    ("explicit", Pref.explicit "a" [ (a0, a1); (a2, a1) ]);
+    ( "two-graphs",
+      Pref.two_graphs ~attr:"b" ~pos_edges:[ (a0, a1) ] ~neg_singles:[ a2 ] () );
+    ("pareto", Pref.pareto lo hi);
+    ("pareto-dual", Pref.pareto (Pref.dual lo) hi);
+    ("prior", Pref.prior (Pref.pos "a" [ a1 ]) (Pref.lowest "b"));
+    ("grouping", Pref.prior (Pref.antichain [ "a" ]) hi);
+    ("inter", Pref.inter lo (Pref.neg "a" [ a2 ]));
+    ("dual-prior", Pref.dual (Pref.prior hi (Pref.explicit "a" [ (a2, a0) ])));
+    ("rank", Pref.rank (Pref.weighted_sum 1. 1.) lo (Pref.around "b" 1.));
+  ]
+
+let keys_section rels =
+  let failures = ref [] and cases = ref 0 in
+  let fail rule p rel detail =
+    failures :=
+      {
+        f_section = "keys";
+        f_rule = rule;
+        f_term = p;
+        f_rewritten = None;
+        f_relation = rel;
+        f_detail = detail;
+      }
+      :: !failures
+  in
+  let all = Relation.make schema keys_universe in
+  let rels =
+    rels
+    @ List.concat_map
+        (fun t -> List.map (fun u -> Relation.make schema [ t; u ]) keys_universe)
+        keys_universe
+  in
+  List.iter
+    (fun (rule, p) ->
+      let k = Pref_bmo.Dominance.keyed schema p all in
+      let arr = Relation.row_array all in
+      if (k.Pref_bmo.Dominance.closure_leaves = []) <> (rule <> "rank") then
+        fail rule p all "the term compiled with an unexpected closure leaf";
+      Array.iteri
+        (fun i x ->
+          Array.iteri
+            (fun j y ->
+              incr cases;
+              if k.Pref_bmo.Dominance.dominates j i <> Pref.lt schema p x y then
+                fail rule p
+                  (Relation.make schema [ x; y ])
+                  (Fmt.str "keyed says %a dominates %a is %b, lt_via says %b"
+                     Tuple.pp y Tuple.pp x
+                     (k.Pref_bmo.Dominance.dominates j i)
+                     (Pref.lt schema p x y)))
+            arr)
+        arr;
+      List.iter
+        (fun rel ->
+          incr cases;
+          let rows = Relation.rows rel in
+          let literal =
+            List.filter
+              (fun t -> not (List.exists (fun u -> Pref.lt schema p t u) rows))
+              rows
+          in
+          let k = Pref_bmo.Dominance.keyed schema p rel in
+          let got =
+            Pref_bmo.Dominance.select k
+              (Pref_bmo.Dominance.window k).Pref_bmo.Bnl.survivors
+          in
+          if not (List.equal Tuple.equal literal got) then
+            fail rule p rel
+              (Fmt.str "keyed BNL returned %d rows, Def. 15 %d"
+                 (List.length got) (List.length literal)))
+        rels)
+    keys_catalog;
+  {
+    s_name = "keys";
+    s_rules = List.length keys_catalog;
+    s_cases = !cases;
+    s_failures = List.rev !failures;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Section 6: the router merge                                         *)
 
 let merge_queries =
   [
@@ -581,7 +685,7 @@ let merge_section rels =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Section 6: seeded-random large scope                                *)
+(* Section 7: seeded-random large scope                                *)
 
 let random_base st =
   let attr = if Random.State.bool st then "a" else "b" in
@@ -685,6 +789,7 @@ let run ?(max_rows = 3) ?(seed = 42) ?(random_cases = 150) ?(budget_s = 30.)
       constraints_section rels;
       cache_section rels;
       maintain_section rels;
+      keys_section rels;
       merge_section rels;
       random_section ~seed ~cases:random_cases ~budget_s;
     ]

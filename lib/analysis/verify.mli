@@ -23,6 +23,12 @@
       every inserted universe tuple and every deleted maximal tuple — the
       delete screening only the deleted tuple's cone — and each half must
       change a result at least once;
+    - {b keys}: {!Pref_bmo.Dominance.keyed}, one catalog term per leaf
+      rule and combinator, over the universe with NULL added to each
+      domain: the keyed test must equal [Pref.lt] on every ordered pair,
+      and the keyed BNL window must return exactly the literal
+      Definition 15 set, in order, on every enumerated relation and every
+      pair of universe tuples;
     - {b merge}: for a catalog of sharded queries,
       {!Pref_router.Merge.gather} + [finish] over per-shard executions
       must equal the single-node answer, for hash and range schemes;

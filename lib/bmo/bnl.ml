@@ -17,10 +17,25 @@ type run = { survivors : int array; tests : int; peak : int; timed_out : bool }
    prefix, so stopping at a poll yields a sound, merely incomplete answer. *)
 let deadline_stride = 128
 
-let window ?(deadline = Engine.no_deadline) better points =
-  let n = Array.length points in
+(* A full window array, doubled (at most to [n], the input size). *)
+let grow wa n =
+  let g = Array.make (min n (2 * Array.length wa)) 0 in
+  Array.blit wa 0 g 0 (Array.length wa);
+  g
+
+let window ?(deadline = Engine.no_deadline) ?len better points =
+  let n =
+    match len with
+    | None -> Array.length points
+    | Some l ->
+      if l < 0 || l > Array.length points then
+        invalid_arg "Bnl.window: len out of range";
+      l
+  in
   let polls = Engine.has_deadline deadline in
-  let win = Array.make n 0 in
+  (* the window starts small and doubles: it rarely nears n, and a
+     per-query array of n ints would be garbage the size of the input *)
+  let win = ref (Array.make (min n 64) 0) in
   let size = ref 0 and peak = ref 0 and tests = ref 0 in
   let timed_out = ref false in
   let k = ref 0 in
@@ -34,23 +49,25 @@ let window ?(deadline = Engine.no_deadline) better points =
       let p = Array.unsafe_get points !k in
       let dominated = ref false in
       let i = ref 0 in
+      let wa = !win in
       while (not !dominated) && !i < !size do
         incr tests;
-        if better (Array.unsafe_get points (Array.unsafe_get win !i)) p then
+        if better (Array.unsafe_get points (Array.unsafe_get wa !i)) p then
           dominated := true
         else incr i
       done;
       if not !dominated then begin
         let j = ref 0 in
         for i = 0 to !size - 1 do
-          let w = Array.unsafe_get win i in
+          let w = Array.unsafe_get wa i in
           incr tests;
           if not (better p (Array.unsafe_get points w)) then begin
-            Array.unsafe_set win !j w;
+            Array.unsafe_set wa !j w;
             incr j
           end
         done;
-        Array.unsafe_set win !j !k;
+        if !j = Array.length wa then win := grow wa n;
+        Array.unsafe_set !win !j !k;
         size := !j + 1;
         if !size > !peak then peak := !size
       end;
@@ -58,7 +75,7 @@ let window ?(deadline = Engine.no_deadline) better points =
     end
   done;
   {
-    survivors = Array.sub win 0 !size;
+    survivors = Array.sub !win 0 !size;
     tests = !tests;
     peak = !peak;
     timed_out = !timed_out;
@@ -66,6 +83,6 @@ let window ?(deadline = Engine.no_deadline) better points =
 
 let select arr r = Array.fold_right (fun i acc -> arr.(i) :: acc) r.survivors []
 
-let maxima (dom : Dominance.t) rows =
+let maxima dom rows =
   let arr = Array.of_list rows in
   select arr (window dom arr)

@@ -32,9 +32,14 @@ val deadline_stride : int
 (** Candidates scanned between clock polls (clock reads are cheap but not
     free; the stride bounds deadline overshoot to [stride] candidates). *)
 
-val window : ?deadline:Engine.deadline -> ('p -> 'p -> bool) -> 'p array -> run
+val grow : int array -> int -> int array
+(** [grow window n]: a full window array's contents in one twice as long,
+    at most [n] (the input size) — the window loops' one growth step. *)
+
+val window :
+  ?deadline:Engine.deadline -> ?len:int -> ('p -> 'p -> bool) -> 'p array -> run
 (** [window better points]: the maxima of [points] under [better a b]
-    ("[a] dominates [b]"). With a [deadline] the monotonic clock is polled
+    ("[a] dominates [b]"); with [len], of the first [len] points only. With a [deadline] the monotonic clock is polled
     before every {!deadline_stride}-th candidate (the first included);
     when it has expired the scan stops and returns the current window
     with [timed_out] set — the exact BMO set of the scanned prefix (window
@@ -47,5 +52,5 @@ val window : ?deadline:Engine.deadline -> ('p -> 'p -> bool) -> 'p array -> run
 val select : 'a array -> run -> 'a list
 (** The surviving elements of the scanned array, in window order. *)
 
-val maxima : Dominance.t -> Tuple.t list -> Tuple.t list
+val maxima : (Tuple.t -> Tuple.t -> bool) -> Tuple.t list -> Tuple.t list
 (** {!window} over tuples, without a deadline. *)

@@ -1,8 +1,9 @@
 open Pref_relation
+open Preferences
 
 type t = Tuple.t -> Tuple.t -> bool
 
-let of_pref schema p = Preferences.Pref.compile_better schema p
+let of_pref schema p = Pref.compile_better schema p
 
 let counting dom =
   let n = ref 0 in
@@ -13,80 +14,379 @@ let counting dom =
   (dom', fun () -> !n)
 
 (* ------------------------------------------------------------------ *)
-(* Vectorized dominance                                                *)
+(* Projection vectors                                                  *)
 
 type vec = {
-  attrs : string list;
-  width : int;
   project : Tuple.t -> Value.t array;
   better : Value.t array -> Value.t array -> bool;
-  floats : (Tuple.t -> float array) option;
 }
 
-(* Float dominance with NULL encoded as nan: on each dimension a number
-   beats nan strictly, two nans tie (NULL = NULL under Value.equal, which
-   is what the compiled Pareto equality test sees), and two numbers compare
-   normally. [v] dominates [w] iff v is >= on every dimension and > on at
-   least one. *)
-let ge_dim a b =
-  if Float.is_nan b then true else (not (Float.is_nan a)) && a >= b
-
-let gt_dim a b =
-  (not (Float.is_nan a)) && (Float.is_nan b || a > b)
-
-let float_dominates (v : float array) (w : float array) =
-  let d = Array.length v in
-  let i = ref 0 in
-  while !i < d && ge_dim (Array.unsafe_get v !i) (Array.unsafe_get w !i) do
-    incr i
-  done;
-  !i >= d
-  &&
-  let j = ref 0 in
-  while
-    !j < d && not (gt_dim (Array.unsafe_get v !j) (Array.unsafe_get w !j))
-  do
-    incr j
-  done;
-  !j < d
-
-let float_projector schema attrs ~maximize =
-  let idx = Array.of_list (List.map (Schema.index_of_exn schema) attrs) in
-  let sign = if maximize then 1.0 else -1.0 in
-  fun t ->
-    Array.map
-      (fun i ->
-        match Value.as_float (Tuple.get t i) with
-        | Some f -> sign *. f
-        | None -> Float.nan)
-      idx
-
-(* The float path is exact only when the chain attributes are numeric in
-   the schema (the relation layer enforces column types, so the values are
-   then numbers or NULL — both encodable). A numeric chain over e.g. a
-   string column keeps the general Value.t-vector path. *)
-let numeric_ty = function
-  | Value.TInt | Value.TFloat | Value.TDate | Value.TBool -> true
-  | Value.TStr -> false
-
 let of_pref_vec schema p =
-  let vc = Preferences.Pref.compile_vec schema p in
-  let floats =
-    match Preferences.Pref.chain_dims p with
-    | Some (attrs, maximize)
-      when List.for_all
-             (fun a ->
-               match Schema.type_of schema a with
-               | Some ty -> numeric_ty ty
-               | None -> false)
-             attrs ->
-      Some (float_projector schema attrs ~maximize)
-    | Some _ | None -> None
+  let vc = Pref.compile_vec schema p in
+  { project = Pref.vec_project vc; better = vc.Pref.vc_better }
+
+(* ------------------------------------------------------------------ *)
+(* Keyed dominance over a table version's key columns                  *)
+
+type keyed = {
+  dominates : int -> int -> bool;
+  relation : Relation.t;
+  size : int;
+  closure_leaves : Pref.t list;
+  columns_ms : float;
+}
+
+(* The values a value-level leaf names. Its order reads a value only
+   through Value.equal against these, so every value equal to none of
+   them behaves alike — NaN, equal to nothing, stands in for them all. *)
+let named_values = function
+  | Pref.Pos (_, s) | Pref.Neg (_, s) -> s
+  | Pref.Pos_neg (_, a, b) | Pref.Pos_pos (_, a, b) -> a @ b
+  | Pref.Explicit (_, edges) -> List.concat_map (fun (w, b) -> [ w; b ]) edges
+  | Pref.Two_graphs s ->
+    List.concat_map (fun (w, b) -> [ w; b ]) (s.Pref.tg_pos @ s.Pref.tg_neg)
+    @ s.Pref.tg_pos_singles @ s.Pref.tg_neg_singles
+  | _ -> []
+
+(* Above this many named values the class table (quadratic in them)
+   is not built and the leaf reads the tuple closure. *)
+let max_named = 255
+
+let is_float = function Value.Float _ -> true | _ -> false
+let is_wide_int = function Value.Int i -> Value.wide_int i | _ -> false
+
+(* A Pareto operand that is a numeric chain: LOWEST or HIGHEST under any
+   number of duals, with its direction and whether NULL is its worst
+   value (a dual makes NULL the best). *)
+let rec chain_leaf = function
+  | Pref.Lowest a -> Some (a, false, true)
+  | Pref.Highest a -> Some (a, true, true)
+  | Pref.Dual q ->
+    Option.map (fun (a, up, null_worst) -> (a, not up, not null_worst)) (chain_leaf q)
+  | _ -> None
+
+(* Nested Pareto (and prioritised) accumulations flatten: by Def. 8,
+   x <_{P1⊗…⊗Pk} y iff every operand has x <_i y or x =_i y and one has
+   x <_i y, because equality on attrs(P1) ∪ attrs(P2) is the conjunction
+   of the two; by Def. 9 x <_{P1&…&Pk} y iff some operand has x <_i y
+   with x =_j y on every earlier one. A dual distributes over ⊗, &, ♦
+   and + (equality is symmetric), so the compiler pushes it to the
+   leaves. *)
+let rec pareto_operands = function
+  | Pref.Pareto (p, q) -> pareto_operands p @ pareto_operands q
+  | p -> [ p ]
+
+let rec prior_operands = function
+  | Pref.Prior (p, q) -> prior_operands p @ prior_operands q
+  | p -> [ p ]
+
+type dim = { v : float array; nulls : Bytes.t; up : bool; null_worst : bool }
+
+let is_null nulls x = Bytes.length nulls > 0 && Bytes.get nulls x <> '\000'
+
+(* x <_P y for a Pareto accumulation of numeric chains over float columns
+   whose float equality is Value.equal. Per operand: x <_i y, or x =_i y
+   (NULL = NULL, NaN ≠ NaN), or neither, which fails the test. The loops
+   are flat so a test allocates nothing. *)
+let float_pareto dims =
+  let k = Array.length dims in
+  let vs = Array.map (fun d -> d.v) dims and ups = Array.map (fun d -> d.up) dims in
+  if Array.for_all (fun d -> Bytes.length d.nulls = 0) dims then fun x y ->
+    let strict = ref false and ok = ref true and i = ref 0 in
+    while !ok && !i < k do
+      let v = Array.unsafe_get vs !i in
+      let a = v.(x) and b = v.(y) in
+      if if Array.unsafe_get ups !i then a < b else a > b then strict := true
+      else if not (a = b) then ok := false;
+      incr i
+    done;
+    !ok && !strict
+  else fun x y ->
+    let strict = ref false and ok = ref true and i = ref 0 in
+    while !ok && !i < k do
+      let d = Array.unsafe_get dims !i in
+      let nx = is_null d.nulls x and ny = is_null d.nulls y in
+      if nx || ny then begin
+        if nx <> ny then if nx = d.null_worst then strict := true else ok := false
+      end
+      else begin
+        let a = d.v.(x) and b = d.v.(y) in
+        if if d.up then a < b else a > b then strict := true
+        else if not (a = b) then ok := false
+      end;
+      incr i
+    done;
+    !ok && !strict
+
+let keyed schema p rel =
+  (* only a closure leaf or boxed equality indexes the tuples *)
+  let rows = lazy (Relation.row_array rel) in
+  let paid = ref 0. and fallback = ref [] in
+  let fetch has build i =
+    if has rel i then build rel i
+    else begin
+      let c, ms = Pref_obs.Span.timed (fun () -> build rel i) in
+      Pref_obs.Metrics.observe Obs.columns_build_ms ms;
+      paid := !paid +. ms;
+      c
+    end
   in
+  let floats = fetch Relation.has_floats Relation.floats
+  and dict = fetch Relation.has_dict Relation.dict
+  and idx = Schema.index_of_exn schema in
+  let swap dual c = if dual then fun x y -> c y x else c in
+  let closure ~dual p =
+    fallback := p :: !fallback;
+    let c = Pref.compile schema p and rows = Lazy.force rows in
+    swap dual (fun x y -> c rows.(x) rows.(y))
+  in
+  (* Value.equal on one attribute *)
+  let eq_attr a =
+    let i = idx a in
+    let by_dict () =
+      let d = dict i in
+      if d.Relation.has_float && d.Relation.has_wide_int then
+        let rows = Lazy.force rows in
+        fun x y -> Value.equal (Tuple.get rows.(x) i) (Tuple.get rows.(y) i)
+      else
+        match d.Relation.ids with
+        | Relation.Byte_ids b -> fun x y -> Bytes.get b x = Bytes.get b y
+        | Relation.Int_ids a -> fun x y -> a.(x) = a.(y)
+    in
+    match Schema.type_of schema a with
+    | Some (Value.TInt | Value.TFloat | Value.TDate | Value.TBool) ->
+      let f = floats i in
+      if not f.Relation.float_equal then by_dict ()
+      else
+        let v = f.Relation.values and nulls = f.Relation.nulls in
+        if Bytes.length nulls = 0 then fun x y -> v.(x) = v.(y)
+        else fun x y ->
+          let nx = is_null nulls x and ny = is_null nulls y in
+          if nx || ny then nx && ny else v.(x) = v.(y)
+    | Some Value.TStr | None -> by_dict ()
+  in
+  let eq_attrs names =
+    match List.map eq_attr names with
+    | [] -> fun _ _ -> true
+    | [ e ] -> e
+    | es -> fun x y -> List.for_all (fun e -> e x y) es
+  in
+  (* LOWEST / HIGHEST, AROUND, BETWEEN: lt_via's NULL rules on the float
+     column — a number beats NULL, two NULLs tie — while a real NaN
+     compares false both ways. *)
+  let chain ~dual a ~up =
+    let f = floats (idx a) in
+    let v = f.Relation.values and nulls = f.Relation.nulls in
+    if Bytes.length nulls = 0 then
+      if up <> dual then fun x y -> v.(x) < v.(y) else fun x y -> v.(x) > v.(y)
+    else
+      swap dual (fun x y ->
+          (not (is_null nulls y))
+          && (is_null nulls x
+             ||
+             let a = v.(x) and b = v.(y) in
+             if up then a < b else a > b))
+  in
+  let around ~dual a z =
+    let f = floats (idx a) in
+    let v = f.Relation.values and nulls = f.Relation.nulls in
+    if Bytes.length nulls = 0 then
+      swap dual (fun x y -> Float.abs (v.(x) -. z) > Float.abs (v.(y) -. z))
+    else
+      let dist k = if is_null nulls k then Float.infinity else Float.abs (v.(k) -. z) in
+      swap dual (fun x y -> dist x > dist y)
+  in
+  let between ~dual a low up =
+    let f = floats (idx a) in
+    let v = f.Relation.values and nulls = f.Relation.nulls in
+    let dist k =
+      if is_null nulls k then Float.infinity
+      else
+        let f = v.(k) in
+        if f < low then low -. f else if f > up then f -. up else 0.
+    in
+    swap dual (fun x y -> dist x > dist y)
+  in
+  (* POS, NEG, POS/NEG, POS/POS, EXPLICIT, two graphs: each dictionary id
+     maps to the class of the named value it equals (or the class of all
+     others), and Pref.lt_value on class representatives fills a table.
+     When a level per class reproduces the table (a weak order: the POS
+     family), the test compares levels per id instead. *)
+  let value_leaf ~dual p a =
+    let named = named_values p in
+    let m = List.length named in
+    if m > max_named then closure ~dual p
+    else
+      let d = dict (idx a) in
+      if
+        (d.Relation.has_float || List.exists is_float named)
+        && (d.Relation.has_wide_int || List.exists is_wide_int named)
+      then closure ~dual p
+      else begin
+        let k = m + 1 in
+        let reps = Array.of_list (named @ [ Value.Float Float.nan ]) in
+        let first = Value.Tbl.create k in
+        List.iteri
+          (fun c v -> if not (Value.Tbl.mem first v) then Value.Tbl.add first v c)
+          named;
+        let cls =
+          Array.map
+            (fun v -> Option.value (Value.Tbl.find_opt first v) ~default:m)
+            d.Relation.reps
+        in
+        let lt c c' =
+          if dual then Pref.lt_value p reps.(c') reps.(c)
+          else Pref.lt_value p reps.(c) reps.(c')
+        in
+        let table = Array.init (k * k) (fun c -> lt (c / k) (c mod k)) in
+        let level =
+          Array.init k (fun c ->
+              let better = ref 0 in
+              for c' = 0 to k - 1 do
+                if table.((c * k) + c') then incr better
+              done;
+              !better)
+        in
+        let weak =
+          Array.for_all Fun.id
+            (Array.mapi (fun c lt -> lt = (level.(c / k) > level.(c mod k))) table)
+        in
+        let lv = Array.map (fun c -> level.(c)) cls in
+        let byte b x = Char.code (Bytes.get b x) in
+        match d.Relation.ids, weak with
+        | Relation.Byte_ids b, true -> fun x y -> lv.(byte b x) > lv.(byte b y)
+        | Relation.Int_ids a, true -> fun x y -> lv.(a.(x)) > lv.(a.(y))
+        | Relation.Byte_ids b, false ->
+          fun x y -> table.((cls.(byte b x) * k) + cls.(byte b y))
+        | Relation.Int_ids a, false ->
+          fun x y -> table.((cls.(a.(x)) * k) + cls.(a.(y)))
+      end
+  in
+  (* [go ~dual p] is x <_P y over row indices, or y <_P x when [dual] *)
+  let rec go ~dual p =
+    match p with
+    | Pref.Lowest a -> chain ~dual a ~up:false
+    | Pref.Highest a -> chain ~dual a ~up:true
+    | Pref.Around (a, z) -> around ~dual a z
+    | Pref.Between (a, low, up) -> between ~dual a low up
+    | Pref.Pos (a, _) | Pref.Neg (a, _) | Pref.Pos_neg (a, _, _)
+    | Pref.Pos_pos (a, _, _) | Pref.Explicit (a, _) ->
+      value_leaf ~dual p a
+    | Pref.Two_graphs s -> value_leaf ~dual p s.Pref.tg_attr
+    | Pref.Score _ | Pref.Rank _ | Pref.Lsum _ -> closure ~dual p
+    | Pref.Antichain _ -> fun _ _ -> false
+    | Pref.Dual q -> go ~dual:(not dual) q
+    | Pref.Inter (q, r) ->
+      let c1 = go ~dual q and c2 = go ~dual r in
+      fun x y -> c1 x y && c2 x y
+    | Pref.Dunion (q, r) ->
+      let c1 = go ~dual q and c2 = go ~dual r in
+      fun x y -> c1 x y || c2 x y
+    | Pref.Pareto _ -> pareto ~dual (pareto_operands p)
+    | Pref.Prior _ ->
+      let ops = Array.of_list (prior_operands p) in
+      let lts = Array.map (go ~dual) ops
+      and eqs = Array.map (fun q -> eq_attrs (Pref.attrs q)) ops in
+      let k = Array.length ops in
+      fun x y ->
+        (* the first operand that is not equal decides *)
+        let i = ref 0 and decided = ref false and lt = ref false in
+        while (not !decided) && !i < k do
+          if (Array.unsafe_get lts !i) x y then begin
+            lt := true;
+            decided := true
+          end
+          else if not ((Array.unsafe_get eqs !i) x y) then decided := true;
+          incr i
+        done;
+        !lt
+  and pareto ~dual ops =
+    let float_dim q =
+      match chain_leaf q with
+      | Some (a, up, null_worst) ->
+        let f = floats (idx a) in
+        if f.Relation.float_equal then
+          Some
+            {
+              v = f.Relation.values;
+              nulls = f.Relation.nulls;
+              up = up <> dual;
+              null_worst = null_worst <> dual;
+            }
+        else None
+      | None -> None
+    in
+    let dims = List.map float_dim ops in
+    if List.for_all Option.is_some dims then
+      float_pareto (Array.of_list (List.map Option.get dims))
+    else begin
+      let ops = Array.of_list ops in
+      let lts = Array.map (go ~dual) ops
+      and eqs = Array.map (fun q -> eq_attrs (Pref.attrs q)) ops in
+      let k = Array.length ops in
+      fun x y ->
+        let strict = ref false and ok = ref true and i = ref 0 in
+        while !ok && !i < k do
+          if (Array.unsafe_get lts !i) x y then strict := true
+          else if not ((Array.unsafe_get eqs !i) x y) then ok := false;
+          incr i
+        done;
+        !ok && !strict
+    end
+  in
+  (* x dominates y iff y <_P x: the term compiled under a dual *)
+  let dominates = go ~dual:true p in
   {
-    attrs = vc.Preferences.Pref.vc_attrs;
-    width = Array.length vc.Preferences.Pref.vc_index;
-    project = Preferences.Pref.vec_project vc;
-    better = vc.Preferences.Pref.vc_better;
-    floats;
+    dominates;
+    relation = rel;
+    size = Relation.cardinality rel;
+    closure_leaves = List.rev !fallback;
+    columns_ms = !paid;
   }
+
+let points k = Array.init k.size Fun.id
+
+(* One identity array, grown on demand and never mutated, serves every
+   keyed window: a scan allocates no array of positions. *)
+let identity = Atomic.make [||]
+
+let window ?deadline k =
+  let ids =
+    let cur = Atomic.get identity in
+    if Array.length cur >= k.size then cur
+    else begin
+      let ids = Array.init (max k.size (2 * Array.length cur)) Fun.id in
+      Atomic.set identity ids;
+      ids
+    end
+  in
+  Bnl.window ?deadline ~len:k.size k.dominates ids
+
+let select k idx =
+  let m = Array.length idx in
+  let rec ascending i = i >= m - 1 || (idx.(i) < idx.(i + 1) && ascending (i + 1)) in
+  if ascending 0 then begin
+    (* one walk of the row list, no row array *)
+    let rec walk rows pos i acc =
+      if i = m then List.rev acc
+      else
+        match rows with
+        | [] -> invalid_arg "Dominance.select: row index out of range"
+        | t :: rest ->
+          if pos = idx.(i) then walk rest (pos + 1) (i + 1) (t :: acc)
+          else walk rest (pos + 1) i acc
+    in
+    walk (Relation.rows k.relation) 0 0 []
+  end
+  else
+    let rows = Relation.row_array k.relation in
+    Array.fold_right (fun i acc -> rows.(i) :: acc) idx []
+
+let keyed_attrs k =
+  ("dominance", "keyed")
+  :: ("columns_ms", Printf.sprintf "%.3f" k.columns_ms)
+  ::
+  (match k.closure_leaves with
+  | [] -> []
+  | leaves ->
+    [ ("closure_leaves", String.concat "; " (List.map Show.to_string leaves)) ])

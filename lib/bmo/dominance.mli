@@ -4,13 +4,13 @@
     ([b <_P a]). All BMO algorithms are parameterised over such a test so
     they work for every preference constructor.
 
-    The {!vec} form is the hot-loop contract of the array-based kernels:
-    each tuple is projected once onto the preference's attributes and every
-    dominance test then reads a short flat vector — no per-test name lookup
-    and no closure-tree walk over unrelated columns. For pure numeric
-    skylines ({!Preferences.Pref.chain_dims}) over numeric columns an
-    additional unboxed [float array] path applies, with NULL encoded as
-    [nan] (a number beats NULL, two NULLs tie). *)
+    {!keyed} is the served form: it compiles a term against a table
+    version's key columns ({!Pref_relation.Relation.floats},
+    {!Pref_relation.Relation.dict}) into a test over row indices that
+    reads unboxed floats, dictionary ids and small class tables, with no
+    per-row projection and no allocation per test. The tuple closure
+    ({!of_pref}) stays the oracle, and the fallback for leaves with no key
+    form. *)
 
 open Pref_relation
 
@@ -19,25 +19,67 @@ type t = Tuple.t -> Tuple.t -> bool
 val of_pref : Schema.t -> Preferences.Pref.t -> t
 (** Compiled dominance test of a preference term. *)
 
-val counting : t -> t * (unit -> int)
+val counting : ('p -> 'p -> bool) -> ('p -> 'p -> bool) * (unit -> int)
 (** Instrument a test with a comparison counter, for the cost experiments. *)
 
-(** {1 Vectorized dominance} *)
+(** {1 Projection vectors} *)
 
 type vec = {
-  attrs : string list;  (** projected attributes, in slot order *)
-  width : int;
-  project : Tuple.t -> Value.t array;  (** per-tuple projection, done once *)
+  project : Tuple.t -> Value.t array;
+      (** per-tuple projection onto the term's attributes *)
   better : Value.t array -> Value.t array -> bool;
       (** dominance over projection vectors *)
-  floats : (Tuple.t -> float array) option;
-      (** [Some proj] when the preference is a pure numeric skyline over
-          numeric columns: {!float_dominates} on [proj t] is then exactly
-          [better] (larger is better; the projection folds in direction). *)
 }
 
 val of_pref_vec : Schema.t -> Preferences.Pref.t -> vec
+(** The wire benchmark's oracle checks candidate answers with it. *)
 
-val float_dominates : float array -> float array -> bool
-(** Pointwise float dominance: >= everywhere, > somewhere; [nan] encodes
-    NULL (strictly below every number, tied with itself). *)
+(** {1 Keyed dominance} *)
+
+type keyed = {
+  dominates : int -> int -> bool;
+      (** [dominates i j]: row [i] is strictly better than row [j]
+          (positions in [relation]'s rows; others raise
+          [Invalid_argument]) *)
+  relation : Relation.t;
+  size : int;  (** [relation]'s cardinality *)
+  closure_leaves : Preferences.Pref.t list;
+      (** sub-terms with no key form, read through the compiled tuple
+          closure at those indices: SCORE, rank(F), linear sums, and
+          value-level leaves naming more than 255 values or mixing ints
+          beyond 2^53 with floats *)
+  columns_ms : float;  (** time this compile spent building key columns *)
+}
+
+val keyed : Schema.t -> Preferences.Pref.t -> Relation.t -> keyed
+(** Compile a term against the relation's key columns, building the ones
+    it touches that are not built yet. Leaf rules, each exact against
+    {!Preferences.Pref.lt_via}:
+    - LOWEST, HIGHEST, AROUND and BETWEEN read the float column: a number
+      beats NULL, two NULLs tie, a real NaN compares false both ways;
+    - POS, NEG, POS/NEG, POS/POS, EXPLICIT and two-graphs read the
+      dictionary column: each id maps to a class (the named value it
+      equals, or every other value), whose order {!Preferences.Pref.lt_value}
+      decides once per pair of classes — a level per id when that order
+      is a weak order, a class table otherwise;
+    - ⊗ and & test {!Value.equal} on attrs(P) by float or id equality
+      (boxed values where neither decides it), and flatten nested
+      accumulations.
+    Raises what {!Preferences.Pref.compile} raises on ill-formed terms. *)
+
+val points : keyed -> int array
+(** [[|0; ...; size - 1|]], the kernels' input. *)
+
+val window : ?deadline:Engine.deadline -> keyed -> Bnl.run
+(** {!Bnl.window} of [dominates] over the positions [0 .. size - 1],
+    read from one shared identity array: the served BNL plan. *)
+
+val select : keyed -> int array -> Tuple.t list
+(** The rows at these positions, in this order. Ascending positions (the
+    window plans' survivors) take one walk of the row list; others read
+    {!Relation.row_array}. *)
+
+val keyed_attrs : keyed -> (string * string) list
+(** What profiles and EXPLAIN ANALYZE report: [dominance=keyed], the
+    [columns_ms] this compile paid, and [closure_leaves] when some leaf
+    fell back. *)

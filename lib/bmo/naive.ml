@@ -1,6 +1,6 @@
 open Pref_relation
 
-let maxima (dom : Dominance.t) rows =
+let maxima dom rows =
   List.filter
     (fun t -> not (List.exists (fun u -> dom u t) rows))
     rows

@@ -6,7 +6,7 @@
 
 open Pref_relation
 
-val maxima : Dominance.t -> Tuple.t list -> Tuple.t list
+val maxima : ('p -> 'p -> bool) -> 'p list -> 'p list
 (** Tuples not dominated by any other tuple (order preserved). *)
 
 val query : Schema.t -> Preferences.Pref.t -> Relation.t -> Relation.t

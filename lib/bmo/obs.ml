@@ -13,6 +13,12 @@ let query_ms =
   Metrics.histogram "bmo.query_ms"
     ~bounds:[| 0.1; 0.5; 1.; 5.; 10.; 50.; 100.; 500.; 1_000.; 10_000. |]
 
+(* one observation per key column built: the first query on a table
+   version (after a load or a DML) pays them *)
+let columns_build_ms =
+  Metrics.histogram "bmo.columns.build_ms"
+    ~bounds:[| 0.1; 0.5; 1.; 2.; 5.; 10.; 50.; 100.; 500.; 1_000. |]
+
 let par_queries = Metrics.counter "bmo.par.queries"
 let par_chunk_rows = Metrics.histogram "bmo.par.chunk_rows"
 

@@ -27,6 +27,11 @@ val ta_examined : Pref_obs.Metrics.counter
 val result_size : Pref_obs.Metrics.histogram
 val query_ms : Pref_obs.Metrics.histogram
 
+val columns_build_ms : Pref_obs.Metrics.histogram
+(** Wall time of each key-column build ({!Pref_relation.Relation.floats},
+    {!Pref_relation.Relation.dict}) a {!Dominance.keyed} compile paid: the
+    first query on a table version shows its rebuild. *)
+
 val par_queries : Pref_obs.Metrics.counter
 (** Queries answered by the parallel evaluation layer. *)
 

@@ -1,10 +1,8 @@
-open Pref_relation
-
 (* Parallel BMO evaluation over a reusable {!Pool} of domains.
 
    Divide-and-conquer skyline: split the input into P contiguous chunks,
-   run the window loop ({!Bnl.window}) over the chunk's projected points in
-   its own domain, then merge the chunk windows pairwise, filtering out
+   run the window loop ({!Bnl.window}) over the chunk's points in its own
+   domain, then merge the chunk windows pairwise, filtering out
    cross-chunk dominated tuples.  Correct for every strict partial order:
    in a finite SPO every dominated tuple is dominated by some *maximal*
    tuple (domination chains are finite and transitivity closes them), so
@@ -93,12 +91,12 @@ let filter_against ~dominates ~tests xs against =
   if m = 0 then xs
   else
     Array.to_list xs
-    |> List.filter (fun (px, _) ->
+    |> List.filter (fun px ->
            let dominated = ref false in
            let j = ref 0 in
            while (not !dominated) && !j < m do
              incr tests;
-             if dominates (fst (Array.unsafe_get against !j)) px then
+             if dominates (Array.unsafe_get against !j) px then
                dominated := true
              else incr j
            done;
@@ -123,7 +121,10 @@ let merge_windows ~dominates ~tests parts =
 (* ------------------------------------------------------------------ *)
 (* Parallel divide-and-conquer skyline                                 *)
 
-let dnc_points ~dominates ~pool ~chunks ~project rows =
+let maxima_dnc ~domains dominates points =
+  let domains = max 1 domains in
+  let chunks = Pool.chunks ~domains (Array.length points) in
+  let pool = pool_for domains in
   let k = Array.length chunks in
   let counts = Array.make k 0 in
   let doms = Array.make k 0 in
@@ -134,12 +135,10 @@ let dnc_points ~dominates ~pool ~chunks ~project rows =
             let off, len = chunks.(i) in
             doms.(i) <- Pool.self ();
             Pref_obs.Span.with_span "bmo.par.chunk" (fun () ->
-                let pts = Array.init len (fun j -> project rows.(off + j)) in
+                let pts = Array.sub points off len in
                 let r = Bnl.window dominates pts in
                 counts.(i) <- r.Bnl.tests;
-                let out =
-                  Array.map (fun j -> (pts.(j), rows.(off + j))) r.Bnl.survivors
-                in
+                let out = Array.map (fun j -> pts.(j)) r.Bnl.survivors in
                 Pref_obs.Span.add_attrs
                   [
                     ("chunk", string_of_int i);
@@ -179,24 +178,16 @@ let dnc_points ~dominates ~pool ~chunks ~project rows =
       s_merge_tests = !merge_tests;
     }
   in
-  (Array.map snd merged, stats)
-
-let maxima_dnc ~domains (vec : Dominance.vec) (rows : Tuple.t array) =
-  let domains = max 1 domains in
-  let chunks = Pool.chunks ~domains (Array.length rows) in
-  let pool = pool_for domains in
-  match vec.Dominance.floats with
-  | Some proj ->
-    dnc_points ~dominates:Dominance.float_dominates ~pool ~chunks ~project:proj
-      rows
-  | None ->
-    dnc_points ~dominates:vec.Dominance.better ~pool ~chunks
-      ~project:vec.Dominance.project rows
+  (merged, stats)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel sort-filter skyline                                        *)
 
-let sfs_points ~dominates ~pool ~chunks ~project sorted =
+let maxima_sfs ~domains ~key dominates points =
+  let domains = max 1 domains in
+  let sorted = Sfs.sorted ~key points in
+  let chunks = Pool.chunks ~domains (Array.length sorted) in
+  let pool = pool_for domains in
   let k = Array.length chunks in
   let counts = Array.make k 0 in
   let doms = Array.make k 0 in
@@ -208,10 +199,10 @@ let sfs_points ~dominates ~pool ~chunks ~project sorted =
             let off, len = chunks.(i) in
             doms.(i) <- Pool.self ();
             Pref_obs.Span.with_span "bmo.par.chunk" (fun () ->
-                let pts = Array.init len (fun j -> project sorted.(off + j)) in
+                let pts = Array.sub sorted off len in
                 let r = Sfs.window dominates pts in
                 counts.(i) <- r.Bnl.tests;
-                Array.map (fun j -> (pts.(j), sorted.(off + j))) r.Bnl.survivors))
+                Array.map (fun j -> pts.(j)) r.Bnl.survivors))
           (Array.init k Fun.id))
   in
   (* Phase 2: drop chunk k's survivors dominated by a local survivor of
@@ -227,7 +218,7 @@ let sfs_points ~dominates ~pool ~chunks ~project sorted =
             else begin
               let tests = merge_tests_per.(i) in
               Array.to_list locals.(i)
-              |> List.filter (fun (px, _) ->
+              |> List.filter (fun px ->
                      let dominated = ref false in
                      let j = ref 0 in
                      while (not !dominated) && !j < i do
@@ -236,7 +227,7 @@ let sfs_points ~dominates ~pool ~chunks ~project sorted =
                        let u = ref 0 in
                        while (not !dominated) && !u < m do
                          incr tests;
-                         if dominates (fst (Array.unsafe_get lj !u)) px then
+                         if dominates (Array.unsafe_get lj !u) px then
                            dominated := true
                          else incr u
                        done;
@@ -266,20 +257,7 @@ let sfs_points ~dominates ~pool ~chunks ~project sorted =
   in
   (* Concatenation in chunk order = descending key order, the same output
      order as sequential SFS. *)
-  (Array.map snd (Array.concat (Array.to_list survivors)), stats)
-
-let maxima_sfs ~domains ~key (vec : Dominance.vec) (rows : Tuple.t array) =
-  let domains = max 1 domains in
-  let sorted = Sfs.sorted ~key rows in
-  let chunks = Pool.chunks ~domains (Array.length sorted) in
-  let pool = pool_for domains in
-  match vec.Dominance.floats with
-  | Some proj ->
-    sfs_points ~dominates:Dominance.float_dominates ~pool ~chunks ~project:proj
-      sorted
-  | None ->
-    sfs_points ~dominates:vec.Dominance.better ~pool ~chunks
-      ~project:vec.Dominance.project sorted
+  (Array.concat (Array.to_list survivors), stats)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)

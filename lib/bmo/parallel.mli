@@ -15,8 +15,6 @@
     [domains] argument, which callers take from the [domains] knob of
     {!Engine.config} or, unset, {!default_domains}. *)
 
-open Pref_relation
-
 val default_domains : unit -> int
 (** Engine-wide default degree of parallelism:
     [Domain.recommended_domain_count ()]. *)
@@ -48,15 +46,17 @@ val observe : stats -> unit
 (** {1 Kernels} *)
 
 val maxima_dnc :
-  domains:int -> Dominance.vec -> Tuple.t array -> Tuple.t array * stats
-(** BMO set of the rows; result order is deterministic (chunk order, local
-    window order within each chunk). *)
+  domains:int -> ('p -> 'p -> bool) -> 'p array -> 'p array * stats
+(** [maxima_dnc ~domains dominates points]: BMO set of the points; result
+    order is deterministic (chunk order, local window order within each
+    chunk). The planner passes row indices and {!Dominance.keyed}'s test,
+    which the chunk domains share: it only reads immutable columns. *)
 
 val maxima_sfs :
   domains:int ->
-  key:(Tuple.t -> float) ->
-  Dominance.vec ->
-  Tuple.t array ->
-  Tuple.t array * stats
+  key:('p -> float) ->
+  ('p -> 'p -> bool) ->
+  'p array ->
+  'p array * stats
 (** Requires a topological [key] (see {!Sfs}); output in descending key
     order, exactly like sequential SFS. *)

@@ -307,16 +307,24 @@ type outcome = {
 
 let prepare ?(deadline = Engine.no_deadline) schema p rel plan =
   let remake rows = Relation.make (Relation.schema rel) rows in
-  let plain ?(tests = -1) result =
-    { result; tests; timed_out = false; attrs = []; phases = [] }
+  let plain result =
+    {
+      result;
+      tests = -1;
+      timed_out = false;
+      attrs = [ ("dominance", "closure") ];
+      phases = [];
+    }
   in
-  let parallel (best, stats) =
+  (* the window plans run over row indices with the keyed test *)
+  let keyed () = Dominance.keyed schema p rel in
+  let parallel k (best, stats) =
     Parallel.observe stats;
     {
-      result = remake (Array.to_list best);
+      result = remake (Dominance.select k best);
       tests = Parallel.total_tests stats;
       timed_out = false;
-      attrs = Parallel.stats_attrs stats;
+      attrs = Dominance.keyed_attrs k @ Parallel.stats_attrs stats;
       phases =
         [
           Pref_obs.Profile.phase "local" stats.Parallel.s_local_ms;
@@ -326,38 +334,47 @@ let prepare ?(deadline = Engine.no_deadline) schema p rel plan =
   in
   match plan with
   | Plan_naive ->
-    let dom, count = Dominance.counting (Dominance.of_pref schema p) in
+    let k = keyed () in
+    let dom, count = Dominance.counting k.Dominance.dominates in
     fun () ->
-      let best = Naive.maxima dom (Relation.rows rel) in
-      plain ~tests:(count ()) (remake best)
+      let best = Naive.maxima dom (List.init k.Dominance.size Fun.id) in
+      {
+        result = remake (Dominance.select k (Array.of_list best));
+        tests = count ();
+        timed_out = false;
+        attrs = Dominance.keyed_attrs k;
+        phases = [];
+      }
   | Plan_bnl ->
-    let dom = Dominance.of_pref schema p in
+    let k = keyed () in
     fun () ->
-      let points = Array.of_list (Relation.rows rel) in
-      let r = Bnl.window ~deadline dom points in
+      let r = Dominance.window ~deadline k in
       Obs.record_peak r.Bnl.peak;
       {
-        result = remake (Bnl.select points r);
+        result = remake (Dominance.select k r.Bnl.survivors);
         tests = r.Bnl.tests;
         timed_out = r.Bnl.timed_out;
-        attrs = [ ("window_peak", string_of_int r.Bnl.peak) ];
+        attrs =
+          ("window_peak", string_of_int r.Bnl.peak) :: Dominance.keyed_attrs k;
         phases = [];
       }
   | Plan_dnc { attrs; maximize } ->
     let dims = Dnc.dims_of schema attrs ~maximize in
     fun () -> plain (remake (Dnc.maxima ~dims (Relation.rows rel)))
   | Plan_par_dnc { domains } ->
-    let vec = Dominance.of_pref_vec schema p in
+    let k = keyed () in
     fun () ->
-      parallel
-        (Parallel.maxima_dnc ~domains vec (Array.of_list (Relation.rows rel)))
+      parallel k
+        (Parallel.maxima_dnc ~domains k.Dominance.dominates (Dominance.points k))
   | Plan_par_sfs { attrs; maximize; domains } ->
-    let vec = Dominance.of_pref_vec schema p in
-    let key = Sfs.sum_key schema attrs ~maximize in
+    let k = keyed () in
+    let key = Sfs.sum_key schema attrs ~maximize
+    and rows = Relation.row_array rel in
     fun () ->
-      parallel
-        (Parallel.maxima_sfs ~domains ~key vec
-           (Array.of_list (Relation.rows rel)))
+      parallel k
+        (Parallel.maxima_sfs ~domains
+           ~key:(fun i -> key rows.(i))
+           k.Dominance.dominates (Dominance.points k))
   | Plan_cascade (p1, p2) -> fun () -> plain (Decompose.cascade schema p1 p2 rel)
   | Plan_decompose -> fun () -> plain (Decompose.eval schema p rel)
 

@@ -125,12 +125,18 @@ val prepare :
   plan ->
   unit ->
   outcome
-(** [prepare schema p rel plan] compiles what the plan evaluates with (its
-    dominance test, key or projection — a profile's [compile] phase); the
+(** [prepare schema p rel plan] compiles what the plan evaluates with (a
+    profile's [compile] phase): the [bnl], [naive], [par_dnc] and
+    [par_sfs] plans run over row positions with {!Dominance.keyed},
+    building the key columns of [rel] the term touches that are not built
+    yet; [dnc], [cascade] and [decompose] use the tuple closure. The
     returned thunk evaluates it (the [evaluate] phase). The BNL plan
     passes [deadline] down to its window loop; the others run to
-    completion. Records nothing into the query metrics beyond the
-    plan-specific [bmo.window_peak] and [bmo.par.*] instruments. *)
+    completion. The outcome's attrs name the form ([dominance=keyed] with
+    [columns_ms] and any [closure_leaves], or [dominance=closure]).
+    Records nothing into the query metrics beyond the plan-specific
+    [bmo.window_peak], [bmo.columns.build_ms] and [bmo.par.*]
+    instruments. *)
 
 val execute :
   Schema.t -> Preferences.Pref.t -> Relation.t -> plan -> Relation.t

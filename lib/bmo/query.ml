@@ -151,23 +151,51 @@ let sigma_within ~deadline cfg schema p rel =
 let sigma schema p rel =
   fst (sigma_within ~deadline:Engine.no_deadline Engine.default schema p rel)
 
-let sigma_groupby_within ~deadline (cfg : Engine.config) schema p ~by rel =
+let groupby_within ~deadline (cfg : Engine.config) schema p ~by rel =
   (* each group is a sub-query through the ladder, so groups share the
      cache, the domain setting and one deadline budget; the row cap
      applies to the combined result only *)
-  let group_cfg = { cfg with Engine.max_rows = None; profile = false } in
-  let rows, flags =
+  let group_cfg = { cfg with Engine.max_rows = None } in
+  let groups = Relation.group_by rel by in
+  let rows, flags, forms, columns_ms =
     List.fold_left
-      (fun (acc, flags) g ->
-        let r, f = sigma_within ~deadline group_cfg schema p g in
-        (List.rev_append (Relation.rows r) acc, Engine.union_flags flags f))
-      ([], Engine.complete)
-      (Relation.group_by rel by)
+      (fun (acc, flags, forms, columns_ms) g ->
+        let r = run_within ~deadline group_cfg schema p g in
+        let attrs =
+          match r.Engine.Result.profile with
+          | Some prof -> prof.Pref_obs.Profile.attrs
+          | None -> []
+        in
+        let form =
+          List.filter_map
+            (fun k -> Option.map (fun v -> (k, v)) (List.assoc_opt k attrs))
+            [ "dominance"; "closure_leaves" ]
+        in
+        ( List.rev_append (Relation.rows r.Engine.Result.rows) acc,
+          Engine.union_flags flags r.Engine.Result.flags,
+          (if form = [] || List.mem form forms then forms else forms @ [ form ]),
+          columns_ms
+          +. Option.fold ~none:0. ~some:float_of_string
+               (List.assoc_opt "columns_ms" attrs) ))
+      ([], Engine.complete, [], 0.)
+      groups
   in
   let result, truncated =
     cap_rows cfg.max_rows (Relation.make (Relation.schema rel) (List.rev rows))
   in
-  (result, Engine.union_flags flags { Engine.partial = false; truncated })
+  let attrs =
+    if not cfg.profile then []
+    else
+      (("groups", string_of_int (List.length groups)) :: List.concat forms)
+      @
+      if forms = [] then []
+      else [ ("columns_ms", Printf.sprintf "%.3f" columns_ms) ]
+  in
+  (result, Engine.union_flags flags { Engine.partial = false; truncated }, attrs)
+
+let sigma_groupby_within ~deadline cfg schema p ~by rel =
+  let result, flags, _ = groupby_within ~deadline cfg schema p ~by rel in
+  (result, flags)
 
 let sigma_levels schema p ~levels rel =
   (* iterated BMO: level 1 is sigma[P](R); level i+1 is sigma[P] of what is

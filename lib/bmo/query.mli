@@ -100,6 +100,18 @@ val sigma_groupby_within :
     result cache, the domain setting and one deadline budget; flags are
     the union over groups and [cfg.max_rows] caps the combined result. *)
 
+val groupby_within :
+  deadline:Engine.deadline ->
+  Engine.config ->
+  Schema.t ->
+  Preferences.Pref.t ->
+  by:string list ->
+  Relation.t ->
+  Relation.t * Engine.flags * (string * string) list
+(** {!sigma_groupby_within} with, under [cfg.profile], what its profile
+    reports: the group count, the groups' dominance form(s) and the key
+    column build time they paid in total. *)
+
 (** {1 Derived queries} *)
 
 val sigma_levels :

@@ -6,18 +6,20 @@ open Pref_relation
    the current window.
 
    Like {!Bnl}, the sort and the window are array-based: [Array.stable_sort]
-   on a materialised array, then an append-only index window probed by a
-   flat loop. *)
+   of a permutation by keys computed once per point, then an append-only
+   index window probed by a flat loop. *)
 
+(* Keys are computed once per point, then a permutation is sorted. *)
 let sorted ~key arr =
-  let arr = Array.copy arr in
-  Array.stable_sort (fun a b -> Float.compare (key b) (key a)) arr;
-  arr
+  let keys = Array.map key arr in
+  let perm = Array.init (Array.length arr) Fun.id in
+  Array.stable_sort (fun i j -> Float.compare keys.(j) keys.(i)) perm;
+  Array.map (fun i -> arr.(i)) perm
 
 let window ?(deadline = Engine.no_deadline) better points =
   let n = Array.length points in
   let polls = Engine.has_deadline deadline in
-  let win = Array.make n 0 in
+  let win = ref (Array.make (min n 64) 0) in
   let size = ref 0 and tests = ref 0 in
   let timed_out = ref false in
   let k = ref 0 in
@@ -34,27 +36,29 @@ let window ?(deadline = Engine.no_deadline) better points =
       let p = Array.unsafe_get points !k in
       let dominated = ref false in
       let i = ref 0 in
+      let wa = !win in
       while (not !dominated) && !i < !size do
         incr tests;
-        if better (Array.unsafe_get points (Array.unsafe_get win !i)) p then
+        if better (Array.unsafe_get points (Array.unsafe_get wa !i)) p then
           dominated := true
         else incr i
       done;
       if not !dominated then begin
-        Array.unsafe_set win !size !k;
+        if !size = Array.length wa then win := Bnl.grow wa n;
+        Array.unsafe_set !win !size !k;
         incr size
       end;
       incr k
     end
   done;
   {
-    Bnl.survivors = Array.sub win 0 !size;
+    Bnl.survivors = Array.sub !win 0 !size;
     tests = !tests;
     peak = !size;
     timed_out = !timed_out;
   }
 
-let maxima ~key (dom : Dominance.t) rows =
+let maxima ~key dom rows =
   let arr = sorted ~key (Array.of_list rows) in
   Bnl.select arr (window dom arr)
 
@@ -69,7 +73,7 @@ let sum_key schema attrs ~maximize =
         | None -> acc +. (sign *. Float.neg_infinity))
       0.0 idx
 
-let progressive ~key (dom : Dominance.t) rows =
+let progressive ~key dom rows =
   (* With a topological presort every window insertion is final, so maxima
      can be emitted as soon as they are found — the progressive behaviour
      of [TEO01]-style skyline computation.  The window is shared across

@@ -24,14 +24,21 @@ val window :
     no later point dominates an earlier one and the window never evicts
     ([peak] is the final window size). *)
 
-val maxima : key:(Tuple.t -> float) -> Dominance.t -> Tuple.t list -> Tuple.t list
+val maxima :
+  key:(Tuple.t -> float) ->
+  (Tuple.t -> Tuple.t -> bool) ->
+  Tuple.t list ->
+  Tuple.t list
 
 val sum_key : Schema.t -> string list -> maximize:bool -> Tuple.t -> float
 (** Topological key for Pareto preferences of HIGHEST (or, with
     [maximize:false], LOWEST) chains over the named numeric attributes. *)
 
 val progressive :
-  key:(Tuple.t -> float) -> Dominance.t -> Tuple.t list -> Tuple.t Seq.t
+  key:(Tuple.t -> float) ->
+  (Tuple.t -> Tuple.t -> bool) ->
+  Tuple.t list ->
+  Tuple.t Seq.t
 (** Progressive skyline delivery ([TEO01]): maxima are emitted as soon as
     they are identified, best presort key first; consuming the whole
     sequence yields exactly [maxima]. Same topological-key precondition as

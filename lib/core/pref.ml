@@ -447,27 +447,25 @@ let rec equal p q =
 (* ------------------------------------------------------------------ *)
 (* Compilation: resolve attribute indices once for hot loops           *)
 
-(* A membership key that coincides with Value.equal (ints and floats compare
-   numerically; every other type only with itself). *)
-let value_key v =
-  match v with
-  | Value.Null -> "n"
-  | Value.Bool b -> "b" ^ string_of_bool b
-  | Value.Int i -> "f" ^ string_of_float (float_of_int i)
-  | Value.Float f -> "f" ^ string_of_float f
-  | Value.Str s -> "s" ^ s
-  | Value.Date d -> "d" ^ string_of_int (Value.date_to_days d)
-
+(* Membership and edge tables keyed by Value.equal classes: hashing a
+   value allocates nothing, and ints meet floats numerically while NaN
+   meets nothing, exactly as [value_mem] decides. *)
 let member_fn set =
-  let tbl = Hashtbl.create (max 4 (List.length set)) in
-  List.iter (fun v -> Hashtbl.replace tbl (value_key v) ()) set;
-  fun v -> Hashtbl.mem tbl (value_key v)
+  let tbl = Value.Tbl.create (max 4 (List.length set)) in
+  List.iter (fun v -> Value.Tbl.replace tbl v ()) set;
+  fun v -> Value.Tbl.mem tbl v
 
-(* Unambiguous key for a pair of values: the separator-free length prefix
-   prevents collisions when a string value itself contains the separator. *)
-let pair_key x y =
-  let kx = value_key x and ky = value_key y in
-  string_of_int (String.length kx) ^ ":" ^ kx ^ ky
+module Pair_tbl = Hashtbl.Make (struct
+  type t = Value.t * Value.t
+
+  let equal (a, b) (c, d) = Value.equal a c && Value.equal b d
+  let hash (a, b) = (Value.hash a * 0x01000193) lxor Value.hash b
+end)
+
+let edge_fn edges =
+  let tbl = Pair_tbl.create (max 4 (List.length edges)) in
+  List.iter (fun e -> Pair_tbl.replace tbl e ()) edges;
+  fun vx vy -> Pair_tbl.mem tbl (vx, vy)
 
 (* Compiled value-level order for single-attribute operands (Lsum). *)
 let rec compile_value p : Value.t -> Value.t -> bool =
@@ -487,18 +485,9 @@ let rec compile_value p : Value.t -> Value.t -> bool =
     fun vx vy ->
       (m2 vx && m1 vy) || ((not (m1 vx)) && (not (m2 vx)) && (m2 vy || m1 vy))
   | Explicit (_, closed) ->
-    let edge = Hashtbl.create (max 4 (List.length closed)) in
-    let range = Hashtbl.create 16 in
-    List.iter
-      (fun (w, b) ->
-        Hashtbl.replace edge (pair_key w b) ();
-        Hashtbl.replace range (value_key w) ();
-        Hashtbl.replace range (value_key b) ())
-      closed;
-    fun vx vy ->
-      Hashtbl.mem edge (pair_key vx vy)
-      || ((not (Hashtbl.mem range (value_key vx)))
-         && Hashtbl.mem range (value_key vy))
+    let edge = edge_fn closed
+    and range = member_fn (List.concat_map (fun (w, b) -> [ w; b ]) closed) in
+    fun vx vy -> edge vx vy || ((not (range vx)) && range vy)
   | Around (_, z) -> fun vx vy -> distance_around vx z > distance_around vy z
   | Between (_, low, up) ->
     fun vx vy -> distance_between vx ~low ~up > distance_between vy ~low ~up
@@ -536,23 +525,11 @@ let rec compile_value p : Value.t -> Value.t -> bool =
     and mr = member_fn s.ls_right_dom in
     fun vx vy -> cl vx vy || cr vx vy || (mr vx && ml vy)
   | Two_graphs s ->
-    let edge_tbl edges =
-      let tbl = Hashtbl.create (max 4 (List.length edges)) in
-      List.iter (fun (w, b) -> Hashtbl.replace tbl (pair_key w b) ()) edges;
-      fun vx vy -> Hashtbl.mem tbl (pair_key vx vy)
-    in
     let range_fn edges singles =
-      let tbl = Hashtbl.create 16 in
-      List.iter
-        (fun (w, b) ->
-          Hashtbl.replace tbl (value_key w) ();
-          Hashtbl.replace tbl (value_key b) ())
-        edges;
-      List.iter (fun v -> Hashtbl.replace tbl (value_key v) ()) singles;
-      fun v -> Hashtbl.mem tbl (value_key v)
+      member_fn (List.concat_map (fun (w, b) -> [ w; b ]) edges @ singles)
     in
-    let pos_edge = edge_tbl s.tg_pos
-    and neg_edge = edge_tbl s.tg_neg
+    let pos_edge = edge_fn s.tg_pos
+    and neg_edge = edge_fn s.tg_neg
     and in_pos = range_fn s.tg_pos s.tg_pos_singles
     and in_neg = range_fn s.tg_neg s.tg_neg_singles in
     fun vx vy ->

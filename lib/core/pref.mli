@@ -223,7 +223,3 @@ val compile_vec : Schema.t -> t -> vec_compiled
 val vec_project : vec_compiled -> Tuple.t -> Tuple.t
 (** The projection vector of a tuple (a tuple of the projected
     sub-schema). *)
-
-val value_key : Value.t -> string
-(** Injective key compatible with {!Value.equal}; exposed for hash-based set
-    construction elsewhere. *)

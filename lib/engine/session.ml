@@ -221,6 +221,7 @@ let insert t name row =
     Pref_bmo.Cache.on_insert Pref_bmo.Cache.global ~old_rel:rel ~new_rel row
   in
   set_table t name new_rel;
+  Relation.release rel;
   patched
 
 let delete t name row =
@@ -244,6 +245,7 @@ let delete t name row =
       Pref_bmo.Cache.on_delete Pref_bmo.Cache.global ~old_rel:rel ~new_rel row
     in
     set_table t name new_rel;
+    Relation.release rel;
     Some patched
   end
 

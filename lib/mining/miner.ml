@@ -109,15 +109,14 @@ type attribute_report = {
 }
 
 let count_values pairs =
-  let tbl = Hashtbl.create 16 in
+  let tbl = Value.Tbl.create 16 in
   List.iter
     (fun v ->
-      let key = Pref.value_key v in
-      match Hashtbl.find_opt tbl key with
-      | Some (count, _) -> Hashtbl.replace tbl key (count + 1, v)
-      | None -> Hashtbl.add tbl key (1, v))
+      match Value.Tbl.find_opt tbl v with
+      | Some (count, first) -> Value.Tbl.replace tbl v (count + 1, first)
+      | None -> Value.Tbl.add tbl v (1, v))
     pairs;
-  Hashtbl.fold (fun _ (count, v) acc -> (count, v) :: acc) tbl []
+  Value.Tbl.fold (fun _ (count, v) acc -> (count, v) :: acc) tbl []
   |> List.sort (fun (c1, v1) (c2, v2) ->
          match compare c2 c1 with 0 -> Value.compare v1 v2 | c -> c)
 

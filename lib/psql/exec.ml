@@ -265,6 +265,21 @@ type served = Relation.t * Engine.flags * string * Pref_obs.Profile.t option
    executes. *)
 type decision = { named : (Plan.serve * string) option; serve : unit -> served }
 
+(* The join pushdown's kept projections. Keys compare by Value.equal, as
+   the distinct projection grouped them, except that a NaN matches a NaN:
+   rows that agree on attrs(P) up to NaN fare alike under P, and under
+   Value.equal alone every row with a NaN there would be dropped. *)
+module Kept = Hashtbl.Make (struct
+  type t = Tuple.t
+
+  let hash = Tuple.hash
+
+  let equal a b =
+    let nan = function Value.Float f -> Float.is_nan f | _ -> false in
+    Array.length a = Array.length b
+    && Array.for_all2 (fun x y -> Value.equal x y || (nan x && nan y)) a b
+end)
+
 (* The σ step's one decision, over the serves in the order the executor
    tries them ([ranked]: scorable TOP k without GROUPING). *)
 let sigma_serve ~deadline ~profile (cfg : Engine.config) (q : Ast.query)
@@ -373,14 +388,14 @@ let sigma_serve ~deadline ~profile (cfg : Engine.config) (q : Ast.query)
                   Pref_bmo.Query.sigma_within ~deadline bmo_cfg
                     (Relation.schema proj) p_eval proj
                 in
-                let keep = Hashtbl.create (max 16 (2 * dn)) in
+                let keep = Kept.create (max 16 (2 * dn)) in
                 List.iter
-                  (fun t -> Hashtbl.replace keep t ())
+                  (fun t -> Kept.replace keep t ())
                   (Relation.rows winnowed);
                 served "pushdown" ~flags
                   ~attrs:[ ("distinct", string_of_int dn) ]
                   (Relation.select
-                     (fun t -> Hashtbl.mem keep (Tuple.project schema t pa))
+                     (fun t -> Kept.mem keep (Tuple.project schema t pa))
                      filtered));
           }
   in
@@ -403,11 +418,11 @@ let sigma_serve ~deadline ~profile (cfg : Engine.config) (q : Ast.query)
             "GROUPING: sigma[P] runs per group, each through this ladder" );
       serve =
         (fun () ->
-          let r, flags =
-            Pref_bmo.Query.sigma_groupby_within ~deadline bmo_cfg schema p_eval
+          let r, flags, attrs =
+            Pref_bmo.Query.groupby_within ~deadline bmo_cfg schema p_eval
               ~by:grouping filtered
           in
-          served ~flags
+          served ~flags ~attrs
             ("groupby:" ^ Engine.algorithm_to_string cfg.Engine.algorithm)
             r);
     }

@@ -1,7 +1,30 @@
-type t = {
-  schema : Schema.t;
-  rows : Tuple.t list;
+(* A record is one table version: its schema, its rows, and the key
+   columns derived from those rows. Each is built lazily, at most one copy
+   published per slot, and lives as long as the record; every function
+   below that returns rows different from its argument's builds a fresh
+   record through [v], so no record ever reads another's columns. *)
+
+type floats = { values : float array; nulls : Bytes.t; float_equal : bool }
+
+type ids = Byte_ids of Bytes.t | Int_ids of int array
+
+type dict = {
+  ids : ids;
+  reps : Value.t array;
+  has_float : bool;
+  has_wide_int : bool;
 }
+
+type slots = {
+  arr : Tuple.t array option;
+  floats : floats option array;
+  dicts : dict option array;
+}
+
+type t = { schema : Schema.t; rows : Tuple.t list; slots : slots Atomic.t }
+
+let no_slots = { arr = None; floats = [||]; dicts = [||] }
+let v schema rows = { schema; rows; slots = Atomic.make no_slots }
 
 let schema r = r.schema
 let rows r = r.rows
@@ -33,80 +56,268 @@ let check_row schema row =
 
 let make schema rows =
   List.iter (check_row schema) rows;
-  { schema; rows }
+  v schema rows
 
 let of_lists schema lists = make schema (List.map Tuple.make lists)
 
-let empty schema = { schema; rows = [] }
+let empty schema = v schema []
 
 let add_row r row =
   check_row r.schema row;
-  { r with rows = r.rows @ [ row ] }
+  v r.schema (r.rows @ [ row ])
 
 let mem r row = List.exists (Tuple.equal row) r.rows
 
 let distinct r =
-  let seen = Hashtbl.create (List.length r.rows) in
+  let seen = Tuple.Tbl.create (List.length r.rows) in
   let keep row =
-    let k = List.map Value.to_string (Tuple.to_list row) in
-    if Hashtbl.mem seen k then false
+    if Tuple.Tbl.mem seen row then false
     else begin
-      Hashtbl.add seen k ();
+      Tuple.Tbl.add seen row ();
       true
     end
   in
-  { r with rows = List.filter keep r.rows }
+  v r.schema (List.filter keep r.rows)
 
 let project r attrs =
   let schema = Schema.project r.schema attrs in
-  { schema; rows = List.map (fun t -> Tuple.project r.schema t attrs) r.rows }
+  v schema (List.map (fun t -> Tuple.project r.schema t attrs) r.rows)
 
 let project_distinct r attrs = distinct (project r attrs)
 
-let select p r = { r with rows = List.filter p r.rows }
+let select p r = v r.schema (List.filter p r.rows)
 
-let map_rows f r = { r with rows = List.map f r.rows }
+let map_rows f r = v r.schema (List.map f r.rows)
 
 let union a b =
   if not (Schema.equal a.schema b.schema) then
     invalid_arg "Relation.union: schema mismatch";
-  { a with rows = a.rows @ List.filter (fun row -> not (mem a row)) b.rows }
+  v a.schema (a.rows @ List.filter (fun row -> not (mem a row)) b.rows)
 
 let inter a b =
   if not (Schema.equal a.schema b.schema) then
     invalid_arg "Relation.inter: schema mismatch";
-  { a with rows = List.filter (mem b) a.rows }
+  v a.schema (List.filter (mem b) a.rows)
 
 let diff a b =
   if not (Schema.equal a.schema b.schema) then
     invalid_arg "Relation.diff: schema mismatch";
-  { a with rows = List.filter (fun row -> not (mem b row)) a.rows }
+  v a.schema (List.filter (fun row -> not (mem b row)) a.rows)
 
 let equal_as_sets a b =
   Schema.equal a.schema b.schema
   && List.for_all (mem b) a.rows
   && List.for_all (mem a) b.rows
 
-let group_by r attrs =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun row ->
-      let key =
-        List.map (fun a -> Value.to_string (Tuple.get_by_name r.schema row a)) attrs
-      in
-      (match Hashtbl.find_opt tbl key with
+(* ------------------------------------------------------------------ *)
+(* Key columns                                                         *)
+
+(* Publish a layout into the record's slots unless another domain
+   published one first; either way every reader sees the first one. *)
+let rec publish r get set x =
+  let s = Atomic.get r.slots in
+  match get s with
+  | Some y -> y
+  | None ->
+    if Atomic.compare_and_set r.slots s (set s x) then x
+    else publish r get set x
+
+let derived r get set build =
+  match get (Atomic.get r.slots) with
+  | Some x -> x
+  | None -> publish r get set (build ())
+
+let row_array r =
+  derived r
+    (fun s -> s.arr)
+    (fun s a -> { s with arr = Some a })
+    (fun () -> Array.of_list r.rows)
+
+(* Per-column slot arrays are sized on the first publish. *)
+let slot cols i = if i < Array.length cols then cols.(i) else None
+
+let with_slot r cols i x =
+  let cols =
+    if Array.length cols = 0 then Array.make (Schema.arity r.schema) None
+    else Array.copy cols
+  in
+  cols.(i) <- Some x;
+  cols
+
+let check_column r i =
+  if i < 0 || i >= Schema.arity r.schema then
+    invalid_arg "Relation: column index out of range"
+
+(* Column builds walk the row list: a record that is fresh per query (a
+   WHERE-filtered input, a GROUPING group) then pays for the columns its
+   query touches and for no row array. *)
+let build_floats rows i =
+  let n = List.length rows in
+  let values = Array.create_float n in
+  (* the mask is made at the first NULL: most columns have none *)
+  let nulls = ref Bytes.empty in
+  (* kinds of non-NULL values seen: 1 number, 2 date, 4 bool, 8 string *)
+  let kinds = ref 0 and wide = ref false in
+  List.iteri
+    (fun k row ->
+    let x =
+      match Tuple.get row i with
+      | Value.Float f ->
+        kinds := !kinds lor 1;
+        f
+      | Value.Int n ->
+        kinds := !kinds lor 1;
+        if Value.wide_int n then wide := true;
+        float_of_int n
+      | Value.Date d ->
+        kinds := !kinds lor 2;
+        float_of_int (Value.date_to_days d)
+      | Value.Bool b ->
+        kinds := !kinds lor 4;
+        if b then 1. else 0.
+      | (Value.Null | Value.Str _) as v ->
+        if not (Value.is_null v) then kinds := !kinds lor 8;
+        if Bytes.length !nulls = 0 then nulls := Bytes.make n '\000';
+        Bytes.set !nulls k '\001';
+        Float.nan
+    in
+    Array.unsafe_set values k x)
+    rows;
+  {
+    values;
+    nulls = !nulls;
+    float_equal =
+      (not !wide) && List.mem !kinds [ 0; 1; 2; 4 ];
+  }
+
+(* The derived data stays live with the version, so ids take a byte per
+   row until a 257th class turns them into an int array. *)
+let build_dict rows i =
+  let n = List.length rows in
+  let tbl = Value.Tbl.create 64 in
+  let bytes = Bytes.create n and ints = ref None in
+  let set k id =
+    match !ints with
+    | Some a -> a.(k) <- id
+    | None when id < 256 -> Bytes.set bytes k (Char.chr id)
+    | None ->
+      let a = Array.make n 0 in
+      for j = 0 to k - 1 do
+        a.(j) <- Char.code (Bytes.get bytes j)
+      done;
+      a.(k) <- id;
+      ints := Some a
+  in
+  let reps = ref [] and next = ref 0 in
+  let has_float = ref false and has_wide_int = ref false in
+  List.iteri
+    (fun k row ->
+      let x = Tuple.get row i in
+      (match x with
+      | Value.Float _ -> has_float := true
+      | Value.Int n when Value.wide_int n -> has_wide_int := true
+      | _ -> ());
+      match Value.Tbl.find_opt tbl x with
+      | Some id -> set k id
       | None ->
-        order := key :: !order;
-        Hashtbl.add tbl key [ row ]
-      | Some rs -> Hashtbl.replace tbl key (row :: rs)))
+        Value.Tbl.add tbl x !next;
+        reps := x :: !reps;
+        set k !next;
+        incr next)
+    rows;
+  {
+    ids = (match !ints with Some a -> Int_ids a | None -> Byte_ids bytes);
+    reps = Array.of_list (List.rev !reps);
+    has_float = !has_float;
+    has_wide_int = !has_wide_int;
+  }
+
+let floats r i =
+  check_column r i;
+  derived r
+    (fun s -> slot s.floats i)
+    (fun s c -> { s with floats = with_slot r s.floats i c })
+    (fun () -> build_floats r.rows i)
+
+let dict r i =
+  check_column r i;
+  derived r
+    (fun s -> slot s.dicts i)
+    (fun s c -> { s with dicts = with_slot r s.dicts i c })
+    (fun () -> build_dict r.rows i)
+
+let id d k =
+  match d.ids with Byte_ids b -> Char.code (Bytes.get b k) | Int_ids a -> a.(k)
+
+let release r = Atomic.set r.slots no_slots
+
+let has_floats r i = slot (Atomic.get r.slots).floats i <> None
+let has_dict r i = slot (Atomic.get r.slots).dicts i <> None
+
+(* A group's number is the first-appearance rank of its key. On one
+   attribute that is a rank per dictionary id; on several, rows are
+   renumbered one attribute at a time, a row's new number being the rank
+   of (its number so far, its id). *)
+let group_by r attrs =
+  let idx = List.map (Schema.index_of_exn r.schema) attrs in
+  let n = cardinality r in
+  let group_of, groups =
+    match idx with
+    | [ i ] ->
+      let d = dict r i in
+      let rank = Array.make (Array.length d.reps) (-1) and next = ref 0 in
+      for k = 0 to n - 1 do
+        let x = id d k in
+        if rank.(x) < 0 then begin
+          rank.(x) <- !next;
+          incr next
+        end
+      done;
+      ((fun k -> rank.(id d k)), !next)
+    | _ ->
+      let gid = Array.make n 0 in
+      let groups =
+        List.fold_left
+          (fun groups i ->
+            let d = dict r i in
+            let width = Array.length d.reps in
+            let next = ref 0 in
+            let renumber find add =
+              for k = 0 to n - 1 do
+                let key = (gid.(k) * width) + id d k in
+                match find key with
+                | Some g -> gid.(k) <- g
+                | None ->
+                  add key !next;
+                  gid.(k) <- !next;
+                  incr next
+              done
+            in
+            (if groups * width <= (4 * n) + 64 then
+               let tbl = Array.make (groups * width) (-1) in
+               renumber
+                 (fun key -> if tbl.(key) < 0 then None else Some tbl.(key))
+                 (fun key g -> tbl.(key) <- g)
+             else
+               let tbl = Hashtbl.create 64 in
+               renumber (Hashtbl.find_opt tbl) (Hashtbl.add tbl));
+            !next)
+          (if n = 0 then 0 else 1)
+          idx
+      in
+      (Array.get gid, groups)
+  in
+  let buckets = Array.make groups [] in
+  List.iteri
+    (fun k row ->
+      let g = group_of k in
+      buckets.(g) <- row :: buckets.(g))
     r.rows;
-  List.rev_map
-    (fun key -> { r with rows = List.rev (Hashtbl.find tbl key) })
-    !order
+  Array.to_list (Array.map (fun rows -> v r.schema (List.rev rows)) buckets)
 
-let sort_by cmp r = { r with rows = List.sort cmp r.rows }
+let sort_by cmp r = v r.schema (List.sort cmp r.rows)
 
+(* the same rows under other names: the key columns stay valid *)
 let rename_schema r schema' =
   if Schema.arity schema' <> Schema.arity r.schema then
     invalid_arg "Relation.rename_schema: arity mismatch";
@@ -122,7 +333,7 @@ let product a b =
         List.map (fun rb -> Array.append ra rb) b.rows)
       a.rows
   in
-  { schema; rows }
+  v schema rows
 
 let hash_join a b ~left_cols ~right_cols =
   if List.length left_cols <> List.length right_cols || left_cols = [] then
@@ -132,31 +343,14 @@ let hash_join a b ~left_cols ~right_cols =
   let schema = Schema.union a.schema b.schema in
   if Schema.arity schema <> Schema.arity a.schema + Schema.arity b.schema then
     invalid_arg "Relation.hash_join: overlapping column names";
-  (* a key compatible with Value.equal (ints and floats join numerically) *)
-  let value_key v =
-    match v with
-    | Value.Null -> "n"
-    | Value.Bool b -> "b" ^ string_of_bool b
-    | Value.Int i -> "f" ^ string_of_float (float_of_int i)
-    | Value.Float f -> "f" ^ string_of_float f
-    | Value.Str s -> "s" ^ s
-    | Value.Date d -> "d" ^ string_of_int (Value.date_to_days d)
-  in
-  let key idxs row =
-    (* length-prefixed concatenation: unambiguous even when string values
-       contain the separator *)
-    String.concat ""
-      (List.map
-         (fun i ->
-           let k = value_key (Tuple.get row i) in
-           string_of_int (String.length k) ^ ":" ^ k)
-         idxs)
-  in
-  let tbl = Hashtbl.create (List.length b.rows) in
+  (* keys compare by Value.equal: ints and floats join numerically *)
+  let key idxs row = Array.of_list (List.map (Tuple.get row) idxs) in
+  let tbl = Tuple.Tbl.create (List.length b.rows) in
   List.iter
     (fun rb ->
       let k = key right_idx rb in
-      Hashtbl.replace tbl k (rb :: Option.value (Hashtbl.find_opt tbl k) ~default:[]))
+      Tuple.Tbl.replace tbl k
+        (rb :: Option.value (Tuple.Tbl.find_opt tbl k) ~default:[]))
     b.rows;
   let rows =
     List.concat_map
@@ -164,13 +358,13 @@ let hash_join a b ~left_cols ~right_cols =
         (* null keys never join, as in SQL *)
         if List.exists (fun i -> Value.is_null (Tuple.get ra i)) left_idx then []
         else
-          match Hashtbl.find_opt tbl (key left_idx ra) with
+          match Tuple.Tbl.find_opt tbl (key left_idx ra) with
           | Some matches ->
             List.rev_map (fun rb -> Array.append ra rb) matches
           | None -> [])
       a.rows
   in
-  { schema; rows }
+  v schema rows
 
 let column r name =
   let i = Schema.index_of_exn r.schema name in

@@ -1,6 +1,8 @@
 (** In-memory relations (the paper's "database sets" [R], §5.1).
 
-    A relation is a schema plus a row list. Rows are validated against the
+    A relation is a schema plus a row list, and a table version: the
+    {{!section:keys}key columns} derived from its rows are built on first
+    use and kept with the value, so every later query on it reuses them. Rows are validated against the
     schema on construction. Set-flavoured operations ([union], [inter],
     [diff], [equal_as_sets]) use tuple value equality, matching the paper's
     treatment of database sets as sets of values; duplicate rows are allowed
@@ -24,7 +26,7 @@ val add_row : t -> Tuple.t -> t
 val mem : t -> Tuple.t -> bool
 
 val distinct : t -> t
-(** Remove duplicate rows, keeping first occurrences. *)
+(** Remove duplicate rows ({!Tuple.equal}), keeping first occurrences. *)
 
 val project : t -> string list -> t
 (** [R[A]]: projection onto the named attributes, duplicates preserved. *)
@@ -44,9 +46,11 @@ val diff : t -> t -> t
 val equal_as_sets : t -> t -> bool
 
 val group_by : t -> string list -> t list
-(** Partition rows into groups with equal values on the named attributes,
-    preserving first-appearance order of groups — the grouped evaluation of
-    Definition 16. *)
+(** Partition rows into groups with {!Value.equal} values on the named
+    attributes (NULL = NULL, NaN ≠ NaN, [Int 3] = [Float 3.0]),
+    preserving first-appearance order of groups and input order within
+    each — the grouped evaluation of Definition 16. Buckets rows by the
+    attributes' {!dict} ids. *)
 
 val sort_by : (Tuple.t -> Tuple.t -> int) -> t -> t
 
@@ -67,3 +71,62 @@ val fold : ('acc -> Tuple.t -> 'acc) -> 'acc -> t -> 'acc
 
 val pp : t Fmt.t
 (** Short summary ("schema [n rows]"); use {!Table_fmt} for full tables. *)
+
+(** {1:keys Key columns}
+
+    Per-column layouts of a record's rows for the dominance kernels
+    ([Pref_bmo.Dominance.keyed]). Each is built lazily, on first use, and
+    published through an [Atomic], so concurrent domains agree on one copy
+    and later calls on the same record return it without a pass over the
+    rows. Every function above that returns different rows returns a
+    record with empty slots ({!rename_schema}, which keeps the rows,
+    keeps them too); no record reads another's columns. The arrays are
+    shared: callers must not mutate them. *)
+
+val row_array : t -> Tuple.t array
+(** The rows as an array, in order. *)
+
+type floats = {
+  values : float array;
+      (** [Value.as_float] of each row's value, [nan] where it is [None] *)
+  nulls : Bytes.t;
+      (** ['\001'] where [Value.as_float] is [None] (NULL, or a string);
+          empty when no row has one. A real NaN is not NULL. *)
+  float_equal : bool;
+      (** float equality with the NULL mask decides {!Value.equal} on this
+          column: every non-NULL value is a number (ints within 2^53), or
+          every one a date, or every one a bool *)
+}
+
+val floats : t -> int -> floats
+(** The float column of the attribute at this index. *)
+
+type ids =
+  | Byte_ids of Bytes.t  (** one byte per row: at most 256 classes *)
+  | Int_ids of int array
+
+type dict = {
+  ids : ids;
+      (** per row, the id of its {!Value.equal} class, numbered by first
+          appearance (each NaN is a class of its own) *)
+  reps : Value.t array;  (** per id, the first value of its class *)
+  has_float : bool;  (** some value is a [Float] *)
+  has_wide_int : bool;
+      (** some value is an [Int] beyond 2^53 in magnitude. With [has_float]
+          as well, {!Value.equal} is not transitive on the column and the
+          ids are one partition among several. *)
+}
+
+val dict : t -> int -> dict
+(** The dictionary column of the attribute at this index. *)
+
+val release : t -> unit
+(** Drop the record's derived data; a later use builds it again. For a
+    version its owner has just superseded: sessions still holding it
+    keep correct answers, and the memory goes now rather than when the
+    last of them lets go. *)
+
+val has_floats : t -> int -> bool
+val has_dict : t -> int -> bool
+(** Whether that column is already built, so a caller can tell the
+    queries that paid for a build. *)

@@ -47,3 +47,10 @@ let hash (t : t) =
     h := (!h * 0x01000193) lxor Value.hash (Array.unsafe_get t i)
   done;
   !h land max_int
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

@@ -29,3 +29,7 @@ val pp : t Fmt.t
 val hash : t -> int
 (** Allocation-free positional mix of {!Value.hash} over the fields;
     consistent with {!equal} (equal tuples hash equal). *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by {!equal} classes (NULL = NULL, NaN ≠ NaN, [Int 3]
+    = [Float 3.0]), unlike the polymorphic [Hashtbl]. *)

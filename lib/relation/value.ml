@@ -101,6 +101,8 @@ let to_float_exn v =
   | Some f -> f
   | None -> invalid_arg "Value.to_float_exn: non-numeric value"
 
+let wide_int i = i > 1 lsl 53 || i < -(1 lsl 53)
+
 let is_null = function Null -> true | Bool _ | Int _ | Float _ | Str _ | Date _ -> false
 
 let to_string = function
@@ -179,3 +181,10 @@ let hash = function
   | Float f -> 0x9e3779b9 lxor Hashtbl.hash f
   | Str s -> 0x85ebca6b lxor Hashtbl.hash s
   | Date d -> 0xc2b2ae35 lxor Hashtbl.hash (date_to_days d)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

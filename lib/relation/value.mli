@@ -62,6 +62,16 @@ val infer : string -> t
 (** Parse with type inference in the order int, float, date, bool, string;
     empty or ["NULL"] becomes [Null]. Used by the CSV loader. *)
 
+val wide_int : int -> bool
+(** Beyond 2^53 in magnitude, where [float_of_int] stops being injective:
+    two such ints can equal one float under {!equal} without equalling
+    each other, so {!equal} is transitive only on values without both a
+    wide int and a float. *)
+
 val hash : t -> int
 (** Consistent with {!equal}: numerically equal [Int]/[Float] values hash
     equal. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by {!equal} classes. A NaN key is never found again
+    (NaN ≠ NaN), so each NaN added is its own entry. *)

@@ -42,6 +42,7 @@ let () =
       ("incremental", Test_incremental.suite);
       ("cache", Test_cache.suite);
       ("parallel", Test_parallel.suite);
+      ("keyed", Test_keyed.suite);
       ("xpath", Test_xpath.suite);
       ("obs", Test_obs.suite);
       ("export", Test_export.suite);

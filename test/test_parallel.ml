@@ -135,11 +135,12 @@ let test_kernel_stats () =
   let schema = Relation.schema rel in
   let attrs = Synthetic.dim_names 3 in
   let p = Pref.pareto_all (List.map Pref.highest attrs) in
-  let vec = Dominance.of_pref_vec schema p in
-  check "numeric skyline takes the float path" true
-    (vec.Dominance.floats <> None);
-  let rows = Array.of_list (Relation.rows rel) in
-  let best, stats = Parallel.maxima_dnc ~domains:4 vec rows in
+  let k = Dominance.keyed schema p rel in
+  check "numeric skyline reads no tuple closure" true
+    (k.Dominance.closure_leaves = []);
+  let best, stats =
+    Parallel.maxima_dnc ~domains:4 k.Dominance.dominates (Dominance.points k)
+  in
   Alcotest.(check int) "4 chunks" 4 (Array.length stats.Parallel.s_chunks);
   Alcotest.(check int)
     "chunk rows sum to input" 2000
@@ -150,10 +151,11 @@ let test_kernel_stats () =
     (Array.for_all (fun c -> c.Parallel.c_tests > 0) stats.Parallel.s_chunks);
   check "total includes merge" true
     (Parallel.total_tests stats >= stats.Parallel.s_merge_tests);
-  let naive = sigma_alg Query.Alg_naive schema p rel in
+  (* the naive knob runs keyed too: the oracle is the tuple closure *)
+  let naive = Naive.query schema p rel in
   check "stats run is exact" true
     (Relation.equal_as_sets naive
-       (Relation.make schema (Array.to_list best)))
+       (Relation.make schema (Dominance.select k best)))
 
 (* ------------------------------------------------------------------ *)
 (* Query / planner integration *)
@@ -279,7 +281,7 @@ let test_costmodel_off () =
     (plan_of (Relation.schema cars) prior cars)
 
 (* ------------------------------------------------------------------ *)
-(* Float fast path: NULL-as-nan semantics *)
+(* Float columns: NULL loses to every number, two NULLs tie *)
 
 let test_float_path_nulls () =
   let schema = Schema.make [ ("x", Value.TFloat); ("y", Value.TFloat) ] in
@@ -296,16 +298,15 @@ let test_float_path_nulls () =
   in
   let rel = Relation.make schema rows in
   let p = Pref.pareto (Pref.highest "x") (Pref.highest "y") in
-  let vec = Dominance.of_pref_vec schema p in
-  check "float path applies" true (vec.Dominance.floats <> None);
-  let naive = sigma_alg Query.Alg_naive schema p rel in
-  check "vec kernel matches naive on NULLs" true
+  let k = Dominance.keyed schema p rel in
+  check "float columns apply" true (k.Dominance.closure_leaves = []);
+  let naive = Naive.query schema p rel in
+  check "keyed kernel matches the closure on NULLs" true
     (Relation.equal_as_sets naive
        (Relation.make schema
-          (let arr = Array.of_list rows in
-           Bnl.select arr
-             (Bnl.window Dominance.float_dominates
-                (Array.map (Option.get vec.Dominance.floats) arr)))));
+          (Dominance.select k
+             (Dominance.window k)
+               .Bnl.survivors)));
   List.iter
     (fun d ->
       check "parallel matches naive on NULLs" true
@@ -335,12 +336,8 @@ let test_antichain_window () =
   let n = antichain_n () in
   let schema = Schema.make [ ("x", Value.TFloat); ("y", Value.TFloat) ] in
   let p = Pref.pareto (Pref.highest "x") (Pref.highest "y") in
-  let vec = Dominance.of_pref_vec schema p in
-  let r =
-    Bnl.window Dominance.float_dominates
-      (Array.map (Option.get vec.Dominance.floats)
-         (Array.of_list (antichain_rows n)))
-  in
+  let k = Dominance.keyed schema p (Relation.make schema (antichain_rows n)) in
+  let r = Dominance.window k in
   Alcotest.(check int) "every anti-chain row survives" n
     (Array.length r.Bnl.survivors);
   check "quadratic test count reached (window really grew)" true
@@ -354,7 +351,7 @@ let test_antichain_window () =
   let best = Bnl.select arr traced and peak = traced.Bnl.peak in
   Alcotest.(check int) "traced pass keeps all rows" small (List.length best);
   Alcotest.(check int) "window peak = input size" small peak;
-  check "list and vec kernels agree" true
+  check "closure pass keeps every row in input order" true
     (List.equal Tuple.equal rows best)
 
 (* ------------------------------------------------------------------ *)

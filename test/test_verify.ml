@@ -25,7 +25,7 @@ let verify_ok () =
       Alcotest.(check bool) (name ^ " runs cases") true (s.Verify.s_cases > 0);
       Alcotest.(check int) (name ^ " failures") 0
         (List.length s.Verify.s_failures))
-    [ "rewrite"; "constraints"; "cache"; "merge"; "random" ];
+    [ "rewrite"; "constraints"; "cache"; "keys"; "merge"; "random" ];
   Alcotest.(check bool) "summary ends in VERIFY OK" true
     (List.exists
        (fun l -> String.length l >= 9 && String.sub l 0 9 = "VERIFY OK")
