@@ -1190,12 +1190,15 @@ let serve_templates =
        ORDER BY oid TOP 10" );
   ]
 
-let b14_results : (string * float * float * float * int * int) list ref = ref []
+let b14_results : (string * float * float * float * float * int * int) list ref =
+  ref []
 
 let b14 () =
   section "B14 Keyed dominance: serve_cold templates, closure vs keyed BNL (n = 50000)";
   let n = 50_000 in
   let base = Pref_workload.Cars.relation ~seed:38 ~n () in
+  (* a server's table: the columns the first keyed run builds are kept *)
+  Relation.store base;
   let schema = Relation.schema base in
   let best_of k f =
     let best = ref Float.infinity and r = ref None in
@@ -1206,61 +1209,92 @@ let b14 () =
     done;
     (Option.get !r, !best)
   in
+  let reps = if quick then 5 else 7 in
+  (* one cell: σ[P] over each group by the closure window and the keyed
+     one, the same rows in the same order after the same tests; compile
+     is the best time of the keyed compiles alone *)
+  let cell label p groups =
+    let dom = Dominance.of_pref schema p in
+    let closure () =
+      List.map
+        (fun g ->
+          let arr = Relation.row_array g in
+          let r = Bnl.window dom arr in
+          (Bnl.select arr r, r.Bnl.tests))
+        groups
+    in
+    let columns_ms = ref 0. in
+    let keyed () =
+      (* as GROUPING serves: one compile for the groups of one version *)
+      let like = lazy (Dominance.keyed schema p (List.hd groups)) in
+      List.map
+        (fun g ->
+          let k = Dominance.keyed ~like schema p g in
+          columns_ms := !columns_ms +. k.Dominance.columns_ms;
+          let r = Dominance.window k in
+          (Dominance.select k r.Bnl.survivors, r.Bnl.tests))
+        groups
+    in
+    let c, closure_ms = best_of reps closure in
+    let k, keyed_ms = best_of reps keyed in
+    let _, compile_ms =
+      best_of reps (fun () ->
+          let like = lazy (Dominance.keyed schema p (List.hd groups)) in
+          List.iter (fun g -> ignore (Dominance.keyed ~like schema p g)) groups)
+    in
+    let tests = List.fold_left (fun a (_, t) -> a + t) 0 c in
+    let rows = List.fold_left (fun a (r, _) -> a + List.length r) 0 c in
+    check
+      (Printf.sprintf "%s: keyed BNL = closure BNL (rows, order, tests)" label)
+      (List.length c = List.length k
+      && List.for_all2
+           (fun (rc, tc) (rk, tk) -> tc = tk && List.equal Tuple.equal rc rk)
+           c k);
+    b14_results :=
+      (label, closure_ms, keyed_ms, compile_ms, !columns_ms, tests, rows) :: !b14_results;
+    Fmt.pr
+      "  %-16s closure %7.2f ms  keyed %7.2f ms  (%.1fx)  compile %6.2f ms  columns %6.2f ms  %d tests  %d rows@."
+      label closure_ms keyed_ms
+      (closure_ms /. Float.max keyed_ms 1e-6)
+      compile_ms !columns_ms tests rows
+  in
   List.iter
     (fun (label, sql) ->
       let q = Pref_sql.Parser.parse_query sql in
       let p =
         Preferences.Rewrite.simplify (Option.get (Pref_sql.Exec.full_preference q))
       in
+      (* WHERE and GROUPING restrict the base version, as the served
+         path does: the keyed runs read its columns at their positions *)
       let filtered =
         match q.Pref_sql.Ast.where with
         | None -> base
-        | Some c -> Relation.select (Pref_sql.Translate.condition schema c) base
+        | Some c -> Relation.restrict (Pref_sql.Translate.condition schema c) base
       in
-      (* the groups are built once: each is a fresh table version whose
-         columns the first keyed run builds *)
-      let groups =
-        match q.Pref_sql.Ast.grouping with
+      cell label p
+        (match q.Pref_sql.Ast.grouping with
         | [] -> [ filtered ]
-        | by -> Relation.group_by filtered by
-      in
-      let dom = Dominance.of_pref schema p in
-      let closure () =
-        List.map
-          (fun g ->
-            let arr = Relation.row_array g in
-            let r = Bnl.window dom arr in
-            (Bnl.select arr r, r.Bnl.tests))
-          groups
-      in
-      let columns_ms = ref 0. in
-      let keyed () =
-        List.map
-          (fun g ->
-            let k = Dominance.keyed schema p g in
-            columns_ms := !columns_ms +. k.Dominance.columns_ms;
-            let r = Dominance.window k in
-            (Dominance.select k r.Bnl.survivors, r.Bnl.tests))
-          groups
-      in
-      let reps = if quick then 5 else 7 in
-      let c, closure_ms = best_of reps closure in
-      let k, keyed_ms = best_of reps keyed in
-      let tests = List.fold_left (fun a (_, t) -> a + t) 0 c in
-      let rows = List.fold_left (fun a (r, _) -> a + List.length r) 0 c in
-      check
-        (Printf.sprintf "%s: keyed BNL = closure BNL (rows, order, tests)" label)
-        (List.length c = List.length k
-        && List.for_all2
-             (fun (rc, tc) (rk, tk) -> tc = tk && List.equal Tuple.equal rc rk)
-             c k);
-      b14_results :=
-        (label, closure_ms, keyed_ms, !columns_ms, tests, rows) :: !b14_results;
-      Fmt.pr "  %-13s closure %7.2f ms  keyed %7.2f ms  (%.1fx)  columns %6.2f ms  %d tests  %d rows@."
-        label closure_ms keyed_ms
-        (closure_ms /. Float.max keyed_ms 1e-6)
-        !columns_ms tests rows)
-    serve_templates
+        | by -> Relation.group_by filtered by))
+    serve_templates;
+  (* value-level leaves naming many values: the compile builds a class
+     table over the named values that occur, once per group *)
+  let distinct_mileage k =
+    List.filteri
+      (fun i _ -> i < k)
+      (List.sort_uniq Value.compare (Relation.column base "mileage"))
+  in
+  let in_list = Pref.prior (Pref.pos "mileage" (distinct_mileage 255)) (Pref.lowest "price") in
+  let chain =
+    let vs = Array.of_list (distinct_mileage 16) in
+    Pref.prior
+      (Pref.explicit "mileage" (List.init 15 (fun i -> (vs.(i + 1), vs.(i)))))
+      (Pref.lowest "price")
+  in
+  let groups = Relation.group_by base [ "make" ] in
+  cell "in255" in_list [ base ];
+  cell "in255_grouping" in_list groups;
+  cell "explicit16" chain [ base ];
+  cell "explicit16_group" chain groups
 
 (* ------------------------------------------------------------------ *)
 (* B11 — the serving layer: aggregate throughput over the wire          *)
@@ -1726,12 +1760,13 @@ let () =
         ( "b14_keyed",
           Json.Obj
             (List.rev_map
-               (fun (label, closure_ms, keyed_ms, columns_ms, tests, rows) ->
+               (fun (label, closure_ms, keyed_ms, compile_ms, columns_ms, tests, rows) ->
                  ( label,
                    Json.Obj
                      [
                        ("closure_ms", Json.Float closure_ms);
                        ("keyed_ms", Json.Float keyed_ms);
+                       ("compile_ms", Json.Float compile_ms);
                        ("columns_ms", Json.Float columns_ms);
                        ("dominance_tests", Json.Int tests);
                        ("rows", Json.Int rows);

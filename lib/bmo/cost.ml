@@ -16,12 +16,17 @@
    measures (anti-correlation inflates skylines toward n, positive
    correlation deflates them toward 1).
 
-   The constants are compiled in, fitted against BENCH_2026-08-06.json;
+   The constants are compiled in, fitted against BENCH_2026-08-06.json
+   and, for the keyed test, against B9's shapes on the keyed window;
    nothing changes them at run time, so a plan choice depends on the
    workload alone. *)
 
 type constants = {
-  c_cmp_ns : float;  (** one dominance test, per dimension *)
+  c_cmp_ns : float;  (** one tuple-closure dominance test, per dimension *)
+  c_keyed_ns : float;
+      (** one keyed dominance test, per dimension, as [scan_ms] counts
+          tests: the plans over row positions (naive, bnl, par_dnc,
+          par_sfs) *)
   c_row_ns : float;  (** per-row scan / window bookkeeping *)
   c_sort_ns : float;  (** per element per log2 n of sorting *)
   c_dnc_ns : float;  (** divide & conquer, per row per log2 n per extra dim *)
@@ -36,6 +41,10 @@ type constants = {
 let defaults =
   {
     c_cmp_ns = 20.;
+    (* the keyed window's time over scan_ms's test count at c = 1, median
+       over B9's independent shapes n = 5000..50000, d = 2..8 (0.7 to
+       2.7 ns): the count also over-states the window's early exits *)
+    c_keyed_ns = 1.5;
     c_row_ns = 40.;
     c_sort_ns = 25.;
     c_dnc_ns = 360.;
@@ -52,6 +61,7 @@ let defaults =
 let to_assoc c =
   [
     ("c_cmp_ns", c.c_cmp_ns);
+    ("c_keyed_ns", c.c_keyed_ns);
     ("c_row_ns", c.c_row_ns);
     ("c_sort_ns", c.c_sort_ns);
     ("c_dnc_ns", c.c_dnc_ns);
@@ -109,7 +119,7 @@ let scan_ms w =
   let wbar = (effective_output ~n:w.n ~dims:w.dims ~correlation:w.correlation /. 2.) +. 1. in
   let incomparability = 1. -. Float.min 0. (clamp (-1.) 1. w.correlation) in
   ns_to_ms
-    (defaults.c_cmp_ns *. float_of_int w.dims *. n *. wbar *. incomparability)
+    (defaults.c_keyed_ns *. float_of_int w.dims *. n *. wbar *. incomparability)
 
 let predict_ms ~kind w =
   let c = defaults in
@@ -121,10 +131,10 @@ let predict_ms ~kind w =
   in
   let par_scan d = c.c_par_pessimism *. scan_ms w /. float_of_int d in
   let par_merge d =
-    ns_to_ms (c.c_cmp_ns *. float_of_int w.dims *. out *. out /. float_of_int d)
+    ns_to_ms (c.c_keyed_ns *. float_of_int w.dims *. out *. out /. float_of_int d)
   in
   match kind with
-  | "naive" -> ns_to_ms (c.c_cmp_ns *. float_of_int w.dims *. n *. n)
+  | "naive" -> ns_to_ms (c.c_keyed_ns *. float_of_int w.dims *. n *. n)
   | "bnl" -> scan_ms w +. ns_to_ms (c.c_row_ns *. n)
   | "dnc" ->
     ns_to_ms

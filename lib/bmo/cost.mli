@@ -12,7 +12,11 @@
 (** {1 Constants} *)
 
 type constants = {
-  c_cmp_ns : float;  (** one dominance test, per dimension *)
+  c_cmp_ns : float;  (** one tuple-closure dominance test, per dimension *)
+  c_keyed_ns : float;
+      (** one keyed dominance test, per dimension, as the scan estimate
+          counts tests: the plans over row positions (naive, bnl,
+          par_dnc, par_sfs) *)
   c_row_ns : float;  (** per-row scan / window bookkeeping *)
   c_sort_ns : float;  (** per element per log2 n of sorting *)
   c_dnc_ns : float;  (** divide & conquer, per row per log2 n per extra dim *)

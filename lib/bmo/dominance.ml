@@ -28,9 +28,14 @@ let of_pref_vec schema p =
 (* ------------------------------------------------------------------ *)
 (* Keyed dominance over a table version's key columns                  *)
 
+type form = Closure | Keyed of { closure_leaves : Pref.t list; columns_ms : float }
+
 type keyed = {
   dominates : int -> int -> bool;
+  term : Pref.t;
   relation : Relation.t;
+  source : Relation.t;
+  points : int array;
   size : int;
   closure_leaves : Pref.t list;
   columns_ms : float;
@@ -48,22 +53,12 @@ let named_values = function
     @ s.Pref.tg_pos_singles @ s.Pref.tg_neg_singles
   | _ -> []
 
-(* Above this many named values the class table (quadratic in them)
-   is not built and the leaf reads the tuple closure. *)
+(* Above this many distinct named values the leaf reads the tuple
+   closure: its class table would be quadratic in them. *)
 let max_named = 255
 
 let is_float = function Value.Float _ -> true | _ -> false
 let is_wide_int = function Value.Int i -> Value.wide_int i | _ -> false
-
-(* A Pareto operand that is a numeric chain: LOWEST or HIGHEST under any
-   number of duals, with its direction and whether NULL is its worst
-   value (a dual makes NULL the best). *)
-let rec chain_leaf = function
-  | Pref.Lowest a -> Some (a, false, true)
-  | Pref.Highest a -> Some (a, true, true)
-  | Pref.Dual q ->
-    Option.map (fun (a, up, null_worst) -> (a, not up, not null_worst)) (chain_leaf q)
-  | _ -> None
 
 (* Nested Pareto (and prioritised) accumulations flatten: by Def. 8,
    x <_{P1⊗…⊗Pk} y iff every operand has x <_i y or x =_i y and one has
@@ -80,52 +75,71 @@ let rec prior_operands = function
   | Pref.Prior (p, q) -> prior_operands p @ prior_operands q
   | p -> [ p ]
 
-type dim = { v : float array; nulls : Bytes.t; up : bool; null_worst : bool }
-
 let is_null nulls x = Bytes.length nulls > 0 && Bytes.get nulls x <> '\000'
 
-(* x <_P y for a Pareto accumulation of numeric chains over float columns
-   whose float equality is Value.equal. Per operand: x <_i y, or x =_i y
-   (NULL = NULL, NaN ≠ NaN), or neither, which fails the test. The loops
-   are flat so a test allocates nothing. *)
-let float_pareto dims =
+(* A Pareto operand that is a numeric chain: LOWEST or HIGHEST under any
+   number of duals, with whether smaller values are better. *)
+let rec chain_leaf = function
+  | Pref.Lowest a -> Some (a, true)
+  | Pref.Highest a -> Some (a, false)
+  | Pref.Dual q -> Option.map (fun (a, low) -> (a, not low)) (chain_leaf q)
+  | _ -> None
+
+(* x <_P y for a Pareto accumulation of numeric chains over float
+   columns with no NULL, where float equality is Value.equal: per
+   dimension x <_i y, or x =_i y (NaN equals nothing), or the test fails.
+   One flat loop over the columns instead of two closure calls per
+   operand: on the 2-d and 3-d skyline templates at n = 50 000 it takes a
+   quarter off the general loop (DESIGN §7). *)
+let float_pareto (dims : (float array * bool) array) =
   let k = Array.length dims in
-  let vs = Array.map (fun d -> d.v) dims and ups = Array.map (fun d -> d.up) dims in
-  if Array.for_all (fun d -> Bytes.length d.nulls = 0) dims then fun x y ->
+  let vs = Array.map fst dims and better_low = Array.map snd dims in
+  fun x y ->
     let strict = ref false and ok = ref true and i = ref 0 in
     while !ok && !i < k do
       let v = Array.unsafe_get vs !i in
       let a = v.(x) and b = v.(y) in
-      if if Array.unsafe_get ups !i then a < b else a > b then strict := true
+      if if Array.unsafe_get better_low !i then a > b else a < b then strict := true
       else if not (a = b) then ok := false;
       incr i
     done;
     !ok && !strict
-  else fun x y ->
-    let strict = ref false and ok = ref true and i = ref 0 in
-    while !ok && !i < k do
-      let d = Array.unsafe_get dims !i in
-      let nx = is_null d.nulls x and ny = is_null d.nulls y in
-      if nx || ny then begin
-        if nx <> ny then if nx = d.null_worst then strict := true else ok := false
-      end
-      else begin
-        let a = d.v.(x) and b = d.v.(y) in
-        if if d.up then a < b else a > b then strict := true
-        else if not (a = b) then ok := false
-      end;
-      incr i
-    done;
-    !ok && !strict
 
-let keyed schema p rel =
+(* One identity array, grown on demand and never mutated, holds the
+   positions of every unrestricted relation: a compile allocates no array
+   of positions. *)
+let identity = Atomic.make [||]
+
+let identity_points n =
+  let cur = Atomic.get identity in
+  if Array.length cur >= n then cur
+  else begin
+    let ids = Array.init (max n (2 * Array.length cur)) Fun.id in
+    Atomic.set identity ids;
+    ids
+  end
+
+let keyed ?like schema p rel =
+  (* a restriction reads its origin's columns at its rows' positions *)
+  let source, points =
+    match Relation.origin rel with
+    | Some (base, pos) -> (base, pos)
+    | None -> (rel, identity_points (Relation.cardinality rel))
+  in
+  let fresh = match like with Some l -> not (Lazy.is_val l) | None -> false in
+  match like with
+  | Some (lazy k) when k.source == source && k.term == p ->
+    (* the compile that forced [like] paid its column builds *)
+    let columns_ms = if fresh then k.columns_ms else 0. in
+    { k with relation = rel; points; size = Relation.cardinality rel; columns_ms }
+  | _ ->
   (* only a closure leaf or boxed equality indexes the tuples *)
-  let rows = lazy (Relation.row_array rel) in
+  let rows = lazy (Relation.row_array source) in
   let paid = ref 0. and fallback = ref [] in
   let fetch has build i =
-    if has rel i then build rel i
+    if has source i then build source i
     else begin
-      let c, ms = Pref_obs.Span.timed (fun () -> build rel i) in
+      let c, ms = Pref_obs.Span.timed (fun () -> build source i) in
       Pref_obs.Metrics.observe Obs.columns_build_ms ms;
       paid := !paid +. ms;
       c
@@ -207,62 +221,55 @@ let keyed schema p rel =
     in
     swap dual (fun x y -> dist x > dist y)
   in
-  (* POS, NEG, POS/NEG, POS/POS, EXPLICIT, two graphs: each dictionary id
-     maps to the class of the named value it equals (or the class of all
-     others), and Pref.lt_value on class representatives fills a table.
-     When a level per class reproduces the table (a weak order: the POS
-     family), the test compares levels per id instead. *)
+  (* POS, NEG, POS/NEG, POS/POS, EXPLICIT, two graphs: every dictionary id
+     maps to a class — the distinct named value it equals, or the class of
+     all the others — numbered only for the classes some id falls in, and
+     Pref.compile_value decides the order once per pair of classes. *)
   let value_leaf ~dual p a =
-    let named = named_values p in
-    let m = List.length named in
+    let named = Value.Tbl.create 16 in
+    List.iter
+      (fun v ->
+        if not (Value.Tbl.mem named v) then Value.Tbl.add named v (Value.Tbl.length named))
+      (named_values p);
+    let m = Value.Tbl.length named in
     if m > max_named then closure ~dual p
     else
       let d = dict (idx a) in
       if
-        (d.Relation.has_float || List.exists is_float named)
-        && (d.Relation.has_wide_int || List.exists is_wide_int named)
+        (d.Relation.has_float || Value.Tbl.fold (fun v _ b -> b || is_float v) named false)
+        && (d.Relation.has_wide_int
+           || Value.Tbl.fold (fun v _ b -> b || is_wide_int v) named false)
       then closure ~dual p
       else begin
-        let k = m + 1 in
-        let reps = Array.of_list (named @ [ Value.Float Float.nan ]) in
-        let first = Value.Tbl.create k in
-        List.iteri
-          (fun c v -> if not (Value.Tbl.mem first v) then Value.Tbl.add first v c)
-          named;
+        (* [number.(c)]: the number of named class [c] (or [m], the others) *)
+        let number = Array.make (m + 1) (-1) and reps = ref [] and k = ref 0 in
         let cls =
           Array.map
-            (fun v -> Option.value (Value.Tbl.find_opt first v) ~default:m)
+            (fun v ->
+              let c = Option.value (Value.Tbl.find_opt named v) ~default:m in
+              if number.(c) < 0 then begin
+                number.(c) <- !k;
+                reps := (if c = m then Value.Float Float.nan else v) :: !reps;
+                incr k
+              end;
+              number.(c))
             d.Relation.reps
         in
-        let lt c c' =
-          if dual then Pref.lt_value p reps.(c') reps.(c)
-          else Pref.lt_value p reps.(c) reps.(c')
+        let k = !k and reps = Array.of_list (List.rev !reps) in
+        let lt = Pref.compile_value p in
+        let table =
+          Array.init (k * k) (fun c ->
+              let x = reps.(c / k) and y = reps.(c mod k) in
+              if dual then lt y x else lt x y)
         in
-        let table = Array.init (k * k) (fun c -> lt (c / k) (c mod k)) in
-        let level =
-          Array.init k (fun c ->
-              let better = ref 0 in
-              for c' = 0 to k - 1 do
-                if table.((c * k) + c') then incr better
-              done;
-              !better)
-        in
-        let weak =
-          Array.for_all Fun.id
-            (Array.mapi (fun c lt -> lt = (level.(c / k) > level.(c mod k))) table)
-        in
-        let lv = Array.map (fun c -> level.(c)) cls in
-        let byte b x = Char.code (Bytes.get b x) in
-        match d.Relation.ids, weak with
-        | Relation.Byte_ids b, true -> fun x y -> lv.(byte b x) > lv.(byte b y)
-        | Relation.Int_ids a, true -> fun x y -> lv.(a.(x)) > lv.(a.(y))
-        | Relation.Byte_ids b, false ->
-          fun x y -> table.((cls.(byte b x) * k) + cls.(byte b y))
-        | Relation.Int_ids a, false ->
-          fun x y -> table.((cls.(a.(x)) * k) + cls.(a.(y)))
+        match d.Relation.ids with
+        | Relation.Byte_ids b ->
+          fun x y ->
+            table.((cls.(Char.code (Bytes.get b x)) * k) + cls.(Char.code (Bytes.get b y)))
+        | Relation.Int_ids a -> fun x y -> table.((cls.(a.(x)) * k) + cls.(a.(y)))
       end
   in
-  (* [go ~dual p] is x <_P y over row indices, or y <_P x when [dual] *)
+  (* [go ~dual p] is x <_P y over row positions, or y <_P x when [dual] *)
   let rec go ~dual p =
     match p with
     | Pref.Lowest a -> chain ~dual a ~up:false
@@ -282,7 +289,21 @@ let keyed schema p rel =
     | Pref.Dunion (q, r) ->
       let c1 = go ~dual q and c2 = go ~dual r in
       fun x y -> c1 x y || c2 x y
-    | Pref.Pareto _ -> pareto ~dual (pareto_operands p)
+    | Pref.Pareto _ -> (
+      let ops = pareto_operands p in
+      let dim q =
+        match chain_leaf q with
+        | Some (a, low) ->
+          let f = floats (idx a) in
+          if f.Relation.float_equal && Bytes.length f.Relation.nulls = 0 then
+            Some (f.Relation.values, low <> dual)
+          else None
+        | None -> None
+      in
+      match List.map dim ops with
+      | dims when List.for_all Option.is_some dims ->
+        float_pareto (Array.of_list (List.map Option.get dims))
+      | _ -> pareto ~dual ops)
     | Pref.Prior _ ->
       let ops = Array.of_list (prior_operands p) in
       let lts = Array.map (go ~dual) ops
@@ -301,92 +322,71 @@ let keyed schema p rel =
         done;
         !lt
   and pareto ~dual ops =
-    let float_dim q =
-      match chain_leaf q with
-      | Some (a, up, null_worst) ->
-        let f = floats (idx a) in
-        if f.Relation.float_equal then
-          Some
-            {
-              v = f.Relation.values;
-              nulls = f.Relation.nulls;
-              up = up <> dual;
-              null_worst = null_worst <> dual;
-            }
-        else None
-      | None -> None
-    in
-    let dims = List.map float_dim ops in
-    if List.for_all Option.is_some dims then
-      float_pareto (Array.of_list (List.map Option.get dims))
-    else begin
-      let ops = Array.of_list ops in
-      let lts = Array.map (go ~dual) ops
-      and eqs = Array.map (fun q -> eq_attrs (Pref.attrs q)) ops in
-      let k = Array.length ops in
-      fun x y ->
-        let strict = ref false and ok = ref true and i = ref 0 in
-        while !ok && !i < k do
-          if (Array.unsafe_get lts !i) x y then strict := true
-          else if not ((Array.unsafe_get eqs !i) x y) then ok := false;
-          incr i
-        done;
-        !ok && !strict
-    end
+    let ops = Array.of_list ops in
+    let lts = Array.map (go ~dual) ops
+    and eqs = Array.map (fun q -> eq_attrs (Pref.attrs q)) ops in
+    let k = Array.length ops in
+    fun x y ->
+      (* every operand better or equal, one better *)
+      let strict = ref false and ok = ref true and i = ref 0 in
+      while !ok && !i < k do
+        if (Array.unsafe_get lts !i) x y then strict := true
+        else if not ((Array.unsafe_get eqs !i) x y) then ok := false;
+        incr i
+      done;
+      !ok && !strict
   in
   (* x dominates y iff y <_P x: the term compiled under a dual *)
   let dominates = go ~dual:true p in
   {
     dominates;
+    term = p;
     relation = rel;
+    source;
+    points;
     size = Relation.cardinality rel;
     closure_leaves = List.rev !fallback;
     columns_ms = !paid;
   }
 
-let points k = Array.init k.size Fun.id
-
-(* One identity array, grown on demand and never mutated, serves every
-   keyed window: a scan allocates no array of positions. *)
-let identity = Atomic.make [||]
+let points k = if k.size = Array.length k.points then k.points else Array.sub k.points 0 k.size
 
 let window ?deadline k =
-  let ids =
-    let cur = Atomic.get identity in
-    if Array.length cur >= k.size then cur
-    else begin
-      let ids = Array.init (max k.size (2 * Array.length cur)) Fun.id in
-      Atomic.set identity ids;
-      ids
-    end
-  in
-  Bnl.window ?deadline ~len:k.size k.dominates ids
+  let r = Bnl.window ?deadline ~len:k.size k.dominates k.points in
+  (* the loop returns indices into the points: make them positions *)
+  match Relation.origin k.relation with
+  | None -> r
+  | Some _ -> { r with Bnl.survivors = Array.map (Array.get k.points) r.Bnl.survivors }
 
-let select k idx =
-  let m = Array.length idx in
-  let rec ascending i = i >= m - 1 || (idx.(i) < idx.(i + 1) && ascending (i + 1)) in
+let select k pos =
+  let m = Array.length pos in
+  let rec ascending i = i >= m - 1 || (pos.(i) < pos.(i + 1) && ascending (i + 1)) in
   if ascending 0 then begin
-    (* one walk of the row list, no row array *)
-    let rec walk rows pos i acc =
+    (* one walk of the relation's row list, matching positions in order *)
+    let rec walk rows j i acc =
       if i = m then List.rev acc
       else
         match rows with
-        | [] -> invalid_arg "Dominance.select: row index out of range"
-        | t :: rest ->
-          if pos = idx.(i) then walk rest (pos + 1) (i + 1) (t :: acc)
-          else walk rest (pos + 1) i acc
+        | t :: rest when j < k.size ->
+          if k.points.(j) = pos.(i) then walk rest (j + 1) (i + 1) (t :: acc)
+          else walk rest (j + 1) i acc
+        | _ -> invalid_arg "Dominance.select: position out of range"
     in
     walk (Relation.rows k.relation) 0 0 []
   end
   else
-    let rows = Relation.row_array k.relation in
-    Array.fold_right (fun i acc -> rows.(i) :: acc) idx []
+    let rows = Relation.row_array k.source in
+    Array.fold_right (fun i acc -> rows.(i) :: acc) pos []
 
-let keyed_attrs k =
-  ("dominance", "keyed")
-  :: ("columns_ms", Printf.sprintf "%.3f" k.columns_ms)
-  ::
-  (match k.closure_leaves with
-  | [] -> []
-  | leaves ->
-    [ ("closure_leaves", String.concat "; " (List.map Show.to_string leaves)) ])
+let form k = Keyed { closure_leaves = k.closure_leaves; columns_ms = k.columns_ms }
+
+let form_attrs = function
+  | Closure -> [ ("dominance", "closure") ]
+  | Keyed { closure_leaves; columns_ms } ->
+    ("dominance", "keyed")
+    :: ("columns_ms", Printf.sprintf "%.3f" columns_ms)
+    ::
+    (match closure_leaves with
+    | [] -> []
+    | leaves ->
+      [ ("closure_leaves", String.concat "; " (List.map Show.to_string leaves)) ])

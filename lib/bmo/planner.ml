@@ -301,30 +301,33 @@ type outcome = {
   result : Relation.t;
   tests : int;
   timed_out : bool;
+  form : Dominance.form;
   attrs : (string * string) list;
   phases : Pref_obs.Profile.phase list;
 }
 
-let prepare ?(deadline = Engine.no_deadline) schema p rel plan =
+let prepare ?(deadline = Engine.no_deadline) ?like schema p rel plan =
   let remake rows = Relation.make (Relation.schema rel) rows in
   let plain result =
     {
       result;
       tests = -1;
       timed_out = false;
-      attrs = [ ("dominance", "closure") ];
+      form = Dominance.Closure;
+      attrs = [];
       phases = [];
     }
   in
-  (* the window plans run over row indices with the keyed test *)
-  let keyed () = Dominance.keyed schema p rel in
+  (* the window plans run over row positions with the keyed test *)
+  let keyed () = Dominance.keyed ?like schema p rel in
   let parallel k (best, stats) =
     Parallel.observe stats;
     {
       result = remake (Dominance.select k best);
       tests = Parallel.total_tests stats;
       timed_out = false;
-      attrs = Dominance.keyed_attrs k @ Parallel.stats_attrs stats;
+      form = Dominance.form k;
+      attrs = Parallel.stats_attrs stats;
       phases =
         [
           Pref_obs.Profile.phase "local" stats.Parallel.s_local_ms;
@@ -337,12 +340,13 @@ let prepare ?(deadline = Engine.no_deadline) schema p rel plan =
     let k = keyed () in
     let dom, count = Dominance.counting k.Dominance.dominates in
     fun () ->
-      let best = Naive.maxima dom (List.init k.Dominance.size Fun.id) in
+      let best = Naive.maxima dom (Array.to_list (Dominance.points k)) in
       {
         result = remake (Dominance.select k (Array.of_list best));
         tests = count ();
         timed_out = false;
-        attrs = Dominance.keyed_attrs k;
+        form = Dominance.form k;
+        attrs = [];
         phases = [];
       }
   | Plan_bnl ->
@@ -354,8 +358,8 @@ let prepare ?(deadline = Engine.no_deadline) schema p rel plan =
         result = remake (Dominance.select k r.Bnl.survivors);
         tests = r.Bnl.tests;
         timed_out = r.Bnl.timed_out;
-        attrs =
-          ("window_peak", string_of_int r.Bnl.peak) :: Dominance.keyed_attrs k;
+        form = Dominance.form k;
+        attrs = [ ("window_peak", string_of_int r.Bnl.peak) ];
         phases = [];
       }
   | Plan_dnc { attrs; maximize } ->
@@ -369,7 +373,7 @@ let prepare ?(deadline = Engine.no_deadline) schema p rel plan =
   | Plan_par_sfs { attrs; maximize; domains } ->
     let k = keyed () in
     let key = Sfs.sum_key schema attrs ~maximize
-    and rows = Relation.row_array rel in
+    and rows = Relation.row_array k.Dominance.source in
     fun () ->
       parallel k
         (Parallel.maxima_sfs ~domains

@@ -109,6 +109,7 @@ type outcome = {
           them *)
   timed_out : bool;
       (** a window plan's deadline expired: [result] is a prefix BMO set *)
+  form : Dominance.form;  (** how the plan compared rows *)
   attrs : (string * string) list;
       (** plan-specific facts for profiles: [window_peak] for BNL, the
           chunk statistics of the parallel plans *)
@@ -119,6 +120,7 @@ type outcome = {
 
 val prepare :
   ?deadline:Engine.deadline ->
+  ?like:Dominance.keyed Lazy.t ->
   Schema.t ->
   Preferences.Pref.t ->
   Relation.t ->
@@ -129,12 +131,10 @@ val prepare :
     profile's [compile] phase): the [bnl], [naive], [par_dnc] and
     [par_sfs] plans run over row positions with {!Dominance.keyed},
     building the key columns of [rel] the term touches that are not built
-    yet; [dnc], [cascade] and [decompose] use the tuple closure. The
+    yet (or reusing [like]'s test, see {!Dominance.keyed}); [dnc], [cascade] and [decompose] use the tuple closure. The
     returned thunk evaluates it (the [evaluate] phase). The BNL plan
     passes [deadline] down to its window loop; the others run to
-    completion. The outcome's attrs name the form ([dominance=keyed] with
-    [columns_ms] and any [closure_leaves], or [dominance=closure]).
-    Records nothing into the query metrics beyond the plan-specific
+    completion. Records nothing into the query metrics beyond the plan-specific
     [bmo.window_peak], [bmo.columns.build_ms] and [bmo.par.*]
     instruments. *)
 

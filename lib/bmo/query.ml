@@ -65,7 +65,9 @@ let decide (cfg : Engine.config) ~deadline ~cached ~choose =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
-let run_within ~deadline (cfg : Engine.config) schema p rel =
+(* The σ run and how it compared rows ([None]: a cache hit ran no
+   kernel). *)
+let run_form ?like ~deadline (cfg : Engine.config) schema p rel =
   Pref_obs.Span.with_span "bmo.sigma" @@ fun () ->
   let cached, lookup_ms =
     if cfg.cache then
@@ -84,7 +86,7 @@ let run_within ~deadline (cfg : Engine.config) schema p rel =
     plan_phase := [ Pref_obs.Profile.phase "plan" ms ];
     plan
   in
-  let algorithm, (o : Planner.outcome), phases, ms =
+  let algorithm, (o : Planner.outcome), form, phases, ms =
     match decide cfg ~deadline ~cached ~choose with
     | Cached (result, reuse) ->
       let tier = Cache.reuse_to_string reuse in
@@ -93,15 +95,17 @@ let run_within ~deadline (cfg : Engine.config) schema p rel =
           result;
           tests = -1;
           timed_out = false;
+          form = Dominance.Closure;
           attrs = [ ("cache", tier) ];
           phases = [];
         },
+        None,
         [ Pref_obs.Profile.phase "cache_lookup" lookup_ms ],
         lookup_ms )
     | Planned (plan, forced) ->
       let eval, compile_ms =
         Pref_obs.Span.timed (fun () ->
-            Planner.prepare ~deadline schema p rel plan)
+            Planner.prepare ~deadline ?like schema p rel plan)
       in
       let o, eval_ms = Pref_obs.Span.timed eval in
       let kind = Planner.plan_kind plan in
@@ -118,6 +122,7 @@ let run_within ~deadline (cfg : Engine.config) schema p rel =
         Cache.store Cache.global schema p rel o.result;
       ( algorithm,
         o,
+        Some o.form,
         !plan_phase
         @ (Pref_obs.Profile.phase "compile" compile_ms :: o.phases)
         @ [ Pref_obs.Profile.phase "evaluate" eval_ms ],
@@ -137,12 +142,16 @@ let run_within ~deadline (cfg : Engine.config) schema p rel =
       else
         Some
           (Pref_obs.Profile.make ~phases
-             ~attrs:(o.attrs @ Engine.flags_attrs flags)
+             ~attrs:
+               (Option.fold ~none:[] ~some:Dominance.form_attrs form
+               @ o.attrs @ Engine.flags_attrs flags)
              ~comparisons:o.tests ~algorithm ~input_rows
              ~output_rows:(Relation.cardinality rows) ())
     end
   in
-  Engine.Result.make ?profile ~plan:algorithm rows flags
+  (Engine.Result.make ?profile ~plan:algorithm rows flags, form)
+
+let run_within ~deadline cfg schema p rel = fst (run_form ~deadline cfg schema p rel)
 
 let sigma_within ~deadline cfg schema p rel =
   let r = run_within ~deadline cfg schema p rel in
@@ -154,29 +163,34 @@ let sigma schema p rel =
 let groupby_within ~deadline (cfg : Engine.config) schema p ~by rel =
   (* each group is a sub-query through the ladder, so groups share the
      cache, the domain setting and one deadline budget; the row cap
-     applies to the combined result only *)
-  let group_cfg = { cfg with Engine.max_rows = None } in
+     applies to the combined result only. Groups are not profiled: the
+     σ row reports their count, the forms they ran in and the column
+     builds they paid. *)
+  let group_cfg = { cfg with Engine.max_rows = None; profile = false } in
   let groups = Relation.group_by rel by in
+  (* the groups of a stored version share its columns: the keyed plans
+     compile the term once for all of them *)
+  let like = lazy (Dominance.keyed schema p (List.hd groups)) in
+  (* the forms in first-appearance order, as reported without their
+     column time, which is summed over the groups *)
   let rows, flags, forms, columns_ms =
     List.fold_left
       (fun (acc, flags, forms, columns_ms) g ->
-        let r = run_within ~deadline group_cfg schema p g in
-        let attrs =
-          match r.Engine.Result.profile with
-          | Some prof -> prof.Pref_obs.Profile.attrs
-          | None -> []
-        in
-        let form =
-          List.filter_map
-            (fun k -> Option.map (fun v -> (k, v)) (List.assoc_opt k attrs))
-            [ "dominance"; "closure_leaves" ]
+        let r, form = run_form ~like ~deadline group_cfg schema p g in
+        let form_attrs, ms =
+          match form with
+          | None -> ([], 0.)
+          | Some f ->
+            ( List.filter (fun (k, _) -> k <> "columns_ms") (Dominance.form_attrs f),
+              match f with
+              | Dominance.Keyed k -> k.columns_ms
+              | Dominance.Closure -> 0. )
         in
         ( List.rev_append (Relation.rows r.Engine.Result.rows) acc,
           Engine.union_flags flags r.Engine.Result.flags,
-          (if form = [] || List.mem form forms then forms else forms @ [ form ]),
-          columns_ms
-          +. Option.fold ~none:0. ~some:float_of_string
-               (List.assoc_opt "columns_ms" attrs) ))
+          (if form_attrs = [] || List.mem form_attrs forms then forms
+           else forms @ [ form_attrs ]),
+          columns_ms +. ms ))
       ([], Engine.complete, [], 0.)
       groups
   in
@@ -188,8 +202,9 @@ let groupby_within ~deadline (cfg : Engine.config) schema p ~by rel =
     else
       (("groups", string_of_int (List.length groups)) :: List.concat forms)
       @
-      if forms = [] then []
-      else [ ("columns_ms", Printf.sprintf "%.3f" columns_ms) ]
+      if List.mem ("dominance", "keyed") (List.concat forms) then
+        [ ("columns_ms", Printf.sprintf "%.3f" columns_ms) ]
+      else []
   in
   (result, Engine.union_flags flags { Engine.partial = false; truncated }, attrs)
 

@@ -602,7 +602,7 @@ let compile_better schema p =
 
 (* Is the term a Pareto accumulation of pure numeric chains over disjoint
    attributes, all in the same direction?  Then the skyline algorithms
-   (KLP75 divide & conquer, SFS presorting, float-vector kernels) apply. *)
+   (KLP75 divide & conquer, SFS presorting) apply. *)
 let rec chain_dims = function
   | Highest a -> Some ([ a ], true)
   | Lowest a -> Some ([ a ], false)

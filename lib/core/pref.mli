@@ -200,11 +200,15 @@ val compile : Schema.t -> t -> Tuple.t -> Tuple.t -> bool
 val compile_better : Schema.t -> t -> Tuple.t -> Tuple.t -> bool
 (** Compiled dominance test ([better]). *)
 
+val compile_value : t -> Value.t -> Value.t -> bool
+(** Compiled {!lt_value} of a single-attribute term, with hashed
+    membership and edge tables: the leaf order {!compile} applies to the
+    attribute's values. *)
+
 val chain_dims : t -> (string list * bool) option
 (** [Some (attrs, maximize)] when the term is a Pareto accumulation of
     same-direction numeric chains over disjoint attributes — the pure
-    skyline shape the float-vector kernels and the [KLP75] divide & conquer
-    apply to. *)
+    skyline shape the [KLP75] divide & conquer applies to. *)
 
 type vec_compiled = {
   vc_attrs : string list;  (** projected attributes, in slot order *)

@@ -27,8 +27,13 @@ type t = {
    log entries and trace attributes use them to tell sessions apart. *)
 let next_id = Atomic.make 1
 
+(* A session's tables are stored versions: the key columns queries build
+   on them are kept for the next query. *)
+let store env = List.iter (fun (_, rel) -> Relation.store rel) env
+
 let create ?(registry = Translate.default_registry)
     ?(config = Pref_bmo.Engine.default) ?(env = []) () =
+  store env;
   {
     s_id = Atomic.fetch_and_add next_id 1;
     env;
@@ -46,8 +51,13 @@ let id t = t.s_id
 
 let env t = t.env
 
-let set_env t env = t.env <- env
-let set_table t name rel = t.env <- (name, rel) :: List.remove_assoc name t.env
+let set_env t env =
+  store env;
+  t.env <- env
+
+let set_table t name rel =
+  Relation.store rel;
+  t.env <- (name, rel) :: List.remove_assoc name t.env
 let add_table t name rel = set_table t (String.lowercase_ascii name) rel
 
 let find_table t name = Exec.find_table t.env name

@@ -500,12 +500,14 @@ let prefix ?registry ?parse_ms ~trail ~deadline (cfg : Engine.config) env
         (c, Translate.condition schema (Ast.map_condition_attrs resolve c)))
       where
   in
+  (* over a stored table the selection is a restriction of that
+     version, whose key columns σ then reads *)
   let filtered =
     match where with
     | None -> rel
     | Some (_, pred) ->
       stage trail "where"
-        (fun () -> Relation.select pred rel)
+        (fun () -> Relation.restrict pred rel)
         (fun r -> Plan.op "where" ~rows_in:(count rel) ~rows_out:(count r))
   in
   let preference =

@@ -1,8 +1,13 @@
 (* A record is one table version: its schema, its rows, and the key
-   columns derived from those rows. Each is built lazily, at most one copy
-   published per slot, and lives as long as the record; every function
-   below that returns rows different from its argument's builds a fresh
-   record through [v], so no record ever reads another's columns. *)
+   columns derived from those rows. Each is built lazily; on a stored
+   version ([store]) at most one copy is published per slot and lives as
+   long as the record, on any other record a build serves its caller and
+   is dropped. Every function below that returns rows different from its
+   argument's builds a fresh record through [v] or [restricted], so no
+   record's slots hold another's columns. A restriction ([restrict],
+   [group_by]) of a stored version also names that version and its rows'
+   positions there: the kernels read that version's columns at those
+   positions instead of building columns per query. *)
 
 type floats = { values : float array; nulls : Bytes.t; float_equal : bool }
 
@@ -16,15 +21,42 @@ type dict = {
 }
 
 type slots = {
+  kept : bool;  (* a stored version: builds are published *)
   arr : Tuple.t array option;
   floats : floats option array;
   dicts : dict option array;
 }
 
-type t = { schema : Schema.t; rows : Tuple.t list; slots : slots Atomic.t }
+type t = {
+  schema : Schema.t;
+  rows : Tuple.t list;
+  slots : slots Atomic.t;
+  origin : (t * int array) option;
+      (* the version these rows were taken from, and their ascending
+         positions in it; that version has no origin itself *)
+}
 
-let no_slots = { arr = None; floats = [||]; dicts = [||] }
-let v schema rows = { schema; rows; slots = Atomic.make no_slots }
+let no_slots = { kept = false; arr = None; floats = [||]; dicts = [||] }
+let v schema rows = { schema; rows; slots = Atomic.make no_slots; origin = None }
+
+let restricted schema base rows pos =
+  { schema; rows; slots = Atomic.make no_slots; origin = Some (base, pos) }
+
+let origin r = r.origin
+
+let rec store r =
+  let s = Atomic.get r.slots in
+  if not (s.kept || Atomic.compare_and_set r.slots s { s with kept = true }) then
+    store r
+
+let stored r = (Atomic.get r.slots).kept
+
+(* The version whose columns hold [r]'s rows, and where the [k]-th row of
+   [r] sits in it: a stored version, or [r] itself. *)
+let source r =
+  match r.origin with
+  | Some (b, pos) -> (b, Array.get pos)
+  | None -> (r, Fun.id)
 
 let schema r = r.schema
 let rows r = r.rows
@@ -112,14 +144,14 @@ let equal_as_sets a b =
 (* ------------------------------------------------------------------ *)
 (* Key columns                                                         *)
 
-(* Publish a layout into the record's slots unless another domain
+(* Publish a layout into a stored version's slots unless another domain
    published one first; either way every reader sees the first one. *)
 let rec publish r get set x =
   let s = Atomic.get r.slots in
   match get s with
   | Some y -> y
   | None ->
-    if Atomic.compare_and_set r.slots s (set s x) then x
+    if (not s.kept) || Atomic.compare_and_set r.slots s (set s x) then x
     else publish r get set x
 
 let derived r get set build =
@@ -148,9 +180,9 @@ let check_column r i =
   if i < 0 || i >= Schema.arity r.schema then
     invalid_arg "Relation: column index out of range"
 
-(* Column builds walk the row list: a record that is fresh per query (a
-   WHERE-filtered input, a GROUPING group) then pays for the columns its
-   query touches and for no row array. *)
+(* Column builds walk the row list: a record that is not stored (a join
+   product, a selection of one) then pays for the columns its query
+   touches and for no row array. *)
 let build_floats rows i =
   let n = List.length rows in
   let values = Array.create_float n in
@@ -254,37 +286,71 @@ let release r = Atomic.set r.slots no_slots
 let has_floats r i = slot (Atomic.get r.slots).floats i <> None
 let has_dict r i = slot (Atomic.get r.slots).dicts i <> None
 
+(* A restriction's positions and rows, in order: the list is built
+   backwards and reversed, garbage rather than a row array kept with the
+   origin version. *)
+let restriction r base pos rev_rows = restricted r.schema base (List.rev rev_rows) pos
+
+let restrict p r =
+  let base, at = source r in
+  if not (stored base) then select p r
+  else begin
+    let n = cardinality r in
+    let keep = Bytes.make n '\000' and m = ref 0 and kept = ref [] in
+    List.iteri
+      (fun k t ->
+        if p t then begin
+          Bytes.unsafe_set keep k '\001';
+          kept := t :: !kept;
+          incr m
+        end)
+      r.rows;
+    let pos = Array.make !m 0 and j = ref 0 in
+    for k = 0 to n - 1 do
+      if Bytes.unsafe_get keep k <> '\000' then begin
+        pos.(!j) <- at k;
+        incr j
+      end
+    done;
+    restriction r base pos !kept
+  end
+
 (* A group's number is the first-appearance rank of its key. On one
    attribute that is a rank per dictionary id; on several, rows are
    renumbered one attribute at a time, a row's new number being the rank
-   of (its number so far, its id). *)
+   of (its number so far, its id). The ids are the source version's, read
+   at the rows' positions there, and every group is a restriction of that
+   version. *)
 let group_by r attrs =
   let idx = List.map (Schema.index_of_exn r.schema) attrs in
   let n = cardinality r in
+  let base, at = source r in
+  let restricting = stored base in
+  let base, at = if restricting then (base, at) else (r, Fun.id) in
   let group_of, groups =
     match idx with
     | [ i ] ->
-      let d = dict r i in
+      let d = dict base i in
       let rank = Array.make (Array.length d.reps) (-1) and next = ref 0 in
       for k = 0 to n - 1 do
-        let x = id d k in
+        let x = id d (at k) in
         if rank.(x) < 0 then begin
           rank.(x) <- !next;
           incr next
         end
       done;
-      ((fun k -> rank.(id d k)), !next)
+      ((fun k -> rank.(id d (at k))), !next)
     | _ ->
       let gid = Array.make n 0 in
       let groups =
         List.fold_left
           (fun groups i ->
-            let d = dict r i in
+            let d = dict base i in
             let width = Array.length d.reps in
             let next = ref 0 in
             let renumber find add =
               for k = 0 to n - 1 do
-                let key = (gid.(k) * width) + id d k in
+                let key = (gid.(k) * width) + id d (at k) in
                 match find key with
                 | Some g -> gid.(k) <- g
                 | None ->
@@ -307,13 +373,27 @@ let group_by r attrs =
       in
       (Array.get gid, groups)
   in
+  let sizes = Array.make groups 0 in
+  for k = 0 to n - 1 do
+    let g = group_of k in
+    sizes.(g) <- sizes.(g) + 1
+  done;
+  let pos = Array.map (fun m -> Array.make m 0) sizes in
   let buckets = Array.make groups [] in
+  Array.fill sizes 0 groups 0;
   List.iteri
     (fun k row ->
       let g = group_of k in
+      pos.(g).(sizes.(g)) <- at k;
+      sizes.(g) <- sizes.(g) + 1;
       buckets.(g) <- row :: buckets.(g))
     r.rows;
-  Array.to_list (Array.map (fun rows -> v r.schema (List.rev rows)) buckets)
+  Array.to_list
+    (Array.mapi
+       (fun g p ->
+         if restricting then restriction r base p buckets.(g)
+         else v r.schema (List.rev buckets.(g)))
+       pos)
 
 let sort_by cmp r = v r.schema (List.sort cmp r.rows)
 

@@ -2,7 +2,10 @@
 
     A relation is a schema plus a row list, and a table version: the
     {{!section:keys}key columns} derived from its rows are built on first
-    use and kept with the value, so every later query on it reuses them. Rows are validated against the
+    use and, once its owner {!store}s it, kept with the value, so every
+    later query on it reuses them. A restriction ({!restrict}, {!group_by})
+    of a stored version reads them from that version. Rows are validated
+    against the
     schema on construction. Set-flavoured operations ([union], [inter],
     [diff], [equal_as_sets]) use tuple value equality, matching the paper's
     treatment of database sets as sets of values; duplicate rows are allowed
@@ -35,6 +38,15 @@ val project_distinct : t -> string list -> t
 (** Set-semantics projection — the paper's [R[A] ⊆ dom(A)]. *)
 
 val select : (Tuple.t -> bool) -> t -> t
+
+val restrict : (Tuple.t -> bool) -> t -> t
+(** The rows {!select} keeps. Over a stored version (or a restriction of
+    one) the result is a restriction of that version: it records where
+    its rows sit there ({!origin}), so the kernels read the version's key
+    columns at those positions rather than building columns for the
+    result, and it keeps the version alive. Over any other record it is
+    {!select}. *)
+
 val map_rows : (Tuple.t -> Tuple.t) -> t -> t
 
 val union : t -> t -> t
@@ -50,7 +62,9 @@ val group_by : t -> string list -> t list
     attributes (NULL = NULL, NaN ≠ NaN, [Int 3] = [Float 3.0]),
     preserving first-appearance order of groups and input order within
     each — the grouped evaluation of Definition 16. Buckets rows by the
-    attributes' {!dict} ids. *)
+    attributes' {!dict} ids and, over a stored version or a restriction
+    of one, returns each group as a restriction of that version (see
+    {!restrict}). *)
 
 val sort_by : (Tuple.t -> Tuple.t -> int) -> t -> t
 
@@ -75,13 +89,29 @@ val pp : t Fmt.t
 (** {1:keys Key columns}
 
     Per-column layouts of a record's rows for the dominance kernels
-    ([Pref_bmo.Dominance.keyed]). Each is built lazily, on first use, and
-    published through an [Atomic], so concurrent domains agree on one copy
-    and later calls on the same record return it without a pass over the
-    rows. Every function above that returns different rows returns a
+    ([Pref_bmo.Dominance.keyed]). Each is built lazily, on first use. On a
+    stored version it is published through an [Atomic], so concurrent
+    domains agree on one copy and later calls on the same record return
+    it without a pass over the rows; on any other record each call builds
+    a copy its caller drops, so a relation that lives for one query (or in
+    an answer) holds no columns. Every function above that returns different rows returns a
     record with empty slots ({!rename_schema}, which keeps the rows,
-    keeps them too); no record reads another's columns. The arrays are
-    shared: callers must not mutate them. *)
+    keeps them too); no record's slots hold another's columns. A
+    restriction's own slots are built like any other record's; the
+    kernels read its {!origin}'s instead. The arrays are shared: callers
+    must not mutate them. *)
+
+val store : t -> unit
+(** Mark the record as a stored table version, which its owner keeps
+    across queries (a session's or a server's tables): from now on the
+    key columns built for it are published and kept. *)
+
+val stored : t -> bool
+
+val origin : t -> (t * int array) option
+(** For a restriction, the table version its rows were taken from and
+    their positions there, ascending: row [k] is that version's row
+    [pos.(k)]. [None] for every other record. *)
 
 val row_array : t -> Tuple.t array
 (** The rows as an array, in order. *)
@@ -121,12 +151,12 @@ val dict : t -> int -> dict
 (** The dictionary column of the attribute at this index. *)
 
 val release : t -> unit
-(** Drop the record's derived data; a later use builds it again. For a
-    version its owner has just superseded: sessions still holding it
-    keep correct answers, and the memory goes now rather than when the
-    last of them lets go. *)
+(** Drop the record's derived data and its stored mark; a later use
+    builds a copy for its caller. For a version its owner has just
+    superseded: sessions still holding it keep correct answers, and the
+    memory goes now rather than when the last of them lets go. *)
 
 val has_floats : t -> int -> bool
 val has_dict : t -> int -> bool
-(** Whether that column is already built, so a caller can tell the
+(** Whether that column is already published, so a caller can tell the
     queries that paid for a build. *)

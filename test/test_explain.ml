@@ -176,8 +176,9 @@ let test_plan_analyze () =
 
 let test_plan_dnc_anti () =
   (* perfectly anti-correlated dims: the planner must predict a large
-     skyline and reject window algorithms *)
-  let rel = items ~anti:true 200 in
+     skyline and reject window algorithms (below 2000 rows the keyed
+     window's quadratic term is still the cheaper one) *)
+  let rel = items ~anti:true 2000 in
   let plan = explain_sql ~cfg:auto_cfg ~rel chain_sql in
   (match plan.Plan.plan with
   | Plan.Evaluate (Pref_bmo.Planner.Plan_dnc _) -> ()

@@ -100,6 +100,7 @@ let keyed_agrees =
   QCheck.Test.make ~count:500 ~name:"keyed dominance = compiled closure" arb
     (fun (p, rs) ->
       let rel = Relation.make Gen.schema rs in
+      Relation.store rel;
       let dom = Dominance.of_pref Gen.schema p in
       let k = Dominance.keyed Gen.schema p rel in
       let arr = Array.of_list rs in
@@ -116,7 +117,23 @@ let keyed_agrees =
       && kt = ct
       && (maybe_not_spo p
          || kb
-            = Naive.maxima (fun i j -> dom arr.(i) arr.(j)) (List.init n Fun.id)))
+            = Naive.maxima (fun i j -> dom arr.(i) arr.(j)) (List.init n Fun.id))
+      (* a restriction and every group of the stored [rel] read its
+         columns at their positions: the same rows, in order, after the
+         same tests *)
+      && List.for_all
+           (fun part ->
+             let k = Dominance.keyed Gen.schema p part in
+             let r = Dominance.window k in
+             let arr = Relation.row_array part in
+             let c = Bnl.window dom arr in
+             k.Dominance.source == rel
+             && r.Bnl.tests = c.Bnl.tests
+             && List.equal ( == )
+                  (Dominance.select k r.Bnl.survivors)
+                  (Bnl.select arr c))
+           (Relation.restrict (fun t -> Tuple.hash t land 1 = 0) rel
+           :: Relation.group_by rel [ "c" ]))
 
 (* ------------------------------------------------------------------ *)
 (* Leaf rules                                                           *)
@@ -153,7 +170,7 @@ let test_leaf_rules () =
   check "int and float tie, POS decides" true (k.Dominance.dominates 0 3);
   check "no closure leaf" true (k.Dominance.closure_leaves = []);
   check "attrs name the form" true
-    (List.mem ("dominance", "keyed") (Dominance.keyed_attrs k));
+    (List.mem ("dominance", "keyed") (Dominance.form_attrs (Dominance.form k)));
   (* SCORE reads the tuple closure and is listed *)
   let sc = Pref.score "x" ~name:"neg" (fun v ->
       match Value.as_float v with Some f -> -.f | None -> 0.) in
@@ -161,16 +178,20 @@ let test_leaf_rules () =
   check "score falls back" true
     (List.equal Pref.equal k.Dominance.closure_leaves [ sc ]);
   check "fallback listed" true
-    (List.mem_assoc "closure_leaves" (Dominance.keyed_attrs k));
-  (* a graph naming more values than the class table takes falls back *)
-  let big =
+    (List.mem_assoc "closure_leaves" (Dominance.form_attrs (Dominance.form k)));
+  (* a graph naming more distinct values than the class table takes
+     falls back; repeated names count once *)
+  let chain k =
     Pref.explicit "x"
-      (List.init 200 (fun i ->
+      (List.init k (fun i ->
            (Value.Float (float_of_int (i + 10)), Value.Float (float_of_int i))))
   in
+  let big = chain 300 in
   let k = Dominance.keyed num_schema big num_rel in
   check "large graph falls back" true
-    (List.equal Pref.equal k.Dominance.closure_leaves [ big ])
+    (List.equal Pref.equal k.Dominance.closure_leaves [ big ]);
+  let k = Dominance.keyed num_schema (chain 200) num_rel in
+  check "210 distinct values stay keyed" true (k.Dominance.closure_leaves = [])
 
 (* ------------------------------------------------------------------ *)
 (* Column ownership                                                     *)
@@ -202,12 +223,14 @@ let own_columns rel =
 
 let test_fresh_slots () =
   let parent = Pref_workload.Cars.relation ~seed:3 ~n:300 () in
+  Relation.store parent;
   all_built parent;
   let schema = Relation.schema parent in
   let first = List.hd (Relation.rows parent) in
   let children =
     [
       ("select", Relation.select (fun t -> Tuple.get t 0 <> Value.Int 0) parent);
+      ("restrict", Relation.restrict (fun t -> Tuple.get t 0 <> Value.Int 0) parent);
       ("distinct", Relation.distinct parent);
       ("sort_by", Relation.sort_by (fun a b -> Tuple.compare b a) parent);
       ("add_row", Relation.add_row parent first);
@@ -220,12 +243,79 @@ let test_fresh_slots () =
       check (name ^ ": starts with empty slots") true (none_built child);
       check (name ^ ": builds its own columns") true (own_columns child))
     children;
-  check "parent keeps its columns" true (own_columns parent)
+  check "parent keeps its columns" true (own_columns parent && not (none_built parent));
+  (* a record nobody stores publishes nothing: each build is its caller's *)
+  let loose = Relation.make schema (Relation.rows parent) in
+  all_built loose;
+  check "unstored record keeps no columns" true (none_built loose);
+  check "its builds are still its own" true (own_columns loose)
+
+(* A restriction (a WHERE selection, a group, a group of a selection)
+   names its origin version and its rows' positions there; every plan over
+   positions reads the origin's columns and answers as the closure does
+   over the restriction's own rows. *)
+let test_restrictions () =
+  let parent = Pref_workload.Cars.relation ~seed:5 ~n:3000 () in
+  let schema = Relation.schema parent in
+  (* only a stored version is restricted: other records select *)
+  let keep t = Tuple.get t 0 <> Value.Int 0 in
+  check "restrict of an unstored record has no origin" true
+    (Relation.origin (Relation.restrict keep parent) = None);
+  check "its groups have none either" true
+    (List.for_all
+       (fun g -> Relation.origin g = None)
+       (Relation.group_by parent [ "make" ]));
+  Relation.store parent;
+  let prow = Relation.row_array parent in
+  let where = Relation.restrict keep parent in
+  let price = Schema.index_of_exn schema "price" in
+  let cheap =
+    Relation.restrict (fun t -> Value.compare (Tuple.get t price) (Value.Int 20000) < 0) where
+  in
+  let parts =
+    [ ("where", where); ("where of where", cheap) ]
+    @ List.map (fun g -> ("group", g)) (Relation.group_by parent [ "make" ])
+    @ List.map (fun g -> ("group of where", g)) (Relation.group_by where [ "color"; "make" ])
+  in
+  let skyline = Pref.pareto (Pref.lowest "price") (Pref.lowest "mileage") in
+  let p = Pref.prior skyline (Pref.pos "color" [ Value.Str "red" ]) in
+  let plans =
+    [
+      (p, Planner.Plan_bnl);
+      (p, Planner.Plan_naive);
+      (p, Planner.Plan_par_dnc { domains = 2 });
+      ( skyline,
+        Planner.Plan_par_sfs
+          { attrs = [ "price"; "mileage" ]; maximize = false; domains = 2 } );
+    ]
+  in
+  List.iter
+    (fun (name, part) ->
+      (match Relation.origin part with
+      | None -> Alcotest.fail (name ^ ": no origin")
+      | Some (o, pos) ->
+        check (name ^ ": origin is the stored version") true (o == parent);
+        check (name ^ ": positions name its rows") true
+          (List.equal ( == ) (Relation.rows part)
+             (Array.to_list (Array.map (Array.get prow) pos))));
+      List.iter
+        (fun (p, plan) ->
+          let expected = Bnl.maxima (Dominance.of_pref schema p) (Relation.rows part) in
+          let got = Relation.rows (Planner.execute schema p part plan) in
+          check
+            (Printf.sprintf "%s: %s = closure BNL" name (Planner.plan_kind plan))
+            true
+            (List.length got = List.length expected
+            && List.for_all (fun t -> List.exists (( == ) t) expected) got))
+        plans;
+      check (name ^ ": builds no columns of its own") true (none_built part))
+    parts
 
 (* Two domains compile σ on one fresh relation at once: both race to build
    the same columns, one copy is published, both answers are exact. *)
 let test_concurrent_first_build () =
   let rel = Pref_workload.Cars.relation ~seed:9 ~n:4000 () in
+  Relation.store rel;
   let schema = Relation.schema rel in
   let p =
     Pref.prior
@@ -352,6 +442,7 @@ let suite =
   [
     Gen.quick "leaf rules" test_leaf_rules;
     Gen.quick "derived records own their columns" test_fresh_slots;
+    Gen.quick "restrictions read their origin's columns" test_restrictions;
     Gen.quick "two domains build one relation's columns" test_concurrent_first_build;
     Gen.quick "GROUPING keys by Value.equal" test_group_keys;
     Gen.quick "DISTINCT keys by Value.equal" test_distinct_keys;

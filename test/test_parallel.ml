@@ -194,21 +194,26 @@ let test_sigma_parallel_profiled () =
     [ "domains"; "chunk_rows"; "chunk_tests"; "merge_ms" ]
 
 let test_planner_parallel_choice () =
+  (* the keyed window runs a 3-d skyline of 17 000 rows in about a
+     millisecond, below the fan-out's fixed cost: it takes a 5-d one of
+     50 000 rows to pay for four domains *)
+  let big = Synthetic.relation ~seed:5 ~n:50_000 ~dims:5 Synthetic.Independent in
   let n = 17_000 in
   let rel = Synthetic.relation ~seed:5 ~n ~dims:3 Synthetic.Independent in
   let schema = Relation.schema rel in
-  let skyline = Pref.pareto_all (List.map Pref.highest (Synthetic.dim_names 3)) in
+  let skyline = Pref.pareto_all (List.map Pref.highest (Synthetic.dim_names 5)) in
   let non_chain =
     Pref.pareto (Pref.highest "d0") (Pref.around "d1" 0.5)
   in
-  (* cost model: a big 3-d skyline over 4 domains pays for the fan-out,
+  (* cost model: a big 5-d skyline over 4 domains pays for the fan-out,
      and the parallel plan computes the BNL answer *)
-  (match Planner.choose ~domains:4 schema skyline rel with
+  let big_schema = Relation.schema big in
+  (match Planner.choose ~domains:4 big_schema skyline big with
   | (Planner.Plan_par_dnc _ | Planner.Plan_par_sfs _) as plan ->
     check "fanned-out skyline executes exactly" true
       (Relation.equal_as_sets
-         (sigma_alg Query.Alg_bnl schema skyline rel)
-         (Planner.execute schema skyline rel plan))
+         (sigma_alg Query.Alg_bnl big_schema skyline big)
+         (Planner.execute big_schema skyline big plan))
   | other ->
     Alcotest.failf "expected a parallel plan, got %s"
       (Planner.plan_to_string other));
