@@ -1104,9 +1104,94 @@ let b10 () =
   ignore (row "patched" t_fresh t_patched);
   check "patched entry equals fresh evaluation after insert"
     (Relation.equal_as_sets r_fresh r_patched);
+  (* incremental tier, delete: a stored 20 000-row table (a session's)
+     with eight cached LOWEST(price) Paretos, and a row that undercuts
+     every price, so it enters every answer and dominates much of the
+     table. Deleting it promotes what it dominated: the patch runs the
+     rule over row positions with the keyed test, the cold side
+     recomputes σ for the same terms on the new version with the cache
+     off. Medians of three insert/delete rounds. *)
+  let cars = Pref_workload.Cars.relation ~seed:23 ~n:20_000 () in
+  let cars_schema = Relation.schema cars in
+  let price = Schema.index_of_exn cars_schema "price" in
+  let undercut =
+    let r = Array.copy (List.nth (Relation.rows cars) 10_000) in
+    r.(0) <- Value.Int 1_000_000;
+    r.(price) <- Value.Int 100;
+    r
+  in
+  let terms =
+    [
+      Pref.pareto (Pref.lowest "price") (Pref.lowest "mileage");
+      Pref.pareto (Pref.lowest "price") (Pref.highest "horsepower");
+      Pref.pareto (Pref.lowest "price") (Pref.highest "year");
+      Pref.pareto (Pref.lowest "price") (Pref.around "mileage" 40_000.);
+      Pref.pareto (Pref.lowest "price") (Pref.around "horsepower" 150.);
+      Pref.pareto_all
+        [ Pref.lowest "price"; Pref.lowest "mileage"; Pref.highest "horsepower" ];
+      Pref.pareto_all
+        [ Pref.lowest "price"; Pref.highest "year"; Pref.highest "horsepower" ];
+      Pref.pareto_all
+        [ Pref.lowest "price"; Pref.around "mileage" 60_000.; Pref.highest "year" ];
+    ]
+  in
+  Relation.store cars;
+  List.iter (fun p -> ignore (Query.sigma cars_schema p cars)) terms;
+  (* one round: insert the row, then time its delete and the recompute;
+     each version is stored and its predecessor released, as a session's
+     DML does *)
+  let round version =
+    let inserted = Relation.add_row version undercut in
+    ignore (Cache.on_insert Cache.global ~old_rel:version ~new_rel:inserted undercut);
+    Relation.store inserted;
+    Relation.release version;
+    let deleted = Option.get (Relation.remove_row inserted undercut) in
+    let patched, t_patch =
+      wall (fun () ->
+          Cache.on_delete Cache.global ~old_rel:inserted ~new_rel:deleted undercut)
+    in
+    Relation.store deleted;
+    Relation.release inserted;
+    let fresh, t_fresh =
+      wall (fun () ->
+          List.map
+            (fun p ->
+              fst
+                (Query.sigma_within ~deadline:Engine.no_deadline nocache
+                   cars_schema p deleted))
+            terms)
+    in
+    (deleted, (patched, fresh, t_patch, t_fresh))
+  in
+  let rounds =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (version, acc) _ ->
+              let version', r = round version in
+              (version', (version', r) :: acc))
+            (cars, []) [ 1; 2; 3 ]))
+  in
+  let median xs = List.nth (List.sort Float.compare xs) (List.length xs / 2) in
+  let t_patch = median (List.map (fun (_, (_, _, t, _)) -> t) rounds)
+  and t_fresh = median (List.map (fun (_, (_, _, _, t)) -> t) rounds) in
+  ignore (row "patch_delete" t_fresh t_patch);
+  check "delete patches every cached Pareto, on positions"
+    (List.for_all (fun (_, (patched, _, _, _)) -> patched >= List.length terms) rounds
+    && (Cache.stats Cache.global).Cache.patched_keyed >= 3 * List.length terms);
+  let version, (_, fresh, _, _) = List.nth rounds 2 in
+  check "every patched entry equals the fresh answer, in order"
+    (List.for_all2
+       (fun p fresh ->
+         match Cache.lookup Cache.global cars_schema p version with
+         | Some (r, Cache.Exact) ->
+           List.equal Tuple.equal (Relation.rows r) (Relation.rows fresh)
+         | _ -> false)
+       terms fresh);
   let s = Cache.stats Cache.global in
-  Fmt.pr "  cache stats: %d hits, %d misses, %d semantic, %d patched@."
-    s.Cache.hits s.Cache.misses s.Cache.semantic_reuses s.Cache.patched_entries;
+  Fmt.pr "  cache stats: %d hits, %d misses, %d semantic, %d patched (%d keyed)@."
+    s.Cache.hits s.Cache.misses s.Cache.semantic_reuses s.Cache.patched_entries
+    s.Cache.patched_keyed;
   (* cache-off guard: with the cache disabled, the sigma front door must
      stay within noise of calling the BNL kernel directly (same band as
      B8's telemetry-off gate) *)

@@ -433,21 +433,23 @@ let maintain_section rels =
           let result = Relation.rows (bmo p rel) in
           List.iter
             (fun t ->
-              let got, d = Pref_bmo.Incremental.insert_rule dominates ~result t in
               check "insert" p rel
                 ~expect:(bmo p (Relation.make schema (rows @ [ t ])))
-                (got, d.Pref_bmo.Incremental.removed <> []))
+                (match Pref_bmo.Incremental.insert_rule dominates ~result t with
+                | None -> (result, false)
+                | Some (kept, evicted) -> (kept @ [ t ], evicted <> [])))
             universe;
           List.iter
             (fun d ->
               let rest = Pref_bmo.Incremental.remove_first (Tuple.equal d) rows in
               match
-                Pref_bmo.Incremental.delete_rule dominates ~result ~domain:rest d
+                Pref_bmo.Incremental.delete_rule dominates ~same:(Tuple.equal d)
+                  ~result ~domain:(fun visit -> List.iter visit rest)
               with
-              | Some (got, delta) ->
+              | Some (kept, _, promoted) ->
                 check "delete-cone" p rel
                   ~expect:(bmo p (Relation.make schema rest))
-                  (got, delta.Pref_bmo.Incremental.added <> [])
+                  (kept @ promoted, promoted <> [])
               | None -> ())
             result)
         rels)

@@ -11,6 +11,9 @@ type entry = {
   e_pref_key : string;
   e_fp : string;
   e_result : Relation.t;
+  e_pos : int array option;
+      (** where [e_result]'s rows sit in the version's rows, ascending,
+          when they are a subsequence of them *)
   e_bytes : int;
   mutable e_tick : int;
 }
@@ -22,6 +25,7 @@ type stats = {
   misses : int;
   semantic_reuses : int;
   patched_entries : int;
+  patched_keyed : int;
   evictions : int;
   cost_skipped : int;
 }
@@ -43,6 +47,7 @@ type t = {
   mutable misses : int;
   mutable semantic : int;
   mutable patched : int;
+  mutable patched_keyed : int;
   mutable evictions : int;
   mutable cost_skipped : int;
 }
@@ -60,6 +65,7 @@ let create ?(max_entries = 128) ?(budget_bytes = 64 * 1024 * 1024) () =
     misses = 0;
     semantic = 0;
     patched = 0;
+    patched_keyed = 0;
     evictions = 0;
     cost_skipped = 0;
   }
@@ -110,6 +116,13 @@ let fingerprint rel =
       List.filteri (fun i _ -> i < fp_memo_cap) ((rows, fp) :: !fp_memo);
     Mutex.unlock fp_mutex;
     fp
+
+(* A write supersedes [rel]: its memo slot would only keep its row list
+   alive. *)
+let forget rel =
+  let rows = Relation.rows rel in
+  Mutex.protect fp_mutex (fun () ->
+      fp_memo := List.filter (fun (r, _) -> r != rows) !fp_memo)
 
 let entry_key ~fp ~pref_key = fp ^ "\x00" ^ pref_key
 
@@ -173,7 +186,7 @@ let remove_entry t key =
     t.bytes <- t.bytes - old.e_bytes
   | None -> ()
 
-let make_entry ~fp ~pref_key schema cpref result =
+let make_entry ~fp ~pref_key ~pos schema cpref result =
   let e =
     {
       e_schema = schema;
@@ -181,6 +194,7 @@ let make_entry ~fp ~pref_key schema cpref result =
       e_pref_key = pref_key;
       e_fp = fp;
       e_result = result;
+      e_pos = pos;
       e_bytes = 0;
       e_tick = 0;
     }
@@ -198,12 +212,33 @@ let add_entry t e =
   Hashtbl.replace t.table key e;
   t.bytes <- t.bytes + e.e_bytes
 
+(* Where the rows of [result] sit among [rel]'s: their ascending positions
+   when they are a physical subsequence of [rel]'s rows, as every BNL
+   answer is, found by one pointer walk; [None] otherwise. *)
+let positions rel result =
+  let pos = Array.make (Relation.cardinality result) 0 in
+  let rec walk rows i k = function
+    | [] -> Some pos
+    | r :: rest as wanted -> (
+      match rows with
+      | [] -> None
+      | x :: xs ->
+        if x == r then begin
+          pos.(k) <- i;
+          walk xs (i + 1) (k + 1) rest
+        end
+        else walk xs (i + 1) k wanted)
+  in
+  walk (Relation.rows rel) 0 0 (Relation.rows result)
+
 let store t schema p rel result =
   if t.enabled then begin
     let fp = fingerprint rel in
     let pref_key = Canon.key p in
     let cpref = Canon.canonical p in
-    let e = make_entry ~fp ~pref_key schema cpref result in
+    let e =
+      make_entry ~fp ~pref_key ~pos:(positions rel result) schema cpref result
+    in
     locked t @@ fun () ->
     touch t e;
     add_entry t e;
@@ -471,53 +506,161 @@ let entries_for t fp =
     t.table []
 
 (* Apply the maintenance rule to every entry of [old_rel]'s version and
-   move it to [new_rel]'s key. A write is not a use: each entry keeps its
-   LRU tick. An empty cache returns before fingerprinting either
-   version. *)
+   move it to [new_rel]'s key: [rule e] is the entry's new answer and
+   positions, the very same answer when it did not change. A write is not
+   a use: each entry keeps its LRU tick. An empty cache returns before
+   fingerprinting either version. *)
 let patch t ~old_rel ~new_rel rule =
   if not (t.enabled && locked t (fun () -> Hashtbl.length t.table > 0)) then 0
   else begin
+    let since = Pref_obs.Clock.now_ns () in
     let old_fp = fingerprint old_rel in
     let new_fp = fingerprint new_rel in
-    locked t @@ fun () ->
-    let affected = entries_for t old_fp in
-    List.iter
-      (fun e ->
-        remove_entry t (entry_key ~fp:old_fp ~pref_key:e.e_pref_key);
-        let rows =
-          rule
-            (Dominance.of_pref e.e_schema e.e_pref)
-            (Relation.rows e.e_result)
-        in
-        (* an unchanged answer (the rule returns the very same list)
-           moves as it is *)
-        let e' =
-          if rows == Relation.rows e.e_result then { e with e_fp = new_fp }
-          else
-            make_entry ~fp:new_fp ~pref_key:e.e_pref_key e.e_schema e.e_pref
-              (Relation.make (Relation.schema e.e_result) rows)
-        in
-        e'.e_tick <- e.e_tick;
-        add_entry t e';
-        t.patched <- t.patched + 1;
-        Pref_obs.Metrics.incr Obs.cache_patched)
-      affected;
-    evict_until_fits t;
-    List.length affected
+    forget old_rel;
+    let patched =
+      locked t @@ fun () ->
+      let affected = entries_for t old_fp in
+      List.iter
+        (fun e ->
+          remove_entry t (entry_key ~fp:old_fp ~pref_key:e.e_pref_key);
+          let result, pos = rule e in
+          let e' =
+            if result == e.e_result then { e with e_fp = new_fp; e_pos = pos }
+            else
+              make_entry ~fp:new_fp ~pref_key:e.e_pref_key ~pos e.e_schema
+                e.e_pref result
+          in
+          e'.e_tick <- e.e_tick;
+          add_entry t e';
+          t.patched <- t.patched + 1;
+          Pref_obs.Metrics.incr Obs.cache_patched;
+          if pos <> None then begin
+            t.patched_keyed <- t.patched_keyed + 1;
+            Pref_obs.Metrics.incr Obs.cache_patched_keyed
+          end)
+        affected;
+      evict_until_fits t;
+      List.length affected
+    in
+    Pref_obs.Metrics.observe Obs.cache_patch_ms (Pref_obs.Clock.elapsed_ms ~since);
+    patched
   end
 
+(* An entry's answer paired with its positions, and back. *)
+let with_positions e pos =
+  List.mapi (fun k row -> (pos.(k), row)) (Relation.rows e.e_result)
+
+let of_positions e pairs =
+  ( Relation.make (Relation.schema e.e_result) (List.map snd pairs),
+    Some (Array.of_list (List.map fst pairs)) )
+
+(* The inserted row sits at position n, after every row of [old_rel], so
+   a patched answer stays in version order. *)
 let on_insert t ~old_rel ~new_rel row =
-  patch t ~old_rel ~new_rel (fun dominates result ->
-      fst (Incremental.insert_rule dominates ~result row))
+  let n = lazy (Relation.cardinality old_rel) in
+  patch t ~old_rel ~new_rel (fun e ->
+      let dominates = Dominance.of_pref e.e_schema e.e_pref in
+      match e.e_pos with
+      | None -> (
+        match
+          Incremental.insert_rule dominates ~result:(Relation.rows e.e_result) row
+        with
+        | None -> (e.e_result, None)
+        | Some (kept, _) ->
+          (Relation.make (Relation.schema e.e_result) (kept @ [ row ]), None))
+      | Some pos -> (
+        match
+          Incremental.insert_rule
+            (fun (_, a) (_, b) -> dominates a b)
+            ~result:(with_positions e pos) (Lazy.force n, row)
+        with
+        | None -> (e.e_result, Some pos)
+        | Some (kept, _) -> of_positions e (kept @ [ (Lazy.force n, row) ])))
+
+(* The position of the first row of [rel] equal to [row]. *)
+let locate rel row =
+  let rec go i = function
+    | [] -> None
+    | x :: rest -> if Tuple.equal x row then Some i else go (i + 1) rest
+  in
+  go 0 (Relation.rows rel)
+
+(* The rows at these ascending positions of [rel]: one walk of its rows. *)
+let rows_at rel pos =
+  let rec go rows i acc = function
+    | [] -> List.rev acc
+    | p :: rest as wanted -> (
+      match rows with
+      | [] -> invalid_arg "Cache.rows_at: position out of range"
+      | r :: rows' ->
+        if i = p then go rows' (i + 1) (r :: acc) rest
+        else go rows' (i + 1) acc wanted)
+  in
+  go (Relation.rows rel) 0 [] pos
+
+(* The delete rule over the old version's row positions with the keyed
+   test, for an entry whose answer holds the row at [at]: d's cone is every
+   position [at] dominates, the promoted positions become rows by one walk
+   of the version, and every position past [at] moves down one. *)
+let delete_at ~version ~at e pos =
+  let shift p = if p > at then p - 1 else p in
+  if not (Array.mem at pos) then (e.e_result, Some (Array.map shift pos))
+  else begin
+    let version = Lazy.force version in
+    let k = Dominance.keyed e.e_schema e.e_pref version in
+    match
+      Incremental.delete_rule k.Dominance.dominates ~same:(Int.equal at)
+        ~result:(Array.to_list pos)
+        ~domain:(fun visit ->
+          for i = 0 to k.Dominance.size - 1 do
+            visit i
+          done)
+    with
+    | None -> (e.e_result, Some (Array.map shift pos))
+    | Some (_, _, promoted) ->
+      let kept = List.filter (fun (p, _) -> p <> at) (with_positions e pos) in
+      let promoted = List.combine promoted (rows_at version promoted) in
+      of_positions e
+        (List.map
+           (fun (p, row) -> (shift p, row))
+           (List.merge (fun (p, _) (q, _) -> Int.compare p q) kept promoted))
+  end
 
 let on_delete t ~old_rel ~new_rel row =
-  let domain = Relation.rows new_rel in
-  patch t ~old_rel ~new_rel (fun dominates result ->
-      match Incremental.delete_rule dominates ~result ~domain row with
-      | Some (result', _) -> result'
-      | None -> result)
+  let at = lazy (locate old_rel row) in
+  (* The keyed test reads the old version's key columns, built at most once
+     per patch: a stored version keeps what it builds, and any other
+     record (a restriction, or one nobody stored) is read through a stored
+     copy of its rows that lives for this patch. *)
+  let version =
+    lazy
+      (if Relation.stored old_rel && Relation.origin old_rel = None then old_rel
+       else begin
+         let copy = Relation.select (fun _ -> true) old_rel in
+         Relation.store copy;
+         copy
+       end)
+  in
+  patch t ~old_rel ~new_rel (fun e ->
+      match e.e_pos, Lazy.force at with
+      | Some pos, Some at -> delete_at ~version ~at e pos
+      | Some pos, None -> (e.e_result, Some pos)
+      | None, _ -> (
+        match
+          Incremental.delete_rule
+            (Dominance.of_pref e.e_schema e.e_pref)
+            ~same:(Tuple.equal row) ~result:(Relation.rows e.e_result)
+            ~domain:(fun visit -> List.iter visit (Relation.rows new_rel))
+        with
+        | Some (kept, _, promoted) ->
+          (Relation.make (Relation.schema e.e_result) (kept @ promoted), None)
+        | None -> (e.e_result, None)))
 
 (* {1 Introspection} *)
+
+let entry_positions t p rel =
+  let fp = fingerprint rel and pref_key = Canon.key p in
+  locked t @@ fun () -> Option.bind (find_exact t ~fp pref_key) (fun e -> e.e_pos)
 
 let stats t =
   locked t @@ fun () ->
@@ -528,6 +671,7 @@ let stats t =
     misses = t.misses;
     semantic_reuses = t.semantic;
     patched_entries = t.patched;
+    patched_keyed = t.patched_keyed;
     evictions = t.evictions;
     cost_skipped = t.cost_skipped;
   }
@@ -540,7 +684,8 @@ let stats_lines ~enabled t =
       (if enabled then "enabled" else "disabled")
       s.entries (mib s.bytes) (mib t.budget_bytes) t.max_entries;
     Printf.sprintf
-      "hits %d  misses %d  semantic %d  cost-skipped %d  patched %d  evictions %d"
+      "hits %d  misses %d  semantic %d  cost-skipped %d  patched %d (keyed %d)  \
+       evictions %d"
       s.hits s.misses s.semantic_reuses s.cost_skipped s.patched_entries
-      s.evictions;
+      s.patched_keyed s.evictions;
   ]

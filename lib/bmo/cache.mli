@@ -34,7 +34,11 @@
     Inserts and deletes on a base relation {e patch} the affected entries
     with {!Incremental}'s maintenance rule: each BMO set cached for the
     old relation version is updated in place of recomputation and moved
-    to the new version's key; the old key is removed.
+    to the new version's key; the old key is removed. An entry whose rows
+    are a subsequence of the version's rows (every BNL answer) records
+    their positions there, and a delete runs the rule for it over row
+    positions with {!Dominance.keyed}'s test on the old version's key
+    columns; any other entry is patched over tuples with the closure.
 
     Capacity is bounded twice — by entry count and by an approximate byte
     budget ({!Stdlib.Obj.reachable_words} of the stored sets) — with LRU
@@ -72,7 +76,8 @@ val fingerprint : Relation.t -> string
 (** Structural version fingerprint of a relation: schema, cardinality and
     two independent row-hash accumulators. Memoised on the physical
     identity of the row list, so fingerprinting the same unmodified
-    relation repeatedly is O(1). *)
+    relation repeatedly is O(1). A write's patch forgets the old
+    version's slot, so the memo keeps no superseded row list alive. *)
 
 (** {1 The cache protocol} *)
 
@@ -145,26 +150,45 @@ val store :
   Relation.t ->
   unit
 (** [store t schema p rel result] caches [result] as σ[P](rel). No-op when
-    disabled. *)
+    disabled. When [result]'s rows are a physical subsequence of [rel]'s
+    rows (every BNL answer is), one pointer walk records their positions
+    in [rel], so a later delete can patch the entry on positions. *)
 
 (** {1 Incremental maintenance} *)
 
 val on_insert :
   t -> old_rel:Relation.t -> new_rel:Relation.t -> Tuple.t -> int
-(** The base relation changed from [old_rel] to [new_rel] by inserting the
-    tuple. Every entry cached under [old_rel]'s fingerprint is patched by
-    {!Incremental.insert_rule} and moved to [new_rel]'s fingerprint,
-    keeping its LRU position (a write is not a use). Returns the number of
-    entries patched; an empty cache returns 0 before fingerprinting
-    either version. *)
+(** The base relation changed from [old_rel] to [new_rel] by appending
+    the tuple ([new_rel] is [old_rel]'s rows, then the tuple, as
+    {!Relation.add_row} builds it). Every entry cached under [old_rel]'s
+    fingerprint is patched by {!Incremental.insert_rule} and moved to
+    [new_rel]'s fingerprint, keeping its LRU position (a write is not a
+    use); an entry with positions gives the tuple position
+    [cardinality old_rel], so its answer stays in version order, the
+    order a fresh BNL returns. Returns the number of entries patched; an
+    empty cache returns 0 before fingerprinting either version. *)
 
 val on_delete :
   t -> old_rel:Relation.t -> new_rel:Relation.t -> Tuple.t -> int
 (** Dual of {!on_insert} for a single-tuple delete, by
-    {!Incremental.delete_rule} with [new_rel]'s rows as the cone's
-    domain. *)
+    {!Incremental.delete_rule}. Precondition: [new_rel] is [old_rel]
+    without its first row equal to the tuple ({!Relation.remove_row}
+    builds it so). The tuple is located once in [old_rel]. An entry with
+    positions that holds that row runs the rule over [old_rel]'s row
+    positions with {!Dominance.keyed}'s test on [old_rel]'s key columns
+    (built for the call when [old_rel] is not a stored version): its cone
+    is every position the row dominates, and the promoted positions
+    become rows by one walk of [old_rel]. Every entry with positions then
+    moves its positions past the row down one. An entry without
+    positions runs the rule over tuples with the closure, [new_rel]'s
+    rows as the cone's domain. *)
 
 (** {1 Introspection} *)
+
+val entry_positions : t -> Preferences.Pref.t -> Relation.t -> int array option
+(** The row positions the entry for σ[P](rel) records, [None] when it
+    records none or there is no entry. Counts nothing and touches no LRU
+    order: tests check every patch against it. *)
 
 type stats = {
   entries : int;
@@ -173,6 +197,9 @@ type stats = {
   misses : int;
   semantic_reuses : int;
   patched_entries : int;
+  patched_keyed : int;
+      (** the patched entries that recorded their row positions; a delete
+          ran the rule on them over positions with the keyed test *)
   evictions : int;
   cost_skipped : int;
       (** semantic matches refused because reconstruction was predicted

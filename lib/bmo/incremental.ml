@@ -3,40 +3,54 @@ open Pref_relation
 (* Incremental maintenance of sigma[P](R) under inserts and deletes: the
    one maintenance rule and the cone lemma behind its delete half are in
    the .mli.  The maintained structure keeps the non-result tuples as its
-   shadow, the domain of the delete cone.  All operations are linear
-   scans (no index), already far cheaper than recomputation. *)
+   shadow, the domain of the delete cone.  Every operation is a linear
+   scan with no index, and a delete of a best match tests the closure
+   against every shadow row and runs BNL over d's cone: on a large cone
+   that nears a recomputation.  The result cache runs the same rule over
+   row positions with the keyed test instead (Cache.on_delete). *)
 
 type delta = { added : Tuple.t list; removed : Tuple.t list }
 
 let no_delta = { added = []; removed = [] }
 
-(* remove the first element [same] matches *)
-let remove_first same l =
+(* the first element [same] matches, and the list without it *)
+let take_first same l =
   let rec go acc = function
-    | [] -> List.rev acc
-    | x :: rest -> if same x then List.rev_append acc rest else go (x :: acc) rest
+    | [] -> None
+    | x :: rest -> if same x then Some (x, List.rev_append acc rest) else go (x :: acc) rest
   in
   go [] l
 
+let remove_first same l =
+  match take_first same l with Some (_, rest) -> rest | None -> l
+
 let insert_rule dominates ~result row =
-  if List.exists (fun r -> dominates r row) result then (result, no_delta)
+  if List.exists (fun r -> dominates r row) result then None
   else
     let evicted, kept = List.partition (fun r -> dominates row r) result in
-    (kept @ [ row ], { added = [ row ]; removed = evicted })
+    Some (kept, evicted)
 
-let delete_rule dominates ~result ~domain row =
-  match List.find_opt (Tuple.equal row) result with
+(* By the cone lemma every dominator of a cone point in the new version is
+   a cone point or a kept point, so the cone's maxima screened against
+   [kept] are exactly the promoted points. The cone is never built: the
+   domain pass feeds it through a BNL window (a point a window point
+   dominates is dropped, one that enters evicts those it dominates),
+   which ends holding the cone's maxima, newest first; then the few
+   maxima are screened against [kept]. *)
+let delete_rule dominates ~same ~result ~domain =
+  match take_first same result with
   | None -> None
-  | Some hit ->
-    let kept = remove_first (fun r -> r == hit) result in
+  | Some (hit, kept) ->
+    let window = ref [] in
+    domain (fun s ->
+        if dominates hit s && not (List.exists (fun w -> dominates w s) !window)
+        then window := s :: List.filter (fun w -> not (dominates s w)) !window);
     let promoted =
       List.filter
-        (fun s ->
-          dominates row s && not (List.exists (fun u -> dominates u s) kept))
-        domain
-      |> Bnl.maxima dominates
+        (fun s -> not (List.exists (fun u -> dominates u s) kept))
+        (List.rev !window)
     in
-    Some (kept @ promoted, { added = promoted; removed = [ hit ] })
+    Some (kept, hit, promoted)
 
 type t = {
   schema : Schema.t;
@@ -63,25 +77,43 @@ let size t = List.length t.result
 let cardinality t = List.length t.result + List.length t.shadow
 
 let insert_delta t row =
-  let result, d = insert_rule t.dominates ~result:t.result row in
-  t.result <- result;
-  t.shadow <- (if d.added = [] then [ row ] else d.removed) @ t.shadow;
-  d
+  match insert_rule t.dominates ~result:t.result row with
+  | None ->
+    t.shadow <- row :: t.shadow;
+    no_delta
+  | Some (kept, evicted) ->
+    t.result <- kept @ [ row ];
+    t.shadow <- evicted @ t.shadow;
+    { added = [ row ]; removed = evicted }
 
 let insert t row = ignore (insert_delta t row)
 
+(* [l] without [sub], whose elements sit in [l] physically and in this
+   order: one walk, one occurrence of [l] per element of [sub] *)
+let drop_subsequence sub l =
+  let rec go acc sub l =
+    match sub, l with
+    | [], _ -> List.rev_append acc l
+    | s :: sub', x :: l' -> if x == s then go acc sub' l' else go (x :: acc) sub l'
+    | _ :: _, [] -> invalid_arg "Incremental.drop_subsequence"
+  in
+  go [] sub l
+
 let delete_delta t row =
-  match delete_rule t.dominates ~result:t.result ~domain:t.shadow row with
-  | Some (result, d) ->
-    t.result <- result;
-    t.shadow <-
-      List.fold_left (fun sh p -> remove_first (fun s -> s == p) sh) t.shadow d.added;
-    Some d
-  | None ->
-    if List.exists (Tuple.equal row) t.shadow then begin
-      t.shadow <- remove_first (Tuple.equal row) t.shadow;
+  match
+    delete_rule t.dominates ~same:(Tuple.equal row) ~result:t.result
+      ~domain:(fun visit -> List.iter visit t.shadow)
+  with
+  | Some (kept, hit, promoted) ->
+    t.result <- kept @ promoted;
+    (* the promoted rows are shadow rows, in shadow order *)
+    t.shadow <- drop_subsequence promoted t.shadow;
+    Some { added = promoted; removed = [ hit ] }
+  | None -> (
+    match take_first (Tuple.equal row) t.shadow with
+    | Some (_, shadow) ->
+      t.shadow <- shadow;
       Some no_delta
-    end
-    else None
+    | None -> None)
 
 let delete t row = Option.is_some (delete_delta t row)

@@ -30,6 +30,11 @@ let cache_hits = Metrics.counter "bmo.cache.hits"
 let cache_misses = Metrics.counter "bmo.cache.misses"
 let cache_semantic = Metrics.counter "bmo.cache.semantic_reuses"
 let cache_patched = Metrics.counter "bmo.cache.patched_entries"
+let cache_patched_keyed = Metrics.counter "bmo.cache.patched_keyed"
+
+let cache_patch_ms =
+  Metrics.histogram "bmo.cache.patch_ms"
+    ~bounds:[| 0.1; 0.5; 1.; 5.; 10.; 50.; 100.; 500.; 1_000.; 10_000. |]
 let cache_evictions = Metrics.counter "bmo.cache.evictions"
 let cache_cost_skipped = Metrics.counter "bmo.cache.cost_skipped"
 let cache_entries = Metrics.gauge "bmo.cache.entries"

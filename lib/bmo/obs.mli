@@ -51,6 +51,15 @@ val cache_semantic : Pref_obs.Metrics.counter
 val cache_patched : Pref_obs.Metrics.counter
 (** Entries patched in place by incremental insert/delete maintenance. *)
 
+val cache_patched_keyed : Pref_obs.Metrics.counter
+(** The patched entries that record their rows' positions in the table
+    version: a delete runs the rule on them over positions with the keyed
+    test. *)
+
+val cache_patch_ms : Pref_obs.Metrics.histogram
+(** Wall time of one write's patch of the cache: fingerprints and every
+    entry of the old version. *)
+
 val cache_evictions : Pref_obs.Metrics.counter
 
 val cache_cost_skipped : Pref_obs.Metrics.counter

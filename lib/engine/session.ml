@@ -237,27 +237,15 @@ let insert t name row =
 let delete t name row =
   let name = String.lowercase_ascii name in
   let rel = require_table t name in
-  let removed = ref false in
-  let rows =
-    List.filter
-      (fun r ->
-        if (not !removed) && Tuple.equal r row then begin
-          removed := true;
-          false
-        end
-        else true)
-      (Relation.rows rel)
-  in
-  if not !removed then None
-  else begin
-    let new_rel = Relation.make (Relation.schema rel) rows in
+  match Relation.remove_row rel row with
+  | None -> None
+  | Some new_rel ->
     let patched =
       Pref_bmo.Cache.on_delete Pref_bmo.Cache.global ~old_rel:rel ~new_rel row
     in
     set_table t name new_rel;
     Relation.release rel;
     Some patched
-  end
 
 (* ------------------------------------------------------------------ *)
 

@@ -98,6 +98,15 @@ let add_row r row =
   check_row r.schema row;
   v r.schema (r.rows @ [ row ])
 
+let remove_row r row =
+  let rec go acc = function
+    | [] -> None
+    | x :: rest ->
+      if Tuple.equal x row then Some (v r.schema (List.rev_append acc rest))
+      else go (x :: acc) rest
+  in
+  go [] r.rows
+
 let mem r row = List.exists (Tuple.equal row) r.rows
 
 let distinct r =

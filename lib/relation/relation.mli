@@ -26,6 +26,12 @@ val cardinality : t -> int
 val is_empty : t -> bool
 
 val add_row : t -> Tuple.t -> t
+
+val remove_row : t -> Tuple.t -> t option
+(** [remove_row r row]: [r] without its first row equal to [row]
+    ({!Tuple.equal}), or [None] when no row is. The remaining rows were
+    checked when [r] was made, so none is checked again. *)
+
 val mem : t -> Tuple.t -> bool
 
 val distinct : t -> t

@@ -233,6 +233,57 @@ let test_patch_counts () =
   | _ -> Alcotest.fail "expected the patched entry to hit");
   check_int "patched counter" 1 (Cache.stats cache).Cache.patched_entries
 
+(* A σ run over a stored table caches its answer with the rows'
+   positions, and a delete of a best match patches that entry over them:
+   [bmo.cache.patched_keyed] counts it beside [patched_entries],
+   [bmo.cache.patch_ms] times the write, and /metrics exports both. The
+   patched answer is the fresh BNL answer, in the same order. *)
+let test_patch_on_positions () =
+  Gen.with_cache @@ fun () ->
+  Pref_obs.Control.with_enabled true @@ fun () ->
+  let rel = Pref_workload.Cars.relation ~seed:5 ~n:300 () in
+  Relation.store rel;
+  let schema = Relation.schema rel in
+  let p = Pref.pareto (Pref.lowest "price") (Pref.lowest "mileage") in
+  let cfg = { Engine.default with cache = true } in
+  let sigma cfg rel =
+    (Query.run_within ~deadline:Engine.no_deadline cfg schema p rel).Engine.Result.rows
+  in
+  let answer = sigma cfg rel in
+  check "stored with positions" true (Cache.entry_positions Cache.global p rel <> None);
+  let counts () =
+    ( (Cache.stats Cache.global).Cache.patched_keyed,
+      Pref_obs.Metrics.count Obs.cache_patched_keyed,
+      Pref_obs.Metrics.hist_count Obs.cache_patch_ms )
+  in
+  let k0, c0, h0 = counts () in
+  let d = List.hd (Relation.rows answer) in
+  let new_rel = Option.get (Relation.remove_row rel d) in
+  check_int "one entry patched" 1
+    (Cache.on_delete Cache.global ~old_rel:rel ~new_rel d);
+  let k1, c1, h1 = counts () in
+  check_int "patched on positions" 1 (k1 - k0);
+  check_int "bmo.cache.patched_keyed" 1 (c1 - c0);
+  check_int "bmo.cache.patch_ms" 1 (h1 - h0);
+  check "the entry keeps positions" true
+    (Cache.entry_positions Cache.global p new_rel <> None);
+  let fresh = sigma { cfg with cache = false } new_rel in
+  (match Cache.lookup Cache.global schema p new_rel with
+  | Some (r, Cache.Exact) ->
+    check "patched answer = fresh BNL answer, in order" true
+      (List.equal Tuple.equal (Relation.rows r) (Relation.rows fresh))
+  | _ -> Alcotest.fail "expected the patched entry to hit");
+  let text = Pref_obs.Export.prometheus () in
+  let exported name =
+    let n = String.length name in
+    let rec at i =
+      i + n <= String.length text && (String.sub text i n = name || at (i + 1))
+    in
+    at 0
+  in
+  check "both exported" true
+    (exported "bmo_cache_patched_keyed" && exported "bmo_cache_patch_ms")
+
 (* A patch moves each entry to the new version's key (the old key is
    gone) and keeps its LRU position: a write is not a use. *)
 let test_patch_rekeys () =
@@ -385,6 +436,8 @@ let suite =
     Gen.quick "semantic dunion" test_semantic_dunion;
     Gen.quick "patch counts" test_patch_counts;
     Gen.quick "patch re-keys entries in LRU order" test_patch_rekeys;
+    Gen.quick "delete patches a stored table's entry on positions"
+      test_patch_on_positions;
     Gen.quick "eviction by entry count" test_eviction_max_entries;
     Gen.quick "eviction by byte budget" test_eviction_byte_budget;
     Gen.quick "planner cache plans" test_planner_cache_plans;

@@ -162,14 +162,17 @@ let prop_delta_replay =
 (* --- The maintenance rule, through both of its users ------------------- *)
 
 (* An edit of the current multiset: a fresh row, a value-duplicate of a
-   present row, a delete of a best match, of any present row, or of a
-   row that may be absent. Indices are taken modulo the current sizes. *)
+   present row, a delete of a best match, of any present row, of a row
+   that may be absent, or a fresh copy of a present row appended and then
+   a delete of that value, which drops the earlier row. Indices are taken
+   modulo the current sizes. *)
 type edit =
   | Ins of Tuple.t
   | Dup of int
   | Del_best of int
   | Del_any of int
   | Del of Tuple.t
+  | Dup_del of int
 
 let edit_gen =
   QCheck.Gen.(
@@ -180,6 +183,7 @@ let edit_gen =
         (3, map (fun i -> Del_best i) nat);
         (2, map (fun i -> Del_any i) nat);
         (1, map (fun t -> Del t) Gen.tuple);
+        (2, map (fun i -> Dup_del i) nat);
       ])
 
 let pp_edit ppf = function
@@ -188,39 +192,71 @@ let pp_edit ppf = function
   | Del_best i -> Fmt.pf ppf "delete best #%d" i
   | Del_any i -> Fmt.pf ppf "delete #%d" i
   | Del t -> Fmt.pf ppf "delete %a" Tuple.pp t
+  | Dup_del i -> Fmt.pf ppf "copy #%d, then delete it" i
 
 let same_multiset a b =
   List.equal Tuple.equal (List.sort Tuple.compare a) (List.sort Tuple.compare b)
+
+(* An entry's recorded positions fit the version: ascending, one per
+   answer row, each indexing a row equal to the answer's row there. *)
+let positions_fit rows answer pos =
+  let rows = Array.of_list rows in
+  Array.length pos = List.length answer
+  && List.for_all Fun.id
+       (List.mapi
+          (fun k r ->
+            (k = 0 || pos.(k - 1) < pos.(k))
+            && pos.(k) >= 0
+            && pos.(k) < Array.length rows
+            && Tuple.equal rows.(pos.(k)) r)
+          answer)
 
 (* Cached entries patched by Cache.on_insert/on_delete and Incremental
    structures updated by insert_delta/delete_delta both follow the one
    rule: after every edit each answer is Naive.maxima of the current
    multiset (multiplicities included), the subscriber replica built from
    the deltas agrees, and every entry sits under the current version's key
-   alone. *)
+   alone. An entry is stored either as the answer itself, whose rows sit
+   in the version, so it records positions and deletes patch it over them
+   with the keyed test, or as fresh copies of the answer rows, so it
+   records none and is patched over tuples with the closure. A
+   positioned entry keeps its positions through every edit, and they fit
+   each version. Versions are stored and released the way a session's
+   tables are, or left unstored. *)
 let prop_rule_matches_naive =
   QCheck.Test.make ~count:300
     ~name:"maintenance rule = naive for the cache and Incremental"
     (QCheck.make
        QCheck.Gen.(
-         triple (pair Gen.pref Gen.pref)
+         quad (pair Gen.pref Gen.pref) (triple bool bool bool)
            (list_size (int_range 0 12) Gen.tuple)
            (list_size (int_range 1 30) edit_gen))
-       ~print:(fun ((p, q), rows, edits) ->
-         Fmt.str "%a / %a over %d rows: [%a]" Preferences.Show.pp p
-           Preferences.Show.pp q (List.length rows)
+       ~print:(fun ((p, q), (pos_p, pos_q, stored), rows, edits) ->
+         Fmt.str "%a (%s) / %a (%s) over %d %srows: [%a]" Preferences.Show.pp p
+           (if pos_p then "positions" else "copies")
+           Preferences.Show.pp q
+           (if pos_q then "positions" else "copies")
+           (List.length rows)
+           (if stored then "stored " else "")
            (Fmt.list ~sep:Fmt.semi pp_edit)
            edits))
-    (fun ((p, q), rows0, edits) ->
-      let prefs = [ p; q ] in
+    (fun ((p, q), (pos_p, pos_q, stored), rows0, edits) ->
+      (* the later store replaces an entry for an equal term *)
+      let pos_p = if Canon.key p = Canon.key q then pos_q else pos_p in
+      let prefs = [ (p, pos_p || rows0 = []); (q, pos_q || rows0 = []) ] in
       let naive p rows = Naive.maxima (Dominance.of_pref Gen.schema p) rows in
       let cache = Cache.create () in
       let rel = ref (Relation.make Gen.schema rows0) in
+      if stored then Relation.store !rel;
       List.iter
-        (fun p -> Cache.store cache Gen.schema p !rel (batch Gen.schema p rows0))
+        (fun (p, positioned) ->
+          let answer = naive p rows0 in
+          Cache.store cache Gen.schema p !rel
+            (Relation.make Gen.schema
+               (if positioned then answer else List.map Array.copy answer)))
         prefs;
-      let incs = List.map (fun p -> Incremental.create Gen.schema p rows0) prefs in
-      let replicas = List.map (fun p -> ref (naive p rows0)) prefs in
+      let incs = List.map (fun (p, _) -> Incremental.create Gen.schema p rows0) prefs in
+      let replicas = List.map (fun (p, _) -> ref (naive p rows0)) prefs in
       let apply replica (d : Incremental.delta) =
         replica :=
           List.fold_left
@@ -229,35 +265,41 @@ let prop_rule_matches_naive =
           @ d.Incremental.added
       in
       let nth l i = List.nth l (i mod List.length l) in
+      (* the next version, stored and the old one released as a session
+         does it *)
+      let advance new_rel =
+        if stored then begin
+          Relation.store new_rel;
+          Relation.release !rel
+        end;
+        rel := new_rel
+      in
+      let insert t =
+        let new_rel = Relation.add_row !rel t in
+        ignore (Cache.on_insert cache ~old_rel:!rel ~new_rel t);
+        List.iter2
+          (fun inc r -> apply r (Incremental.insert_delta inc t))
+          incs replicas;
+        advance new_rel
+      in
+      let delete t =
+        let present = List.exists (Tuple.equal t) (Relation.rows !rel) in
+        (match Relation.remove_row !rel t with
+        | Some new_rel ->
+          ignore (Cache.on_delete cache ~old_rel:!rel ~new_rel t);
+          advance new_rel
+        | None -> ());
+        List.for_all2
+          (fun inc r ->
+            match Incremental.delete_delta inc t with
+            | Some d ->
+              apply r d;
+              present
+            | None -> not present)
+          incs replicas
+      in
       let step edit =
         let rows = Relation.rows !rel in
-        let insert t =
-          let new_rel = Relation.add_row !rel t in
-          ignore (Cache.on_insert cache ~old_rel:!rel ~new_rel t);
-          List.iter2
-            (fun inc r -> apply r (Incremental.insert_delta inc t))
-            incs replicas;
-          rel := new_rel
-        in
-        let delete t =
-          let present = List.exists (Tuple.equal t) rows in
-          let new_rel =
-            Relation.make Gen.schema (Incremental.remove_first (Tuple.equal t) rows)
-          in
-          if present then ignore (Cache.on_delete cache ~old_rel:!rel ~new_rel t);
-          let ok =
-            List.for_all2
-              (fun inc r ->
-                match Incremental.delete_delta inc t with
-                | Some d ->
-                  apply r d;
-                  present
-                | None -> not present)
-              incs replicas
-          in
-          rel := new_rel;
-          ok
-        in
         match edit with
         | Ins t -> insert t; true
         | Dup i -> if rows = [] then true else (insert (nth rows i); true)
@@ -265,6 +307,13 @@ let prop_rule_matches_naive =
           match naive p rows with [] -> true | best -> delete (nth best i))
         | Del_any i -> if rows = [] then true else delete (nth rows i)
         | Del t -> delete t
+        | Dup_del i ->
+          if rows = [] then true
+          else begin
+            let copy = Array.copy (nth rows i) in
+            insert copy;
+            delete copy
+          end
       in
       List.for_all
         (fun edit ->
@@ -272,12 +321,18 @@ let prop_rule_matches_naive =
           &&
           let rows = Relation.rows !rel in
           (Cache.stats cache).Cache.entries
-          = List.length (List.sort_uniq String.compare (List.map Canon.key prefs))
+          = List.length
+              (List.sort_uniq String.compare (List.map (fun (p, _) -> Canon.key p) prefs))
           && List.for_all2
-               (fun p (inc, replica) ->
+               (fun (p, positioned) (inc, replica) ->
                  let expected = naive p rows in
                  (match Cache.lookup cache Gen.schema p !rel with
-                 | Some (r, Cache.Exact) -> same_multiset (Relation.rows r) expected
+                 | Some (r, Cache.Exact) -> (
+                   same_multiset (Relation.rows r) expected
+                   &&
+                   match Cache.entry_positions cache p !rel with
+                   | Some pos -> positioned && positions_fit rows (Relation.rows r) pos
+                   | None -> not positioned)
                  | _ -> false)
                  && same_multiset (Relation.rows (Incremental.result inc)) expected
                  && same_multiset !replica expected
