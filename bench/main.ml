@@ -77,6 +77,8 @@ let pp_ns ppf ns =
    old CPU-time [Sys.time] deltas) *)
 let wall f = Pref_obs.Span.timed f
 
+let median xs = List.nth (List.sort Float.compare xs) (List.length xs / 2)
+
 (* ------------------------------------------------------------------ *)
 (* E1 — Example 1: EXPLICIT colour preference                          *)
 
@@ -1172,7 +1174,6 @@ let b10 () =
               (version', (version', r) :: acc))
             (cars, []) [ 1; 2; 3 ]))
   in
-  let median xs = List.nth (List.sort Float.compare xs) (List.length xs / 2) in
   let t_patch = median (List.map (fun (_, (_, _, t, _)) -> t) rounds)
   and t_fresh = median (List.map (fun (_, (_, _, _, t)) -> t) rounds) in
   ignore (row "patch_delete" t_fresh t_patch);
@@ -1218,10 +1219,6 @@ let b10 () =
         let d = estimate "bnl-direct" direct_run in
         let s = estimate "sigma-cache-off" sigma_run in
         (d, s))
-  in
-  let median xs =
-    let xs = List.sort Float.compare xs in
-    List.nth xs (List.length xs / 2)
   in
   match
     ( List.filter_map fst samples,
